@@ -137,7 +137,7 @@ SCHEMA = {
         "qdot0": ("vector", "0 0", "initial joint velocities [rad/s]"),
         "extras_stride": ("int", "1", "steps between derived-quantity samples (torque, estimates, diagnostics)"),
         "csv_decimate": ("int", "10", "steps between persisted CSV rows (multiple of extras_stride)"),
-        "residual_stride": ("int", "100", "steps between closed-loop residual checks (0 disables)"),
+        "residual_stride": ("int", "100", "steps between closed-loop residual checks (multiple of extras_stride; 0 disables)"),
     },
 }
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..filters import FilterBank, regressor_loop_channel
+from ..filters import FilterBank, LinearBlock, regressor_loop_channel
 from ..refdyn import ReferenceConfig, cascade_rates
 from .base import ConfigError, ControlEval, ControllerBase, GainSet
 
@@ -73,7 +73,7 @@ class FilteredAdaptiveController(ControllerBase):
         )
 
         self.wbank = make_loop_bank(coeffs, self.a0s, self.a1s, self.Lam, self.K, self.p_dim)
-        self.hbank = make_loop_bank(coeffs, self.a0s, self.a1s, self.Lam, self.K, 1)
+        self.hbank = self.wbank.with_cols(1)
 
         self.layout.add("phi", coeffs.ell, self.n)
         self.layout.add("qd_aux", 2, self.n)
@@ -81,6 +81,10 @@ class FilteredAdaptiveController(ControllerBase):
         self.layout.add("theta_hat", self.p_dim)
         self.layout.add("wbank", *self.wbank.state_shape())
         self.layout.add("hbank", *self.hbank.state_shape())
+        self.block = LinearBlock(
+            self.layout, {"wbank": self.wbank, "hbank": self.hbank},
+            [("wbank", "C", 0), ("hbank", "C", 0)],
+        )
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = np.zeros(self.state_size)
@@ -102,11 +106,9 @@ class FilteredAdaptiveController(ControllerBase):
         aux = self.layout.view(x, "qd_aux")
         xi = self.layout.view(x, "xi")
         th = self.layout.view(x, "theta_hat")
-        wx = self.layout.view(x, "wbank")
-        hx = self.layout.view(x, "hbank")
 
-        W = self.wbank.output(wx)            # filtered regressor, (n, p)
-        h = W @ th - self.hbank.output(hx)   # swap term, (n,)
+        W, hv = self.block.outputs(x)        # filtered regressor (n, p), filtered Y th
+        h = W @ th - hv                      # swap term, (n,)
         e = (qdot - qd_dot) + self.alpha_star * (q - qd)
 
         qdd_aux = (
@@ -127,15 +129,13 @@ class FilteredAdaptiveController(ControllerBase):
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ th - self.lambda_D * (Y @ xi)
 
-        xdot = np.empty(self.state_size)
+        xdot = self.block.deriv(x, (Y.ravel(), Y @ th))
         self.layout.view(xdot, "phi")[:] = phi_dot
         aux_dot = self.layout.view(xdot, "qd_aux")
         aux_dot[0] = aux[1]
         aux_dot[1] = qdd_aux
         self.layout.view(xdot, "xi")[:] = -self.lam * xi + self.lam * (Y.T @ s)
         self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (W.T @ e)
-        self.layout.view(xdot, "wbank")[:] = self.wbank.deriv(wx, Y)
-        self.layout.view(xdot, "hbank")[:] = self.hbank.deriv(hx, Y @ th)
 
         extras = {
             "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd,

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..filters import (
     FilterBank,
+    LinearBlock,
     cascade_poly,
     direct_path_channel,
     freq_regressor_channel,
@@ -120,8 +121,7 @@ class StackedSingleController(ControllerBase):
         self.b_psi = FilterBank(np.vstack(psi_dens), [_stack_rows(psi_nums)], cols=1)
         self.b_y = FilterBank(np.vstack(y_dens), [_stack_rows(y_nums2), _stack_rows(y_nums3)],
                               cols=self.p_dim)
-        self.b_v = FilterBank(np.vstack(y_dens), [_stack_rows(y_nums2), _stack_rows(y_nums3)],
-                              cols=1)
+        self.b_v = self.b_y.with_cols(1)
 
         self.layout.add("phi", coeffs.ell, self.n)
         self.layout.add("qd_aux", 2, self.n)
@@ -133,6 +133,12 @@ class StackedSingleController(ControllerBase):
         self.layout.add("b_psith", *self.b_psi.state_shape())
         self.layout.add("b_y", *self.b_y.state_shape())
         self.layout.add("b_v", *self.b_v.state_shape())
+        self.block = LinearBlock(
+            self.layout,
+            {"b_psi": self.b_psi, "b_psith": self.b_psi, "b_y": self.b_y, "b_v": self.b_v},
+            [("b_psi", "C", 0), ("b_psith", "C", 0), ("b_y", "C", slice(None)),
+             ("b_v", "C", slice(None))],
+        )
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = np.zeros(self.state_size)
@@ -159,20 +165,14 @@ class StackedSingleController(ControllerBase):
         xi = self.layout.view(x, "xi")
         th = self.layout.view(x, "theta_hat")
         thf = float(self.layout.view(x, "freq_hat")[0])
-        x_psi = self.layout.view(x, "b_psi")
-        x_psith = self.layout.view(x, "b_psith")
-        x_y = self.layout.view(x, "b_y")
-        x_v = self.layout.view(x, "b_v")
 
         psi = q - chi[0]
         psidot = qdot - chi[1]
+        psith = psi * thf
 
-        W1 = self.b_psi.output(x_psi, psi)            # biproper
-        g1_psith = self.b_psi.output(x_psith, psi * thf)
-        WG2 = self.b_y.output(x_y, k=0)
-        WG3 = self.b_y.output(x_y, k=1)
-        vG2 = self.b_v.output(x_v, k=0)
-        vG3 = self.b_v.output(x_v, k=1)
+        W1, g1_psith, (WG2, WG3), (vG2, vG3) = self.block.outputs(x)
+        W1 = W1 + self.b_psi.D[0] * psi               # biproper
+        g1_psith = g1_psith + self.b_psi.D[0] * psith
 
         Wst = thf * WG2 + WG3                          # (n, p)
         h = W1 * thf - g1_psith + thf * (WG2 @ th - vG2) + WG3 @ th - vG3
@@ -193,7 +193,7 @@ class StackedSingleController(ControllerBase):
         Y = self.shape.regressor(q, qdot, chidot_aux, chidd_aux)
         tau = -self.K * s_aux + Y @ th - self.lambda_D * (Y @ xi)
 
-        xdot = np.empty(self.state_size)
+        xdot = self.block.deriv(x, (psi, psith, Y.ravel(), Y @ th))
         self.layout.view(xdot, "phi")[:] = phi_dot
         aux_dot = self.layout.view(xdot, "qd_aux")
         aux_dot[0] = aux[1]
@@ -205,10 +205,6 @@ class StackedSingleController(ControllerBase):
         self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (Wst.T @ e)
         freq_rate = 0.0 if self.freeze_freq else -self.gamma_f * float(W1 @ e)
         self.layout.view(xdot, "freq_hat")[:] = freq_rate
-        self.layout.view(xdot, "b_psi")[:] = self.b_psi.deriv(x_psi, psi)
-        self.layout.view(xdot, "b_psith")[:] = self.b_psi.deriv(x_psith, psi * thf)
-        self.layout.view(xdot, "b_y")[:] = self.b_y.deriv(x_y, Y)
-        self.layout.view(xdot, "b_v")[:] = self.b_v.deriv(x_v, Y @ th)
 
         extras = {
             "ref_vel": chidot_aux, "ref_acc": chidd_aux, "s": s_aux, "qd": qd,
@@ -295,14 +291,14 @@ class StackedMultiController(ControllerBase):
             y_nums[n_star].append(
                 lam_r * poly_mul(np.append(np.zeros(m + coeffs.ell - 1), 1.0), kpoly)
             )
-        nums_stacked = [_stack_rows(rows) for rows in y_nums]
-        self.b_y = FilterBank(np.vstack(y_dens), nums_stacked, cols=self.p_dim)
-        self.b_v = FilterBank(np.vstack(y_dens), nums_stacked, cols=1)
+        self.b_y = FilterBank(np.vstack(y_dens), [_stack_rows(rows) for rows in y_nums],
+                              cols=self.p_dim)
+        self.b_v = self.b_y.with_cols(1)
 
         # collapsed inverse-filter composition: p^2 / kpoly (biproper)
         p2 = np.array([0.0, 0.0, 1.0])
         self.f_outer_w = FilterBank(tile(kpoly), [tile(p2)], cols=self.p_dim)
-        self.f_outer_h = FilterBank(tile(kpoly), [tile(p2)], cols=1)
+        self.f_outer_h = self.f_outer_w.with_cols(1)
 
         ell = coeffs.ell
         self.layout.add("phi", ell, self.n)
@@ -318,6 +314,15 @@ class StackedMultiController(ControllerBase):
         self.layout.add("b_v", *self.b_v.state_shape())
         self.layout.add("outer_w", self.n, self.p_dim, 2)
         self.layout.add("outer_h", self.n, 2)
+        every = slice(None)
+        self.block = LinearBlock(
+            self.layout,
+            {"f_e": self.f_e, "f_u": self.f_u, "f_w": self.f_w, "b_y": self.b_y,
+             "b_v": self.b_v, "outer_w": self.f_outer_w, "outer_h": self.f_outer_h},
+            [("b_y", "C", every), ("b_v", "C", every), ("outer_w", "C", 0), ("outer_h", "C", 0),
+             ("f_e", "C", 0), ("f_e", "CA", 0), ("f_e", "CA2", 0),
+             ("f_u", "C", 0), ("f_u", "CA", 0), ("f_u", "CA2", 0), ("f_w", "C", every)],
+        )
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = np.zeros(self.state_size)
@@ -334,10 +339,6 @@ class StackedMultiController(ControllerBase):
         self.layout.view(x, "freq_hat")[:] = self.freq_hat0
         return x
 
-    def _banked(self, bank, x, joint_filter):
-        # joint-shared filters are stored row-per-joint; broadcast helper
-        return bank.output(x)
-
     def evaluate(self, t, q, qdot, x):
         qd = self.traj.eval(t, 0)
         qd_dot = self.traj.eval(t, 1)
@@ -345,29 +346,25 @@ class StackedMultiController(ControllerBase):
         phi = self.layout.view(x, "phi")
         aux = self.layout.view(x, "qd_aux")
         chi1 = self.layout.view(x, "chi1")
-        x_e = self.layout.view(x, "f_e")
-        x_u = self.layout.view(x, "f_u")
-        x_w = self.layout.view(x, "f_w")
         xi = self.layout.view(x, "xi")
         th = self.layout.view(x, "theta_hat")
         thf = self.layout.view(x, "freq_hat")
-        x_y = self.layout.view(x, "b_y")
-        x_v = self.layout.view(x, "b_v")
-        x_ow = self.layout.view(x, "outer_w")
-        x_oh = self.layout.view(x, "outer_h")
+        ns = self.n_star
 
         e = (qdot - qd_dot) + self.ass * (q - qd)
 
+        by_outs, bv_outs, Wst, oh, ev, evd, evdd, chi2u, chi2ud, chi2udd, W_i = (
+            self.block.outputs(x)
+        )
+
         # dynamics-regressor machinery
-        by_outs = [self.b_y.output(x_y, k=i) for i in range(self.n_star + 1)]
-        bv_outs = [self.b_v.output(x_v, k=i) for i in range(self.n_star + 1)]
-        mW = by_outs[self.n_star].copy()
-        mh = bv_outs[self.n_star].copy()
-        for i in range(self.n_star):
+        mW = by_outs[ns].copy()
+        mh = bv_outs[ns].copy()
+        for i in range(ns):
             mW += thf[i] * by_outs[i]
             mh += thf[i] * bv_outs[i]
-        Wst = self.f_outer_w.output(x_ow, mW)         # biproper p^2/kpoly
-        oh = self.f_outer_h.output(x_oh, mh)
+        Wst = Wst + self.f_outer_w.D[0][:, None] * mW   # biproper p^2/kpoly
+        oh = oh + self.f_outer_h.D[0] * mh
         h = Wst @ th - oh
 
         qdd_aux = (
@@ -380,23 +377,21 @@ class StackedMultiController(ControllerBase):
         psi1 = q - chi1[0]
         psi1dot = qdot - chi1[1]
 
-        ev = self.f_e.output(x_e)
-        evd = self.f_e.output_dot(x_e, psi1)
-        evdd = self.f_e.output_ddot(x_e, psi1, psi1dot)
+        evd = evd + self.f_e.CB[0] * psi1
+        evdd = evdd + self.f_e.CAB[0] * psi1 + self.f_e.CB[0] * psi1dot
 
-        chi2u = self.f_u.output(x_u)
-        chi2ud = self.f_u.output_dot(x_u, np.zeros(self.n))  # relative degree 2
-
+        # f_u has relative degree 2 (CB = 0): chi2u' is a pure state map
         chi2 = chi1[0] - ev + chi2u
         chi2d = chi1[1] - evd + chi2ud
         psi2 = q - chi2
         psi2dot = qdot - chi2d
 
-        W_i = [self.f_w.output(x_w, psi2, k=i) for i in range(self.n_star)]
+        # only the last tone regressor is biproper
+        W_i[-1] += self.f_w.D[-1] * psi2
         mdrive = np.zeros(self.n)
-        for i in range(self.n_star):
+        for i in range(ns):
             mdrive += thf[i] * W_i[i]
-        chi2udd = self.f_u.output_ddot(x_u, mdrive, np.zeros(self.n))
+        chi2udd = chi2udd + self.f_u.CAB[0] * mdrive
         chi2dd = r1 - evdd + chi2udd
 
         phi_dot, zdot = cascade_rates(self.refcfg, phi, q, qdot, chi2, chi2d, chi2dd)
@@ -407,7 +402,9 @@ class StackedMultiController(ControllerBase):
 
         layer_err = psi1dot + self.kappa_s * psi1
 
-        xdot = np.empty(self.state_size)
+        xdot = self.block.deriv(
+            x, (psi1, mdrive, psi2, Y.ravel(), Y @ th, mW.ravel(), mh)
+        )
         self.layout.view(xdot, "phi")[:] = phi_dot
         aux_dot = self.layout.view(xdot, "qd_aux")
         aux_dot[0] = aux[1]
@@ -415,18 +412,11 @@ class StackedMultiController(ControllerBase):
         chi1_dot = self.layout.view(xdot, "chi1")
         chi1_dot[0] = chi1[1]
         chi1_dot[1] = r1
-        self.layout.view(xdot, "f_e")[:] = self.f_e.deriv(x_e, psi1)
-        self.layout.view(xdot, "f_u")[:] = self.f_u.deriv(x_u, mdrive)
-        self.layout.view(xdot, "f_w")[:] = self.f_w.deriv(x_w, psi2)
         self.layout.view(xdot, "xi")[:] = -self.lam * xi + self.lam * (Y.T @ s)
         self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (Wst.T @ e)
         thf_dot = self.layout.view(xdot, "freq_hat")
-        for i in range(self.n_star):
+        for i in range(ns):
             thf_dot[i] = 0.0 if self.freeze_freq else -self.gamma_f[i] * float(W_i[i] @ layer_err)
-        self.layout.view(xdot, "b_y")[:] = self.b_y.deriv(x_y, Y)
-        self.layout.view(xdot, "b_v")[:] = self.b_v.deriv(x_v, Y @ th)
-        self.layout.view(xdot, "outer_w")[:] = self.f_outer_w.deriv(x_ow, mW)
-        self.layout.view(xdot, "outer_h")[:] = self.f_outer_h.deriv(x_oh, mh)
 
         extras = {
             "ref_vel": z.copy(), "ref_acc": zdot, "s": s, "qd": qd,

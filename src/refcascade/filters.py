@@ -14,10 +14,18 @@ For strictly proper channels the output is a pure state map, and the first
 and second time derivatives of the output are also available as state maps
 plus current-input terms, which is how second derivatives of filtered
 quantities are obtained without ever differentiating a measured signal.
+
+Controllers do not call the banks while integrating.  A :class:`LinearBlock`
+compiles all banks of one controller, once, into a block-diagonal companion
+matrix ``A`` and one stacked output matrix ``C`` over the controller's flat
+state, so each evaluation costs one ``C @ x`` and one ``A @ x``.  The banks
+remain the source of every coefficient.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import warnings
 
 import numpy as np
@@ -26,6 +34,7 @@ from .numerics import poly_mul, routh_hurwitz
 
 __all__ = [
     "FilterBank",
+    "LinearBlock",
     "RationalFilter",
     "make_filter",
     "build_operator",
@@ -115,6 +124,12 @@ class FilterBank:
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.state_shape())
 
+    def with_cols(self, cols) -> FilterBank:
+        """The same filters for a signal with ``cols`` columns; shares the coefficients."""
+        bank = copy.copy(self)
+        bank.cols = int(cols)
+        return bank
+
     # -- dynamics ------------------------------------------------------------
 
     def deriv(self, x, u) -> np.ndarray:
@@ -167,6 +182,77 @@ class FilterBank:
             p, np.append(self.C[k, row] + self.D[k, row] * self.a[row], self.D[k, row])
         )
         return num / den
+
+
+class LinearBlock:
+    """The filter banks of one controller compiled into one state-space block.
+
+    Parameters
+    ----------
+    layout : Layout
+        The controller's state layout (``size`` and ``view(x, name)``).
+    banks : mapping of block name -> FilterBank
+        The bank realizing each named state block; one bank may realize
+        several blocks.
+    taps : sequence of (block name, map, k)
+        The outputs the control law reads, ``map`` being ``"C"``, ``"CA"``
+        or ``"CA2"``: output ``k`` of the block's bank or its first or second
+        time derivative, without the current-input terms.  ``k`` may also be
+        a slice, which taps those outputs together.
+
+    ``A`` is the block-diagonal companion matrix over the whole controller
+    state, zero outside the filter blocks' rows; ``C`` stacks one row per
+    tapped output entry; ``last`` indexes every chain's last state, in bank
+    order and, within a bank, in the (rows, cols) order of its input.  The
+    current-input terms (``D u``, ``CB u``, ``CAB u``) stay with the caller,
+    because the inputs are computed from the outputs.
+    """
+
+    def __init__(self, layout, banks, taps):
+        self.banks = dict(banks)
+        self.taps = tuple(taps)
+        index = np.arange(layout.size)
+        chains = {name: layout.view(index, name) for name in self.banks}
+        self.A = np.zeros((layout.size, layout.size))
+        for name, bank in self.banks.items():
+            idx = chains[name]
+            if idx.shape != bank.state_shape():
+                raise ValueError(f"block '{name}' does not match its bank's state shape")
+            self.A[idx[..., :-1], idx[..., 1:]] = 1.0
+            self.A[idx[..., -1:], idx] = -bank.a.reshape(_per_row(bank, idx))
+        self.last = np.concatenate([idx[..., -1].ravel() for idx in chains.values()])
+
+        maps = [getattr(self.banks[name], kind)[k] for name, kind, k in self.taps]
+        shapes = [M.shape[:-2] + chains[name].shape[:-1] for M, (name, _, _) in zip(maps, self.taps)]
+        sizes = [math.prod(shape) for shape in shapes]
+        self.C = np.zeros((sum(sizes), layout.size))
+        self._slices = []
+        off = 0
+        for (name, _, _), M, shape, size in zip(self.taps, maps, shapes, sizes):
+            idx = chains[name]
+            rows = np.arange(off, off + size).reshape(shape)
+            self.C[rows[..., None], idx] = M.reshape(M.shape[:-2] + _per_row(self.banks[name], idx))
+            self._slices.append((slice(off, off + size), shape))
+            off += size
+
+    def outputs(self, x):
+        """State part of every tap, in tap order, each shaped ([outputs,] rows[, cols])."""
+        y = self.C @ x
+        return [y[s].reshape(shape) for s, shape in self._slices]
+
+    def deriv(self, x, inputs):
+        """``A x`` plus each bank's input on its chains' last states.
+
+        ``inputs`` holds one flattened input per bank, in bank order.
+        """
+        xd = self.A @ x
+        xd[self.last] += np.concatenate(inputs)
+        return xd
+
+
+def _per_row(bank, idx):
+    # shape that broadcasts a bank's per-row coefficients over its chains
+    return (bank.rows,) + (1,) * (idx.ndim - 2) + (bank.order,)
 
 
 class RationalFilter:
@@ -223,11 +309,6 @@ def make_filter(num, den) -> RationalFilter:
     constructions); the named operator builders below insist on stability.
     """
     return RationalFilter(num, den)
-
-
-def _marginal_ok_bank(dens, nums, cols=1) -> FilterBank:
-    # internal chains may carry poles at the origin by construction
-    return FilterBank(dens, nums, cols=cols)
 
 
 # -- named operators of the torque laws --------------------------------------

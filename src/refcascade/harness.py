@@ -117,14 +117,15 @@ def build_model(cfg: ExperimentConfig) -> TwoLinkArm:
 
 def _resolve_theta(spec: str, model, name):
     spec = spec.strip()
-    if spec.startswith("auto"):
-        factor = 1.0
-        if ":" in spec:
-            factor = float(spec.split(":", 1)[1])
-        return factor * model.theta
     if not spec:
         return None
-    vals = np.array([float(x) for x in spec.replace(",", " ").split()])
+    try:
+        if spec == "auto" or spec.startswith("auto:"):
+            factor = 1.0 if spec == "auto" else float(spec[5:])
+            return factor * model.theta
+        vals = np.array([float(x) for x in spec.replace(",", " ").split()])
+    except ValueError:
+        raise ConfigError(f"{name}: expected 'auto', 'auto:<factor>' or numbers, got '{spec}'") from None
     if vals.shape != model.theta.shape:
         raise ConfigError(f"{name}: expected {model.theta.size} entries")
     return vals
@@ -179,8 +180,8 @@ def _validate_run(cfg):
         raise ConfigError("extras_stride must be >= 1")
     if r["csv_decimate"] < 1 or r["csv_decimate"] % r["extras_stride"] != 0:
         raise ConfigError("csv_decimate must be a positive multiple of extras_stride")
-    if r["residual_stride"] < 0:
-        raise ConfigError("residual_stride must be >= 0")
+    if r["residual_stride"] < 0 or r["residual_stride"] % r["extras_stride"] != 0:
+        raise ConfigError("residual_stride must be 0 or a positive multiple of extras_stride")
 
 
 def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
@@ -346,6 +347,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values):
     for value in values:
         sub = cfg.copy()
         if axis == "ell":
+            if not float(value).is_integer():
+                raise ConfigError(f"ell sweep values must be integers, got {value!r}")
             sub.set("controller", "ell", str(int(value)))
         elif axis == "kappa":
             sub.set("gains", "kappa", str(float(value)))

@@ -54,6 +54,14 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["auto:abc", "1 2 x 4 5"])
+    def test_non_numeric_theta_hat0_exit_2(self, run_config, tmp_path, spec):
+        code = main([
+            "run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet",
+            "--set", f"controller.theta_hat0={spec}",
+        ])
+        assert code == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_3(self, tmp_path):
         code = main([

@@ -78,6 +78,23 @@ class TestRunExperiment:
         model = build_model(cfg_with(ov))
         assert np.allclose(log.theta_hat[0], 0.25 * model.theta)
 
+    def test_theta_resolution_rejects_non_numbers(self):
+        for spec in ("auto:abc", "auto:", "autofoo", "1 2 x 4 5"):
+            with pytest.raises(ConfigError, match="theta_hat0"):
+                run_experiment(cfg_with(BASE + [("controller", "theta_hat0", spec)]))
+
+    def test_residual_stride_must_be_a_multiple_of_extras_stride(self):
+        # residuals are checked on sampled steps only; 15 over 10 would
+        # silently check every 30 steps
+        with pytest.raises(ConfigError, match="residual_stride"):
+            run_experiment(cfg_with(BASE + [("run", "extras_stride", "10"),
+                                            ("run", "residual_stride", "15")]))
+        log = run_experiment(cfg_with(BASE + [("run", "duration", "0.1"),
+                                              ("run", "extras_stride", "5"),
+                                              ("run", "csv_decimate", "10"),
+                                              ("run", "residual_stride", "0")]))
+        assert log.t.size == 51
+
     def test_run_validation(self):
         with pytest.raises(ConfigError):
             run_experiment(cfg_with(BASE + [("run", "dt", "-0.1")]))
@@ -182,6 +199,12 @@ class TestSweep:
         results = sweep(cfg_with(ov), "gain:k", [10.0, 30.0])
         assert len(results) == 2
         assert all(isinstance(rep, MetricsReport) for _, rep in results)
+
+    def test_ell_axis_rejects_non_integers(self):
+        with pytest.raises(ConfigError, match="ell"):
+            sweep(cfg_with(BASE), "ell", [2.7])
+        with pytest.raises(ConfigError, match="ell"):
+            sweep(cfg_with(BASE), "ell", [float("nan")])
 
     def test_ell_axis_changes_controller(self):
         ov = BASE + [("run", "duration", "1")]
