@@ -88,8 +88,7 @@ class FilteredAdaptiveController(ControllerBase):
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = np.zeros(self.state_size)
-        qd0 = self.traj.eval(t0, 0)
-        qd_dot0 = self.traj.eval(t0, 1)
+        qd0, qd_dot0 = self.traj.derivs(t0, 1)
         aux = self.layout.view(x, "qd_aux")
         aux[0] = qd0
         aux[1] = qd_dot0
@@ -99,9 +98,7 @@ class FilteredAdaptiveController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd = self.traj.eval(t, 0)
-        qd_dot = self.traj.eval(t, 1)
-        qd_ddot = self.traj.eval(t, 2)
+        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         phi = self.layout.view(x, "phi")
         aux = self.layout.view(x, "qd_aux")
         xi = self.layout.view(x, "xi")

@@ -155,33 +155,44 @@ class TrajectoryView:
     def n(self):
         return self._traj.n
 
+    def _refuse(self, order):
+        raise ConfigError(
+            f"trajectory derivative of order {order} exceeds the declared "
+            f"'{self.availability}' availability"
+        )
+
     def eval(self, t, order=0):
         if order > self.max_order:
-            raise ConfigError(
-                f"trajectory derivative of order {order} exceeds the declared "
-                f"'{self.availability}' availability"
-            )
+            self._refuse(order)
         return self._traj.eval(t, order)
+
+    def derivs(self, t, upto):
+        """Rows ``q_d, q_d', ..., q_d^(upto)`` at ``t``, in one evaluation."""
+        if upto > self.max_order:
+            self._refuse(upto)
+        return self._traj.derivs(t, upto)
 
 
 class Layout:
     """Named slices into a flat controller state vector."""
 
     def __init__(self):
-        self._blocks: dict[str, tuple[int, int, tuple]] = {}
+        # name -> (slice, shape); shape is None for blocks the slice already
+        # shapes (one axis or none), which then skip the reshape
+        self._blocks: dict[str, tuple[slice, tuple | None]] = {}
         self.size = 0
 
     def add(self, name, *shape):
         count = 1
         for s in shape:
             count *= int(s)
-        self._blocks[name] = (self.size, count, shape)
+        block = slice(self.size, self.size + count)
+        self._blocks[name] = (block, shape if len(shape) > 1 else None)
         self.size += count
 
     def view(self, x, name):
-        off, count, shape = self._blocks[name]
-        v = x[off : off + count]
-        return v.reshape(shape) if shape else v
+        block, shape = self._blocks[name]
+        return x[block] if shape is None else x[block].reshape(shape)
 
     def names(self):
         return tuple(self._blocks)

@@ -47,12 +47,13 @@ class _CascadeController(ControllerBase):
 
     def _reference(self, t, q, qdot, x):
         """Cascade rates against the true desired trajectory."""
-        qd = self.traj.eval(t, 0)
         qd_dot = qd_ddot = None
-        if self.ref_availability != "position":
-            qd_dot = self.traj.eval(t, 1)
-        if self.ref_availability in ("full", "full_corrected"):
-            qd_ddot = self.traj.eval(t, 2)
+        if self.ref_availability == "position":
+            qd = self.traj.eval(t, 0)
+        elif self.ref_availability == "velocity":
+            qd, qd_dot = self.traj.derivs(t, 1)
+        else:
+            qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         phi = self.layout.view(x, "phi")
         phi_dot, zdot = cascade_rates(self.refcfg, phi, q, qdot, qd, qd_dot, qd_ddot)
         return phi[0], zdot, phi_dot, qd
@@ -117,8 +118,7 @@ class PlainCascadeController(_CascadeController):
         z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
         s = qdot - z
         tau = -self.K * s
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "phi")[:] = phi_dot
+        xdot = phi_dot.ravel()  # phi is the whole controller state
         extras = {"ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd}
         return ControlEval(tau, xdot, extras)
 
@@ -150,17 +150,15 @@ class PidReformulatedController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd = self.traj.eval(t, 0)
-        qd_dot = self.traj.eval(t, 1)
-        qd_ddot = self.traj.eval(t, 2)
+        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         dq = q - qd
         dqdot = qdot - qd_dot
         z = self.layout.view(x, "z")
         zdot = qd_ddot - (self.kp * dqdot + self.ki * dq) / self.kd
-        tau = -self.kd * (qdot - z)
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "z")[:] = zdot
-        extras = {"ref_vel": z.copy(), "ref_acc": zdot, "s": qdot - z, "qd": qd}
+        s = qdot - z
+        tau = -self.kd * s
+        xdot = zdot  # z is the whole controller state
+        extras = {"ref_vel": z.copy(), "ref_acc": zdot, "s": s, "qd": qd}
         return ControlEval(tau, xdot, extras)
 
 
@@ -179,14 +177,12 @@ class PidTextbookController(ControllerBase):
         return np.zeros(self.state_size)
 
     def evaluate(self, t, q, qdot, x):
-        qd = self.traj.eval(t, 0)
-        qd_dot = self.traj.eval(t, 1)
+        qd, qd_dot = self.traj.derivs(t, 1)
         dq = q - qd
         dqdot = qdot - qd_dot
         integ = self.layout.view(x, "integral")
         tau = -self.kd * dqdot - self.kp * dq - self.ki * integ
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "integral")[:] = dq
+        xdot = dq  # the integral is the whole controller state
         extras = {"qd": qd, "s": dqdot}
         return ControlEval(tau, xdot, extras)
 
@@ -221,8 +217,7 @@ class KnownParamsController(_CascadeController):
         s = qdot - z
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_ff
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "phi")[:] = phi_dot
+        xdot = phi_dot.ravel()  # phi is the whole controller state
         extras = {"ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd}
         return ControlEval(tau, xdot, extras)
 
@@ -254,8 +249,7 @@ class NonlinearDampingController(_CascadeController):
         s = qdot - z
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ (Y.T @ s))
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "phi")[:] = phi_dot
+        xdot = phi_dot.ravel()  # phi is the whole controller state
         extras = {
             "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd,
             "theta_hat": self.theta_hat,

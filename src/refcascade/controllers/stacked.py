@@ -142,8 +142,7 @@ class StackedSingleController(ControllerBase):
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = np.zeros(self.state_size)
-        qd0 = self.traj.eval(t0, 0)
-        qd_dot0 = self.traj.eval(t0, 1)
+        qd0, qd_dot0 = self.traj.derivs(t0, 1)
         aux = self.layout.view(x, "qd_aux")
         aux[0] = qd0
         aux[1] = qd_dot0
@@ -156,9 +155,7 @@ class StackedSingleController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd = self.traj.eval(t, 0)
-        qd_dot = self.traj.eval(t, 1)
-        qd_ddot = self.traj.eval(t, 2)
+        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         phi = self.layout.view(x, "phi")
         aux = self.layout.view(x, "qd_aux")
         chi = self.layout.view(x, "chi")
@@ -326,8 +323,7 @@ class StackedMultiController(ControllerBase):
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = np.zeros(self.state_size)
-        qd0 = self.traj.eval(t0, 0)
-        qd_dot0 = self.traj.eval(t0, 1)
+        qd0, qd_dot0 = self.traj.derivs(t0, 1)
         aux = self.layout.view(x, "qd_aux")
         aux[0] = qd0
         aux[1] = qd_dot0
@@ -340,9 +336,7 @@ class StackedMultiController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd = self.traj.eval(t, 0)
-        qd_dot = self.traj.eval(t, 1)
-        qd_ddot = self.traj.eval(t, 2)
+        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         phi = self.layout.view(x, "phi")
         aux = self.layout.view(x, "qd_aux")
         chi1 = self.layout.view(x, "chi1")

@@ -218,6 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
     e_idx, tau_l, taus_l, refv_l, s_l, V_l, Vaux_l, th_l, fh_l = [], [], [], [], [], [], [], [], []
     res_t, res_l = [], []
 
+    nan_row = np.full(n, np.nan)  # shared filler; np.vstack copies it
     diverged = False
     div_time = None
     k = 0
@@ -241,8 +242,8 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
             e_idx.append(k)
             tau_l.append(ev.tau)
             taus_l.append(ts)
-            refv_l.append(ev.extras.get("ref_vel", np.full(n, np.nan)))
-            s_l.append(ev.extras.get("s", np.full(n, np.nan)))
+            refv_l.append(ev.extras.get("ref_vel", nan_row))
+            s_l.append(ev.extras.get("s", nan_row))
             V, V_aux = lyapunov_diag(controller, model, q, qdot, ev.extras)
             V_l.append(V)
             Vaux_l.append(V_aux)
@@ -264,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
             diverged = True
             div_time = t
             break
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             diverged = True
             div_time = t
             break

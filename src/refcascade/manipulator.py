@@ -97,7 +97,7 @@ class TwoLinkArm:
     # -- dynamics terms ----------------------------------------------------
 
     def inertia(self, q) -> np.ndarray:
-        a1, a2, a3, _, _ = self.theta
+        a1, a2, a3, _, _ = self.theta.tolist()
         c2 = np.cos(q[1])
         m12 = a3 + a2 * c2
         return np.array([[a1 + 2.0 * a2 * c2, m12], [m12, a3]])
@@ -135,22 +135,21 @@ class TwoLinkArm:
     @staticmethod
     def regressor(q, qdot, zeta, zetadot) -> np.ndarray:
         """Y such that Y @ theta = M(q) zetadot + C(q, qdot) zeta + g(q)."""
-        c1 = np.cos(q[0])
-        c2 = np.cos(q[1])
-        s2 = np.sin(q[1])
-        c12 = np.cos(q[0] + q[1])
-        y = np.zeros((2, 5))
-        y[0, 0] = zetadot[0]
-        y[0, 1] = c2 * (2.0 * zetadot[0] + zetadot[1]) - s2 * (
-            qdot[1] * zeta[0] + (qdot[0] + qdot[1]) * zeta[1]
-        )
-        y[0, 2] = zetadot[1]
-        y[0, 3] = c1
-        y[0, 4] = c12
-        y[1, 1] = c2 * zetadot[0] + s2 * qdot[0] * zeta[0]
-        y[1, 2] = zetadot[0] + zetadot[1]
-        y[1, 4] = c12
-        return y
+        # scalar arithmetic does the same IEEE operations as the elementwise
+        # array form, without its per-element overhead; the trigonometry
+        # stays in numpy, which maps inf to NaN where ``math`` would raise
+        q0, q1 = np.asarray(q).tolist()
+        v0, v1 = np.asarray(qdot).tolist()
+        z0, z1 = np.asarray(zeta).tolist()
+        zd0, zd1 = np.asarray(zetadot).tolist()
+        c1 = np.cos(q0)
+        c2 = np.cos(q1)
+        s2 = np.sin(q1)
+        c12 = np.cos(q0 + q1)
+        return np.array([
+            [zd0, c2 * (2.0 * zd0 + zd1) - s2 * (v1 * z0 + (v0 + v1) * z1), zd1, c1, c12],
+            [0.0, c2 * zd0 + s2 * v0 * z0, zd0 + zd1, 0.0, c12],
+        ])
 
     def shape(self) -> ArmShape:
         return ArmShape(n=self.n, p_dim=self.p_dim, regressor=self.regressor)
@@ -159,13 +158,23 @@ class TwoLinkArm:
 
     def forward_dynamics(self, q, qdot, tau, tau_star) -> np.ndarray:
         """Joint accelerations from M qdd = tau + tau_star - C qd - g."""
-        rhs = tau + tau_star - self.coriolis(q, qdot) @ qdot - self.gravity(q)
-        M = self.inertia(q)
+        # inertia(), coriolis() and gravity() inlined on scalars, with the
+        # same operations in the same order; only C qdot stays a matmul
+        a1, a2, a3, b1, b2 = self.theta.tolist()
+        q0, q1 = np.asarray(q).tolist()
+        v0, v1 = np.asarray(qdot).tolist()
+        c2 = np.cos(q1)
+        h = self._csign * a2 * np.sin(q1)
+        cq0, cq1 = (np.array([[-h * v1, -h * (v0 + v1)], [h * v0, 0.0]]) @ qdot).tolist()
+        c12 = np.cos(q0 + q1)
+        g0 = b1 * np.cos(q0) + b2 * c12
+        g1 = b2 * c12
+        tau0, tau1 = np.asarray(tau).tolist()
+        ts0, ts1 = np.asarray(tau_star).tolist()
+        r0 = tau0 + ts0 - cq0 - g0
+        r1 = tau1 + ts1 - cq1 - g1
+        m00 = a1 + 2.0 * a2 * c2
+        m01 = a3 + a2 * c2
         # closed-form 2x2 solve; M is positive definite for valid parameters
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        return np.array(
-            [
-                (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det,
-                (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det,
-            ]
-        )
+        det = m00 * a3 - m01 * m01
+        return np.array([(a3 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det])

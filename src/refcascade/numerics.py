@@ -112,7 +112,7 @@ def rk4_step(deriv, x, t, h, k1=None):
     k3 = deriv(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = deriv(t + h, x + h * k3)
     incr = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    if not np.all(np.isfinite(incr)):
+    if not np.isfinite(incr).all():
         bad = np.flatnonzero(~np.isfinite(incr))
         raise NonFiniteStateError(bad, t)
     return x + (h / 6.0) * incr

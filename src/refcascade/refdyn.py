@@ -46,8 +46,11 @@ __all__ = [
     "scale_coeffs",
     "cascade_init",
     "cascade_rates",
+    "cascade_drive",
+    "cascade_rates_from_drive",
     "reference_oracle",
     "realization_trajectory",
+    "oracle_realization_gaps",
 ]
 
 AVAILABILITIES = ("position", "velocity", "full", "full_corrected")
@@ -177,39 +180,65 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     where ``phi_dot[0] == zdot``.  Only the measured quantities q, qdot and
     the declared q_d derivatives are read.
     """
+    drive = cascade_drive(config, q, qdot, qd, qd_dot, qd_ddot)
+    return cascade_rates_from_drive(config, phi, drive)
+
+
+def cascade_drive(config, q, qdot, qd, qd_dot=None, qd_ddot=None):
+    """The part of :func:`cascade_rates` that reads no cascade state.
+
+    Returns an opaque flat list of arrays (``None`` for a term the variant
+    lacks) for :func:`cascade_rates_from_drive`.  The inputs may carry
+    leading axes, e.g. a grid of sample times; every term then carries the
+    same axes, and indexing each term at one sample gives exactly that
+    sample's drive.
+    """
     av = config.availability
     _check_inputs(av, qd_dot, qd_ddot)
     alphas = config.coeffs.alphas
     ell = config.ell
     dq = q - qd
-    phi_dot = np.empty_like(phi)
-    z = phi[0]
 
     if av == "position":
-        if ell == 1:
-            phi_dot[0] = -alphas[1] * qdot - alphas[0] * dq
-        else:
-            for j in range(1, ell):  # levels 1..ell-1
-                phi_dot[j - 1] = phi[j] - alphas[ell - j + 1] * qdot + alphas[ell - j] * qd
-            phi_dot[ell - 1] = -alphas[1] * qdot - alphas[0] * dq
-        return phi_dot, phi_dot[0]
+        terms = [-alphas[1] * qdot - alphas[0] * dq]
+        for j in range(1, ell):
+            # level j subtracts alphas[ell-j+1] qdot and adds alphas[ell-j] qd
+            terms += (alphas[ell - j + 1] * qdot, alphas[ell - j] * qd)
+        return terms
 
     dqd = qdot - qd_dot
     if av == "velocity":
-        top_extra = -alphas[ell] * dqd
+        top = -alphas[ell] * dqd
     else:
-        top_extra = qd_ddot - alphas[ell] * dqd
-        if av == "full_corrected":
-            top_extra = top_extra + config.Lambda * (qdot - z)
+        top = qd_ddot - alphas[ell] * dqd
+    tail = alphas[0] * dq if ell == 1 else -alphas[1] * dqd - alphas[0] * dq
+    terms = [top, tail, qdot if av == "full_corrected" else None]
+    for j in range(2, ell):
+        # middle level j subtracts alphas[ell-j+1] dqd
+        terms.append(alphas[ell - j + 1] * dqd)
+    return terms
 
-    if ell == 1:
-        phi_dot[0] = top_extra - alphas[0] * dq
+
+def cascade_rates_from_drive(config, phi, drive):
+    """:func:`cascade_rates` from the states and one sample of their drive."""
+    ell = len(phi)
+    phi_dot = np.empty_like(phi)
+    if config.availability == "position":
+        for j in range(1, ell):
+            phi_dot[j - 1] = phi[j] - drive[2 * j - 1] + drive[2 * j]
+        phi_dot[ell - 1] = drive[0]
         return phi_dot, phi_dot[0]
 
-    phi_dot[0] = phi[1] + top_extra
-    for j in range(2, ell):  # middle levels
-        phi_dot[j - 1] = phi[j] - alphas[ell - j + 1] * dqd
-    phi_dot[ell - 1] = -alphas[1] * dqd - alphas[0] * dq
+    top, tail, qdot = drive[:3]
+    if qdot is not None:  # full_corrected
+        top = top + config.Lambda * (qdot - phi[0])
+    if ell == 1:
+        phi_dot[0] = top - tail
+        return phi_dot, phi_dot[0]
+    phi_dot[0] = phi[1] + top
+    for j in range(2, ell):
+        phi_dot[j - 1] = phi[j] - drive[j + 1]
+    phi_dot[ell - 1] = tail
     return phi_dot, phi_dot[0]
 
 
@@ -301,18 +330,12 @@ def _rk4_grid(f, x0, n_steps, h, out_dim):
     return out
 
 
-def reference_oracle(config, q_traj, qd_traj, t_grid) -> np.ndarray:
-    """Integrate the literal high-order reference ODE; returns z over t_grid.
-
-    All trajectory derivatives are evaluated analytically on the RK4 stage
-    grid up front; the oracle never touches the degree-reduced cascade.
-    """
+def _oracle_system(config, q_traj, qd_traj, ts, t0):
+    """RHS on the stage grid ``ts`` and initial state of the literal ODE."""
     n = q_traj.n
     alphas = config.coeffs.alphas
     ell = config.ell
     av = config.availability
-    ts, h = _half_grid(t_grid)
-    steps = len(t_grid) - 1
 
     if av == "position":
         # drive = -a_ell q^(ell) - sum_k a_k dq^(k)
@@ -327,31 +350,24 @@ def reference_oracle(config, q_traj, qd_traj, t_grid) -> np.ndarray:
             drive -= alphas[k] * (q_traj.eval_grid(ts, k) - qd_traj.eval_grid(ts, k))
     q_top = q_traj.eval_grid(ts, ell) if av == "full_corrected" else None
 
-    Z0 = oracle_initial_state(config, q_traj, qd_traj, t_grid[0]).ravel()
+    Z0 = oracle_initial_state(config, q_traj, qd_traj, t0).ravel()
 
     def f(j, x):
-        Z = x.reshape(ell, n)
-        dZ = np.empty_like(Z)
-        dZ[:-1] = Z[1:]
+        # x holds Z row by row: each row's rate is the next row, the last
+        # row's rate is the drive
         top = drive[j]
         if q_top is not None:
-            top = top + config.Lambda * (q_top[j] - Z[ell - 1])
-        dZ[-1] = top
-        return dZ.ravel()
+            top = top + config.Lambda * (q_top[j] - x[-n:])
+        return np.concatenate((x[n:], top))
 
-    return _rk4_grid(f, Z0, steps, h, n)
+    return f, Z0
 
 
-def realization_trajectory(config, q_traj, qd_traj, t_grid) -> np.ndarray:
-    """Integrate the degree-reduced cascade driven by the same signals."""
+def _realization_system(config, q_traj, qd_traj, ts):
+    """RHS on the stage grid ``ts`` and initial state of the cascade."""
     n = q_traj.n
     av = config.availability
-    ts, h = _half_grid(t_grid)
-    steps = len(t_grid) - 1
 
-    q_g = q_traj.eval_grid(ts, 0)
-    qdot_g = q_traj.eval_grid(ts, 1)
-    qd_g = qd_traj.eval_grid(ts, 0)
     qd_dot_g = None if av == "position" else qd_traj.eval_grid(ts, 1)
     qd_ddot_g = (
         qd_traj.eval_grid(ts, 2) if av in ("full", "full_corrected") else None
@@ -360,16 +376,61 @@ def realization_trajectory(config, q_traj, qd_traj, t_grid) -> np.ndarray:
     qd_dot0 = None if av == "position" else qd_dot_g[0]
     phi0 = cascade_init(config, n, qd_dot0).ravel()
 
+    # the state-free half of cascade_rates, once over the whole stage grid;
+    # stages[j] is stage time j's drive
+    drive = cascade_drive(
+        config, q_traj.eval_grid(ts, 0), q_traj.eval_grid(ts, 1),
+        qd_traj.eval_grid(ts, 0), qd_dot_g, qd_ddot_g,
+    )
+    stages = list(zip(*([None] * ts.size if d is None else d for d in drive)))
+    shape = (config.ell, n)
+
     def f(j, x):
-        phi_dot, _ = cascade_rates(
-            config,
-            x.reshape(config.ell, n),
-            q_g[j],
-            qdot_g[j],
-            qd_g[j],
-            None if qd_dot_g is None else qd_dot_g[j],
-            None if qd_ddot_g is None else qd_ddot_g[j],
-        )
+        phi_dot, _ = cascade_rates_from_drive(config, x.reshape(shape), stages[j])
         return phi_dot.ravel()
 
-    return _rk4_grid(f, phi0, steps, h, n)
+    return f, phi0
+
+
+def reference_oracle(config, q_traj, qd_traj, t_grid) -> np.ndarray:
+    """Integrate the literal high-order reference ODE; returns z over t_grid.
+
+    All trajectory derivatives are evaluated analytically on the RK4 stage
+    grid up front; the oracle never touches the degree-reduced cascade.
+    """
+    ts, h = _half_grid(t_grid)
+    f, Z0 = _oracle_system(config, q_traj, qd_traj, ts, t_grid[0])
+    return _rk4_grid(f, Z0, len(t_grid) - 1, h, q_traj.n)
+
+
+def realization_trajectory(config, q_traj, qd_traj, t_grid) -> np.ndarray:
+    """Integrate the degree-reduced cascade driven by the same signals."""
+    ts, h = _half_grid(t_grid)
+    f, phi0 = _realization_system(config, q_traj, qd_traj, ts)
+    return _rk4_grid(f, phi0, len(t_grid) - 1, h, q_traj.n)
+
+
+def oracle_realization_gaps(configs, q_traj, qd_traj, t_grid) -> list[float]:
+    """``max |reference_oracle - realization_trajectory|`` for each config.
+
+    Every oracle and realization is integrated as one slice of a single
+    stacked state.  RK4 acts elementwise, so each slice follows exactly the
+    numbers of its separate integration, while the per-step cost of the
+    integrator is paid once instead of twice per config.
+    """
+    n = q_traj.n
+    ts, h = _half_grid(t_grid)
+    systems = []
+    for config in configs:
+        systems.append(_oracle_system(config, q_traj, qd_traj, ts, t_grid[0]))
+        systems.append(_realization_system(config, q_traj, qd_traj, ts))
+    starts = np.cumsum([0] + [x0.size for _, x0 in systems]).tolist()
+    parts = [(f, slice(a, b)) for (f, _), a, b in zip(systems, starts, starts[1:])]
+
+    def f(j, x):
+        return np.concatenate([fi(j, x[sl]) for fi, sl in parts])
+
+    x0 = np.concatenate([x0 for _, x0 in systems])
+    out = _rk4_grid(f, x0, len(t_grid) - 1, h, x0.size)
+    z = [out[:, a : a + n] for a in starts[:-1]]
+    return [float(np.max(np.abs(z_o - z_r))) for z_o, z_r in zip(z[0::2], z[1::2])]

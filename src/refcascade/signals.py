@@ -82,42 +82,76 @@ class _SignalVector:
         self._tone_amp = np.array(amps)
         self._tone_w = np.array(omegas)
         self._tone_ph = np.array(phases)
-        self._tone_owner = np.array(owner, dtype=int)
-        self._order_cache: dict = {}
+        # one tone per joint, in joint order: the per-joint sum is the tone
+        # itself, so evaluation can skip the scatter
+        one_each = owner == list(range(len(self.joints)))
+        self._tone_owner = None if one_each else np.array(owner, dtype=int)
+        self._range_cache: dict = {}
+        self._last: dict = {}
 
     @property
     def n(self) -> int:
         return len(self.joints)
 
-    def _tables(self, order: int):
-        cached = self._order_cache.get(order)
-        if cached is None:
-            width = max((len(j.poly) for j in self.joints), default=0) - order
-            poly = np.zeros((self.n, max(width, 0)))
-            for j, joint in enumerate(self.joints):
-                for k in range(order, len(joint.poly)):
-                    poly[j, k - order] = joint.poly[k] * math.perm(k, order)
-            offs = np.array(
-                [j.offset if order == 0 else 0.0 for j in self.joints]
-            )
-            tone_gain = self._tone_amp * self._tone_w**order
-            tone_shift = self._tone_ph + order * (math.pi / 2.0)
-            cached = (poly, offs, tone_gain, tone_shift)
-            self._order_cache[order] = cached
-        return cached
+    def _tables(self, key):
+        """Coefficient tables for the orders ``key = (lo, hi)``, one row each.
 
-    def eval(self, t, order: int = 0) -> np.ndarray:
-        poly, offs, tone_gain, tone_shift = self._tables(order)
-        out = offs.copy()
-        if poly.shape[1]:
-            tp = 1.0
-            for c in range(poly.shape[1]):
-                out += poly[:, c] * tp
-                tp *= t
+        ``base`` is the offset plus the polynomial's constant column (its
+        ``t**0`` term needs no time), ``cols`` the remaining columns.
+        """
+        lo, hi = key
+        orders = range(lo, hi + 1)
+        base = np.array(
+            [[j.offset if order == 0 else 0.0 for j in self.joints] for order in orders]
+        )
+        cols = []
+        width = max((len(j.poly) for j in self.joints), default=0) - lo
+        if width > 0:
+            # cols[c][r, j]: coefficient of t**c in joint j's derivative of order lo + r
+            cols = np.zeros((width, len(orders), self.n))
+            for r, order in enumerate(orders):
+                for j, joint in enumerate(self.joints):
+                    for k in range(order, len(joint.poly)):
+                        cols[k - order, r, j] = joint.poly[k] * math.perm(k, order)
+            base = base + cols[0] * 1.0
+            cols = list(cols[1:])
+        tone_gain = np.array([self._tone_amp * self._tone_w**order for order in orders])
+        tone_shift = np.array([self._tone_ph + order * (math.pi / 2.0) for order in orders])
+        tables = self._range_cache[key] = (base, cols, tone_gain, tone_shift)
+        return tables
+
+    def _rows(self, t, lo: int, hi: int) -> np.ndarray:
+        key = (lo, hi)
+        last = self._last.get(key)
+        if last is not None and last[0] == t:
+            # the two midpoint stages of an RK4 step share their time
+            return last[1].copy()
+        base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
+        out = base
+        tp = t
+        for col in cols:
+            out = out + col * tp
+            tp *= t
         if tone_gain.size:
             vals = tone_gain * np.sin(self._tone_w * t + tone_shift)
-            out += np.bincount(self._tone_owner, weights=vals, minlength=self.n)
-        return out
+            if self._tone_owner is not None:
+                vals = np.array(
+                    [np.bincount(self._tone_owner, weights=v, minlength=self.n) for v in vals]
+                )
+            out = out + vals
+        self._last[key] = (t, out)
+        return out.copy()
+
+    def eval(self, t, order: int = 0) -> np.ndarray:
+        return self._rows(t, order, order)[0]
+
+    def derivs(self, t, upto: int) -> np.ndarray:
+        """The signal and its derivatives through ``upto`` at time ``t``.
+
+        Row ``k`` of the ``(upto + 1, n)`` result equals ``eval(t, k)``; one
+        call shares the tone phases across orders.
+        """
+        return self._rows(t, 0, upto)
 
     def eval_grid(self, t, order: int = 0) -> np.ndarray:
         """Vectorized evaluation over a time array; returns (len(t), n)."""

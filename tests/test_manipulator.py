@@ -118,6 +118,21 @@ class TestForwardDynamics:
         qdd = arm.forward_dynamics(q, np.zeros(2), arm.gravity(q), np.zeros(2))
         assert np.max(np.abs(qdd)) < 1e-12
 
+    def test_same_numbers_as_the_matrix_form(self, arm):
+        # the scalar code must round exactly like the M, C, g matrices
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            q, qdot = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
+            tau, tau_star = rng.uniform(-10, 10, 2), rng.uniform(-2, 2, 2)
+            rhs = tau + tau_star - arm.coriolis(q, qdot) @ qdot - arm.gravity(q)
+            M = arm.inertia(q)
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            want = np.array([
+                (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det,
+                (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det,
+            ])
+            assert np.array_equal(arm.forward_dynamics(q, qdot, tau, tau_star), want)
+
     def test_residual_random(self, arm):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -7,9 +7,12 @@ from refcascade.refdyn import (
     HurwitzCoeffs,
     ReferenceConfig,
     ReferenceRealization,
+    cascade_drive,
     cascade_init,
     cascade_rates,
+    cascade_rates_from_drive,
     critically_damped_coeffs,
+    oracle_realization_gaps,
     realization_trajectory,
     reference_oracle,
     scale_coeffs,
@@ -230,6 +233,51 @@ class TestRealizationEquivalence:
         z = realization_trajectory(cfg, qd, qd, t)
         qd_dot_end = qd.eval(t[-1], 1)
         assert np.max(np.abs(z[-1] - qd_dot_end)) <= 1e-8
+
+
+AVAILABILITIES_AND_ORDERS = [
+    (availability, ell)
+    for availability in ("position", "velocity", "full", "full_corrected")
+    for ell in (1, 2, 3)
+]
+
+
+def _config(availability, ell):
+    lam = np.array([2.0, 0.5]) if availability == "full_corrected" else None
+    return ReferenceConfig(critically_damped_coeffs(3.0, ell), availability, lam)
+
+
+class TestCascadeDrive:
+    @pytest.mark.parametrize("availability, ell", AVAILABILITIES_AND_ORDERS)
+    def test_grid_drive_gives_per_sample_rates_bitwise(self, availability, ell):
+        cfg = _config(availability, ell)
+        rng = np.random.default_rng(ell)
+        q, qdot, qd, qd_dot, qd_ddot = rng.standard_normal((5, 7, 2))
+        if availability == "position":
+            qd_dot = qd_ddot = None
+        elif availability == "velocity":
+            qd_ddot = None
+        drive = cascade_drive(cfg, q, qdot, qd, qd_dot, qd_ddot)
+        for j in range(7):
+            phi = rng.standard_normal((ell, 2))
+            sample = [None if d is None else d[j] for d in drive]
+            got = cascade_rates_from_drive(cfg, phi, sample)
+            want = cascade_rates(
+                cfg, phi, q[j], qdot[j], qd[j],
+                None if qd_dot is None else qd_dot[j],
+                None if qd_ddot is None else qd_ddot[j],
+            )
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_stacked_gaps_equal_separate_integrations(self, driven_signals):
+        q, qd = driven_signals
+        t = np.arange(0.0, 0.5 + 5e-4, 1e-3)
+        configs = [_config(*case) for case in AVAILABILITIES_AND_ORDERS]
+        want = [
+            float(np.max(np.abs(reference_oracle(c, q, qd, t) - realization_trajectory(c, q, qd, t))))
+            for c in configs
+        ]
+        assert oracle_realization_gaps(configs, q, qd, t) == want
 
 
 class TestRealizationWrapper:

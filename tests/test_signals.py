@@ -57,6 +57,38 @@ class TestTrajectory:
             TrajectorySpec([JointSignal(tones=(Tone(1.0, -2.0),))])
 
 
+class TestDerivs:
+    @staticmethod
+    def _specs():
+        # one tone per joint, several tones on one joint, a toneless joint,
+        # offsets and polynomials of different degrees
+        yield TrajectorySpec.multisine([[(0.3, 0.5, 0.0)], [(0.2, 1.5, 0.7)]], offsets=[0.1, -0.2])
+        yield TrajectorySpec([
+            JointSignal(poly=(0.4, 0.25, -0.1), tones=(Tone(0.2, 1.1, 0.3), Tone(0.1, 2.3, -1.0))),
+            JointSignal(poly=(-0.2, 0.15), offset=0.05),
+            JointSignal(tones=(Tone(0.5, 0.7, 2.0),)),
+        ])
+        yield DisturbanceSpec.tones([[], [(0.5, 2.0, 0.0), (0.3, 3.0, 1.0)]], bias=[0.4, -0.3])
+
+    def test_rows_equal_eval_bitwise(self):
+        for spec in self._specs():
+            for t in (0.0, 0.37, 12.5, 59.998):
+                rows = spec.derivs(t, 4)
+                assert rows.shape == (5, spec.n)
+                for k in range(5):
+                    assert np.array_equal(rows[k], spec.eval(t, k))
+
+    def test_repeated_time_returns_independent_arrays(self):
+        for spec in self._specs():
+            want = spec.derivs(0.7, 2).copy()
+            first = spec.derivs(0.7, 2)
+            first[:] = 99.0
+            assert np.array_equal(spec.derivs(0.7, 2), want)
+            v = spec.eval(0.7)
+            v[:] = 99.0
+            assert np.array_equal(spec.eval(0.7), want[0])
+
+
 class TestDisturbance:
     def test_empty_is_zero(self):
         dist = DisturbanceSpec.zero(2)
