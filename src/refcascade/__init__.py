@@ -11,7 +11,6 @@ from .numerics import NonFiniteStateError, PolynomialCoeffs, rk4_step, routh_hur
 from .refdyn import (
     HurwitzCoeffs,
     ReferenceConfig,
-    ReferenceRealization,
     critically_damped_coeffs,
     scale_coeffs,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "routh_hurwitz",
     "HurwitzCoeffs",
     "ReferenceConfig",
-    "ReferenceRealization",
     "critically_damped_coeffs",
     "scale_coeffs",
     "DisturbanceSpec",

@@ -75,15 +75,47 @@ class FilteredAdaptiveController(ControllerBase):
         self.wbank = make_loop_bank(coeffs, self.a0s, self.a1s, self.Lam, self.K, self.p_dim)
         self.hbank = self.wbank.with_cols(1)
 
-        self.layout.add("phi", coeffs.ell, self.n)
-        self.layout.add("qd_aux", 2, self.n)
-        self.layout.add("xi", self.p_dim)
-        self.layout.add("theta_hat", self.p_dim)
+        n, p = self.n, self.p_dim
+        self.layout.add("phi", coeffs.ell, n)
+        self.layout.add("qd_aux", 2, n)
+        self.layout.add("xi", p)
+        self.layout.add("theta_hat", p)
         self.layout.add("wbank", *self.wbank.state_shape())
         self.layout.add("hbank", *self.hbank.state_shape())
         self.block = LinearBlock(
-            self.layout, {"wbank": self.wbank, "hbank": self.hbank},
-            [("wbank", "C", 0), ("hbank", "C", 0)],
+            self.layout, n,
+            early=(("h", n), ("damping", n)),
+            late=(("Y", (n, p)), ("Y_th", n), ("Yt_s", p), ("Wt_e", p), ("Y_xi", n)),
+        )
+        self._compile(self.block)
+
+    def _compile(self, block):
+        sig = block.signal
+        phi, aux, xi = sig("phi"), sig("qd_aux"), sig("xi")
+        q, qdot, qd = sig("q"), sig("qdot"), sig("qd")
+        e = (qdot - qd[1]) + self.alpha_star * (q - qd[0])
+        qdd_aux = (
+            -self.a1s * aux[1] - self.a0s * aux[0] + sig("h")
+            + qd[2] + self.a1s * qd[1] + self.a0s * qd[0]
+            - self.lambda_D_star * sig("damping")
+        )
+        # the cascade takes the signals' column axis as a leading axis
+        phi_dot, zdot = cascade_rates(
+            self.refcfg, phi.swapaxes(1, 2), q.T, qdot.T, aux[0].T, aux[1].T, qdd_aux.T
+        )
+        z = phi[0]
+        s = qdot - z
+        block.compile(
+            # filtered regressor (n, p), filtered Y th, then the plain signals
+            outputs=(block.tap("wbank", self.wbank), block.tap("hbank", self.hbank),
+                     e, sig("theta_hat"), xi, z, s, aux[0]),
+            early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux))},
+                   (zdot.T,)),
+            late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
+                   "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
+                   "wbank": (self.wbank, sig("Y")),
+                   "hbank": (self.hbank, sig("Y_th"))},
+                  (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
@@ -98,45 +130,20 @@ class FilteredAdaptiveController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
-        phi = self.layout.view(x, "phi")
-        aux = self.layout.view(x, "qd_aux")
-        xi = self.layout.view(x, "xi")
-        th = self.layout.view(x, "theta_hat")
-
-        W, hv = self.block.outputs(x)        # filtered regressor (n, p), filtered Y th
+        qd = self.traj.derivs(t, 2)
+        v = np.concatenate((x, q, qdot, qd.ravel()))
+        W, hv, e, th, xi, z, s, aux0 = self.block.outputs(v)
         h = W @ th - hv                      # swap term, (n,)
-        e = (qdot - qd_dot) + self.alpha_star * (q - qd)
-
-        qdd_aux = (
-            -self.a1s * aux[1]
-            - self.a0s * aux[0]
-            + h
-            + qd_ddot
-            + self.a1s * qd_dot
-            + self.a0s * qd
-            - self.lambda_D_star * (W @ (W.T @ e))
-        )
-
-        phi_dot, zdot = cascade_rates(
-            self.refcfg, phi, q, qdot, aux[0], aux[1], qdd_aux
-        )
-        z = phi[0]
-        s = qdot - z
+        Wt_e = W.T @ e
+        v = np.concatenate((v, h, W @ Wt_e))
+        rates, (zdot,) = self.block.early(v)
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y @ th - self.lambda_D * (Y @ xi)
-
-        xdot = self.block.deriv(x, (Y.ravel(), Y @ th))
-        self.layout.view(xdot, "phi")[:] = phi_dot
-        aux_dot = self.layout.view(xdot, "qd_aux")
-        aux_dot[0] = aux[1]
-        aux_dot[1] = qdd_aux
-        self.layout.view(xdot, "xi")[:] = -self.lam * xi + self.lam * (Y.T @ s)
-        self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (W.T @ e)
+        v = np.concatenate((v, Y.ravel(), Y @ th, Y.T @ s, Wt_e, Y @ xi))
+        xdot, (tau,) = self.block.late(v, rates)
 
         extras = {
-            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd,
-            "theta_hat": th.copy(), "xi": xi.copy(),
-            "W": W, "h": h, "qd_aux": aux[0].copy(),
+            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd[0],
+            "theta_hat": th, "xi": xi,
+            "W": W, "h": h, "qd_aux": aux0,
         }
         return ControlEval(tau, xdot, extras)

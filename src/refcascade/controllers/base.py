@@ -197,6 +197,11 @@ class Layout:
     def names(self):
         return tuple(self._blocks)
 
+    def span(self, name):
+        """First index and shape of a block."""
+        block, shape = self._blocks[name]
+        return block.start, shape or (block.stop - block.start,)
+
 
 @dataclass
 class ControlEval:

@@ -123,21 +123,65 @@ class StackedSingleController(ControllerBase):
                               cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
 
-        self.layout.add("phi", coeffs.ell, self.n)
-        self.layout.add("qd_aux", 2, self.n)
-        self.layout.add("chi", 2, self.n)
-        self.layout.add("xi", self.p_dim)
-        self.layout.add("theta_hat", self.p_dim)
+        n, p = self.n, self.p_dim
+        self.layout.add("phi", coeffs.ell, n)
+        self.layout.add("qd_aux", 2, n)
+        self.layout.add("chi", 2, n)
+        self.layout.add("xi", p)
+        self.layout.add("theta_hat", p)
         self.layout.add("freq_hat")
         self.layout.add("b_psi", *self.b_psi.state_shape())
         self.layout.add("b_psith", *self.b_psi.state_shape())
         self.layout.add("b_y", *self.b_y.state_shape())
         self.layout.add("b_v", *self.b_v.state_shape())
         self.block = LinearBlock(
-            self.layout,
-            {"b_psi": self.b_psi, "b_psith": self.b_psi, "b_y": self.b_y, "b_v": self.b_v},
-            [("b_psi", "C", 0), ("b_psith", "C", 0), ("b_y", "C", slice(None)),
-             ("b_v", "C", slice(None))],
+            self.layout, n,
+            early=(("h", n), ("damping", n), ("psith", n)),
+            late=(("Y", (n, p)), ("Y_th", n), ("Yt_s", p), ("Wt_e", p), ("W1_e", 1),
+                  ("Y_xi", n)),
+        )
+        self._compile(self.block)
+
+    def _compile(self, block):
+        sig = block.signal
+        phi, aux, chi, xi = sig("phi"), sig("qd_aux"), sig("chi"), sig("xi")
+        q, qdot, qd = sig("q"), sig("qdot"), sig("qd")
+        psi = q - chi[0]
+        psidot = qdot - chi[1]
+        e = (qdot - qd[1]) + self.alpha_star * (q - qd[0])
+        qdd_aux = (
+            -self.a1s * aux[1] - self.a0s * aux[0] + sig("h")
+            + qd[2] + self.a1s * qd[1] + self.a0s * qd[0]
+            - self.lambda_D_star * sig("damping")
+        )
+        # the cascade takes the signals' column axis as a leading axis
+        phi_dot, zdot = cascade_rates(
+            self.refcfg, phi.swapaxes(1, 2), q.T, qdot.T, aux[0].T, aux[1].T, qdd_aux.T
+        )
+        chidd = zdot.T + sig("psith")
+        chidot_aux = chi[1] - self.alpha_star * psi
+        s_aux = qdot - chidot_aux
+        chidd_aux = chidd - self.alpha_star * psidot
+        D = self.b_psi.D[0][:, None]
+        every = slice(None)
+        block.compile(
+            outputs=(
+                block.tap("b_psi", self.b_psi) + D * psi,   # biproper
+                block.tap("b_psith", self.b_psi),           # D psith is added per evaluation
+                block.tap("b_y", self.b_y, "C", every), block.tap("b_v", self.b_v, "C", every),
+                e, sig("theta_hat"), sig("freq_hat"), xi, psi, psidot, chidot_aux, s_aux, phi[0],
+            ),
+            early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
+                    "chi": np.array((chi[1], chidd))},
+                   (zdot.T, chidd_aux)),
+            late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
+                   "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
+                   "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f) * sig("W1_e"),
+                   "b_psi": (self.b_psi, psi),
+                   "b_psith": (self.b_psi, sig("psith")),
+                   "b_y": (self.b_y, sig("Y")),
+                   "b_v": (self.b_v, sig("Y_th"))},
+                  (-self.K[:, None] * s_aux + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
@@ -155,59 +199,29 @@ class StackedSingleController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
-        phi = self.layout.view(x, "phi")
-        aux = self.layout.view(x, "qd_aux")
-        chi = self.layout.view(x, "chi")
-        xi = self.layout.view(x, "xi")
-        th = self.layout.view(x, "theta_hat")
-        thf = float(self.layout.view(x, "freq_hat")[0])
-
-        psi = q - chi[0]
-        psidot = qdot - chi[1]
+        qd = self.traj.derivs(t, 2)
+        v = np.concatenate((x, q, qdot, qd.ravel()))
+        W1, g1_psith, (WG2, WG3), (vG2, vG3), e, th, thf, xi, psi, psidot, chidot_aux, s_aux, z = (
+            self.block.outputs(v)
+        )
         psith = psi * thf
-
-        W1, g1_psith, (WG2, WG3), (vG2, vG3) = self.block.outputs(x)
-        W1 = W1 + self.b_psi.D[0] * psi               # biproper
         g1_psith = g1_psith + self.b_psi.D[0] * psith
 
         Wst = thf * WG2 + WG3                          # (n, p)
         h = W1 * thf - g1_psith + thf * (WG2 @ th - vG2) + WG3 @ th - vG3
-        e = (qdot - qd_dot) + self.alpha_star * (q - qd)
-
-        qdd_aux = (
-            -self.a1s * aux[1] - self.a0s * aux[0] + h
-            + qd_ddot + self.a1s * qd_dot + self.a0s * qd
-            - self.lambda_D_star * (Wst @ (Wst.T @ e))
-        )
-
-        phi_dot, zdot = cascade_rates(self.refcfg, phi, q, qdot, aux[0], aux[1], qdd_aux)
-        chidd = zdot + thf * psi
-        chidot_aux = chi[1] - self.alpha_star * psi
-        s_aux = qdot - chidot_aux
-        chidd_aux = chidd - self.alpha_star * psidot
+        Wt_e = Wst.T @ e
+        v = np.concatenate((v, h, Wst @ Wt_e, psith))
+        rates, (zdot, chidd_aux) = self.block.early(v)
 
         Y = self.shape.regressor(q, qdot, chidot_aux, chidd_aux)
-        tau = -self.K * s_aux + Y @ th - self.lambda_D * (Y @ xi)
-
-        xdot = self.block.deriv(x, (psi, psith, Y.ravel(), Y @ th))
-        self.layout.view(xdot, "phi")[:] = phi_dot
-        aux_dot = self.layout.view(xdot, "qd_aux")
-        aux_dot[0] = aux[1]
-        aux_dot[1] = qdd_aux
-        chi_dot = self.layout.view(xdot, "chi")
-        chi_dot[0] = chi[1]
-        chi_dot[1] = chidd
-        self.layout.view(xdot, "xi")[:] = -self.lam * xi + self.lam * (Y.T @ s_aux)
-        self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (Wst.T @ e)
-        freq_rate = 0.0 if self.freeze_freq else -self.gamma_f * float(W1 @ e)
-        self.layout.view(xdot, "freq_hat")[:] = freq_rate
+        v = np.concatenate((v, Y.ravel(), Y @ th, Y.T @ s_aux, Wt_e, W1 @ e[:, None], Y @ xi))
+        xdot, (tau,) = self.block.late(v, rates)
 
         extras = {
-            "ref_vel": chidot_aux, "ref_acc": chidd_aux, "s": s_aux, "qd": qd,
-            "z": phi[0].copy(), "zdot": zdot,
-            "theta_hat": th.copy(), "xi": xi.copy(),
-            "freq_hat": np.array([thf]),
+            "ref_vel": chidot_aux, "ref_acc": chidd_aux, "s": s_aux, "qd": qd[0],
+            "z": z, "zdot": zdot,
+            "theta_hat": th, "xi": xi,
+            "freq_hat": thf,
             "psi": psi, "psidot": psidot, "h": h, "W1": W1,
         }
         return ControlEval(tau, xdot, extras)
@@ -265,60 +279,117 @@ class StackedMultiController(ControllerBase):
         # marginal chain absorbing the chi_1 / psi_1 terms of the tone layer:
         # (hden - p^m) / p^m  driven by psi_1
         e_den = np.append(np.zeros(m), 1.0)
-        self.f_e = FilterBank(tile(e_den), [tile(hden_tail)], cols=1)
+        self.f_e = FilterBank(tile(e_den), [hden_tail], cols=1)
 
         # chain carrying the tone-regressor drive: hden / (p^m kpoly)
         u_den = poly_mul(e_den, kpoly)
-        self.f_u = FilterBank(tile(u_den), [tile(hden)], cols=1)
+        self.f_u = FilterBank(tile(u_den), [hden], cols=1)
 
         # tone regressors W_i = [p^(2i-2) kpoly / hden] psi_2, shared chain
         wi_nums = [poly_mul(np.append(np.zeros(2 * (i - 1)), 1.0), kpoly) for i in range(1, n_star + 1)]
-        self.f_w = FilterBank(tile(hden), [tile(n_) for n_ in wi_nums], cols=1)
+        self.f_w = FilterBank(tile(hden), wi_nums, cols=1)
 
         # regressor paths: per-joint chains with n_star + 1 outputs
-        pl = cascade_poly(coeffs.alphas)
-        y_dens, y_nums = [], [[] for _ in range(n_star + 1)]
-        for lam_r, k_r in zip(self.Lam, self.K):
-            den = poly_mul(hden, pl, [k_r, 1.0])
-            y_dens.append(den)
-            for i in range(1, n_star + 1):
-                y_nums[i - 1].append(
-                    lam_r * poly_mul(np.append(np.zeros(2 * (i - 1) + coeffs.ell - 1), 1.0), kpoly)
-                )
-            y_nums[n_star].append(
-                lam_r * poly_mul(np.append(np.zeros(m + coeffs.ell - 1), 1.0), kpoly)
-            )
-        self.b_y = FilterBank(np.vstack(y_dens), [_stack_rows(rows) for rows in y_nums],
-                              cols=self.p_dim)
+        den = poly_mul(hden, cascade_poly(coeffs.alphas))
+        nums = [poly_mul(np.append(np.zeros(2 * (i - 1) + coeffs.ell - 1), 1.0), kpoly)
+                for i in range(1, n_star + 2)]  # p^(2i+ell-3) kpoly; the last is the direct path
+        self.b_y = FilterBank(
+            np.vstack([np.convolve(den, [k_r, 1.0]) for k_r in self.K]),
+            [_stack_rows([lam_r * num for lam_r in self.Lam]) for num in nums],
+            cols=self.p_dim,
+        )
         self.b_v = self.b_y.with_cols(1)
 
         # collapsed inverse-filter composition: p^2 / kpoly (biproper)
         p2 = np.array([0.0, 0.0, 1.0])
-        self.f_outer_w = FilterBank(tile(kpoly), [tile(p2)], cols=self.p_dim)
+        self.f_outer_w = FilterBank(tile(kpoly), [p2], cols=self.p_dim)
         self.f_outer_h = self.f_outer_w.with_cols(1)
 
-        ell = coeffs.ell
-        self.layout.add("phi", ell, self.n)
-        self.layout.add("qd_aux", 2, self.n)
-        self.layout.add("chi1", 2, self.n)
-        self.layout.add("f_e", self.n, m)
-        self.layout.add("f_u", self.n, m + 2)
-        self.layout.add("f_w", self.n, m)
-        self.layout.add("xi", self.p_dim)
-        self.layout.add("theta_hat", self.p_dim)
+        n, p = self.n, self.p_dim
+        self.layout.add("phi", coeffs.ell, n)
+        self.layout.add("qd_aux", 2, n)
+        self.layout.add("chi1", 2, n)
+        self.layout.add("f_e", n, m)
+        self.layout.add("f_u", n, m + 2)
+        self.layout.add("f_w", n, m)
+        self.layout.add("xi", p)
+        self.layout.add("theta_hat", p)
         self.layout.add("freq_hat", n_star)
         self.layout.add("b_y", *self.b_y.state_shape())
         self.layout.add("b_v", *self.b_v.state_shape())
-        self.layout.add("outer_w", self.n, self.p_dim, 2)
-        self.layout.add("outer_h", self.n, 2)
-        every = slice(None)
+        self.layout.add("outer_w", n, p, 2)
+        self.layout.add("outer_h", n, 2)
         self.block = LinearBlock(
-            self.layout,
-            {"f_e": self.f_e, "f_u": self.f_u, "f_w": self.f_w, "b_y": self.b_y,
-             "b_v": self.b_v, "outer_w": self.f_outer_w, "outer_h": self.f_outer_h},
-            [("b_y", "C", every), ("b_v", "C", every), ("outer_w", "C", 0), ("outer_h", "C", 0),
-             ("f_e", "C", 0), ("f_e", "CA", 0), ("f_e", "CA2", 0),
-             ("f_u", "C", 0), ("f_u", "CA", 0), ("f_u", "CA2", 0), ("f_w", "C", every)],
+            self.layout, n,
+            early=(("h", n), ("damping", n), ("m_drive", n)),
+            late=(("Y", (n, p)), ("Y_th", n), ("mW", (n, p)), ("mh", n), ("Yt_s", p),
+                  ("Wt_e", p), ("W_err", n_star), ("Y_xi", n)),
+        )
+        self._compile(self.block)
+
+    def _compile(self, block):
+        sig = block.signal
+        phi, aux, chi1, xi = sig("phi"), sig("qd_aux"), sig("chi1"), sig("xi")
+        q, qdot, qd = sig("q"), sig("qdot"), sig("qd")
+        every = slice(None)
+
+        e = (qdot - qd[1]) + self.ass * (q - qd[0])
+        qdd_aux = (
+            -self.a1ss * aux[1] - self.a0ss * aux[0] + sig("h")
+            + qd[2] + self.a1ss * qd[1] + self.a0ss * qd[0]
+            - self.lambda_D_star * sig("damping")
+        )
+        r1 = qdd_aux - self.a1ss * (qdot - aux[1]) - self.a0ss * (q - aux[0])
+
+        psi1 = q - chi1[0]
+        psi1dot = qdot - chi1[1]
+        f_e, f_u = self.f_e, self.f_u
+        CB, CAB = f_e.CB[0][:, None], f_e.CAB[0][:, None]
+        ev, evd, evdd = block.tap("f_e", f_e, ("C", "CA", "CA2"))
+        evd = evd + CB * psi1
+        evdd = evdd + CAB * psi1 + CB * psi1dot
+
+        # f_u has relative degree 2 (CB = 0): chi2u' is a pure state map
+        chi2u, chi2ud, chi2udd = block.tap("f_u", f_u, ("C", "CA", "CA2"))
+        chi2 = chi1[0] - ev + chi2u
+        chi2d = chi1[1] - evd + chi2ud
+        chi2dd = r1 - evdd + chi2udd + f_u.CAB[0][:, None] * sig("m_drive")
+        psi2 = q - chi2
+
+        # only the last tone regressor is biproper
+        W_i = block.tap("f_w", self.f_w, "C", every)
+        W_i[-1] += self.f_w.D[-1][:, None] * psi2
+
+        # the cascade takes the signals' column axis as a leading axis
+        phi_dot, zdot = cascade_rates(
+            self.refcfg, phi.swapaxes(1, 2), q.T, qdot.T, chi2.T, chi2d.T, chi2dd.T
+        )
+        s = qdot - phi[0]
+        block.compile(
+            # the path outputs and tone regressors carry their tone index
+            # last, so one product with the estimates combines them
+            outputs=(
+                block.tap("b_y", self.b_y, "C", every).transpose(1, 2, 0, 3),
+                block.tap("b_v", self.b_v, "C", every).transpose(1, 0, 2),
+                block.tap("outer_w", self.f_outer_w), block.tap("outer_h", self.f_outer_h),
+                W_i.transpose(1, 0, 2),
+                e, sig("theta_hat"), sig("freq_hat"), xi, phi[0], s,
+                psi1dot + self.kappa_s * psi1, psi1, psi2, chi2,
+            ),
+            early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
+                    "chi1": np.array((chi1[1], r1))},
+                   (zdot.T,)),
+            late=({"f_e": (f_e, psi1),
+                   "f_u": (f_u, sig("m_drive")),
+                   "f_w": (self.f_w, psi2),
+                   "xi": -self.lam * xi + self.lam * sig("Yt_s"),
+                   "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
+                   "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f[:, None]) * sig("W_err"),
+                   "b_y": (self.b_y, sig("Y")),
+                   "b_v": (self.b_v, sig("Y_th")),
+                   "outer_w": (self.f_outer_w, sig("mW")),
+                   "outer_h": (self.f_outer_h, sig("mh"))},
+                  (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
@@ -336,85 +407,32 @@ class StackedMultiController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x):
-        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
-        phi = self.layout.view(x, "phi")
-        aux = self.layout.view(x, "qd_aux")
-        chi1 = self.layout.view(x, "chi1")
-        xi = self.layout.view(x, "xi")
-        th = self.layout.view(x, "theta_hat")
-        thf = self.layout.view(x, "freq_hat")
-        ns = self.n_star
-
-        e = (qdot - qd_dot) + self.ass * (q - qd)
-
-        by_outs, bv_outs, Wst, oh, ev, evd, evdd, chi2u, chi2ud, chi2udd, W_i = (
-            self.block.outputs(x)
+        qd = self.traj.derivs(t, 2)
+        v = np.concatenate((x, q, qdot, qd.ravel()))
+        by, bv, Wst, oh, W_i, e, th, thf, xi, z, s, layer_err, psi1, psi2, chi2 = (
+            self.block.outputs(v)
         )
 
-        # dynamics-regressor machinery
-        mW = by_outs[ns].copy()
-        mh = bv_outs[ns].copy()
-        for i in range(ns):
-            mW += thf[i] * by_outs[i]
-            mh += thf[i] * bv_outs[i]
+        # dynamics-regressor machinery: the path outputs weighted by (thf, 1)
+        weights = np.append(thf, 1.0)
+        mW = by @ weights
+        mh = bv @ weights
         Wst = Wst + self.f_outer_w.D[0][:, None] * mW   # biproper p^2/kpoly
         oh = oh + self.f_outer_h.D[0] * mh
         h = Wst @ th - oh
+        Wt_e = Wst.T @ e
+        v = np.concatenate((v, h, Wst @ Wt_e, W_i @ thf))
+        rates, (zdot,) = self.block.early(v)
 
-        qdd_aux = (
-            -self.a1ss * aux[1] - self.a0ss * aux[0] + h
-            + qd_ddot + self.a1ss * qd_dot + self.a0ss * qd
-            - self.lambda_D_star * (Wst @ (Wst.T @ e))
-        )
-        r1 = qdd_aux - self.a1ss * (qdot - aux[1]) - self.a0ss * (q - aux[0])
-
-        psi1 = q - chi1[0]
-        psi1dot = qdot - chi1[1]
-
-        evd = evd + self.f_e.CB[0] * psi1
-        evdd = evdd + self.f_e.CAB[0] * psi1 + self.f_e.CB[0] * psi1dot
-
-        # f_u has relative degree 2 (CB = 0): chi2u' is a pure state map
-        chi2 = chi1[0] - ev + chi2u
-        chi2d = chi1[1] - evd + chi2ud
-        psi2 = q - chi2
-        psi2dot = qdot - chi2d
-
-        # only the last tone regressor is biproper
-        W_i[-1] += self.f_w.D[-1] * psi2
-        mdrive = np.zeros(self.n)
-        for i in range(ns):
-            mdrive += thf[i] * W_i[i]
-        chi2udd = chi2udd + self.f_u.CAB[0] * mdrive
-        chi2dd = r1 - evdd + chi2udd
-
-        phi_dot, zdot = cascade_rates(self.refcfg, phi, q, qdot, chi2, chi2d, chi2dd)
-        z = phi[0]
-        s = qdot - z
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y @ th - self.lambda_D * (Y @ xi)
-
-        layer_err = psi1dot + self.kappa_s * psi1
-
-        xdot = self.block.deriv(
-            x, (psi1, mdrive, psi2, Y.ravel(), Y @ th, mW.ravel(), mh)
+        v = np.concatenate(
+            (v, Y.ravel(), Y @ th, mW.ravel(), mh, Y.T @ s, Wt_e, layer_err @ W_i, Y @ xi)
         )
-        self.layout.view(xdot, "phi")[:] = phi_dot
-        aux_dot = self.layout.view(xdot, "qd_aux")
-        aux_dot[0] = aux[1]
-        aux_dot[1] = qdd_aux
-        chi1_dot = self.layout.view(xdot, "chi1")
-        chi1_dot[0] = chi1[1]
-        chi1_dot[1] = r1
-        self.layout.view(xdot, "xi")[:] = -self.lam * xi + self.lam * (Y.T @ s)
-        self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (Wst.T @ e)
-        thf_dot = self.layout.view(xdot, "freq_hat")
-        for i in range(ns):
-            thf_dot[i] = 0.0 if self.freeze_freq else -self.gamma_f[i] * float(W_i[i] @ layer_err)
+        xdot, (tau,) = self.block.late(v, rates)
 
         extras = {
-            "ref_vel": z.copy(), "ref_acc": zdot, "s": s, "qd": qd,
-            "theta_hat": th.copy(), "xi": xi.copy(), "freq_hat": thf.copy(),
+            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd[0],
+            "theta_hat": th, "xi": xi, "freq_hat": thf,
             "psi1": psi1, "psi2": psi2, "chi2": chi2, "h": h,
         }
         return ControlEval(tau, xdot, extras)

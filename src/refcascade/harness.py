@@ -213,7 +213,6 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
     t_arr = np.empty(n_samples)
     q_arr = np.empty((n_samples, n))
     qdot_arr = np.empty((n_samples, n))
-    qd_arr = np.empty((n_samples, n))
 
     e_idx, tau_l, taus_l, refv_l, s_l, V_l, Vaux_l, th_l, fh_l = [], [], [], [], [], [], [], [], []
     res_t, res_l = [], []
@@ -229,7 +228,6 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         qdot = x[n : 2 * n]
         q_arr[k] = q
         qdot_arr[k] = qdot
-        qd_arr[k] = traj.eval(t, 0)
 
         k1 = None
         if k % stride == 0:
@@ -273,6 +271,7 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         t = k * dt
 
     last = k + 1
+    qd_arr = traj.eval_grid(t_arr[:last], 0)
     theta_arr = None
     if th_l and th_l[0] is not None:
         theta_arr = np.vstack(th_l)
@@ -284,8 +283,8 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         t=t_arr[:last],
         q=q_arr[:last],
         qdot=qdot_arr[:last],
-        qd=qd_arr[:last],
-        dq=q_arr[:last] - qd_arr[:last],
+        qd=qd_arr,
+        dq=q_arr[:last] - qd_arr,
         extras_stride=stride,
         et=np.array(e_idx, dtype=int),
         tau=np.vstack(tau_l),

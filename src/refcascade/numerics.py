@@ -69,8 +69,11 @@ class PolynomialCoeffs:
 
 def poly_mul(*polys):
     """Multiply polynomials given as increasing-power coefficient arrays."""
-    out = np.array([1.0])
-    for p in polys:
+    if not polys:
+        return np.array([1.0])
+    # the first factor as a product with 1 would return it, with -0.0 as 0.0
+    out = np.array(polys[0], dtype=float, ndmin=1) + 0.0
+    for p in polys[1:]:
         out = np.convolve(out, np.asarray(p, dtype=float))
     return out
 

@@ -41,7 +41,6 @@ __all__ = [
     "AVAILABILITIES",
     "HurwitzCoeffs",
     "ReferenceConfig",
-    "ReferenceRealization",
     "critically_damped_coeffs",
     "scale_coeffs",
     "cascade_init",
@@ -82,8 +81,9 @@ class HurwitzCoeffs:
         poly = np.append(alphas, 1.0)
         if routh_hurwitz(poly) != "stable":
             raise ValueError("cascade polynomial is not Hurwitz-stable")
+        # at kappa = 1 the scaled polynomial is the polynomial itself
         scaled = _scaled_alphas(alphas, kappa)
-        if routh_hurwitz(np.append(scaled, 1.0)) != "stable":
+        if kappa != 1.0 and routh_hurwitz(np.append(scaled, 1.0)) != "stable":
             raise ValueError("kappa-scaled cascade polynomial is not Hurwitz-stable")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "alphas", alphas)
@@ -179,6 +179,12 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     ``phi`` has shape (ell, n) with phi[0] = z.  Returns ``(phi_dot, zdot)``
     where ``phi_dot[0] == zdot``.  Only the measured quantities q, qdot and
     the declared q_d derivatives are read.
+
+    The rates are linear in ``phi`` and the inputs, with no constant term,
+    and every argument may carry leading axes (``phi`` after its level
+    axis, as (ell, ..., n)).  Evaluated on a unit basis, the function
+    therefore yields its own matrix; the filtering controllers compile
+    their cascade rows that way.
     """
     drive = cascade_drive(config, q, qdot, qd, qd_dot, qd_ddot)
     return cascade_rates_from_drive(config, phi, drive)
@@ -240,25 +246,6 @@ def cascade_rates_from_drive(config, phi, drive):
         phi_dot[j - 1] = phi[j] - drive[j + 1]
     phi_dot[ell - 1] = tail
     return phi_dot, phi_dot[0]
-
-
-class ReferenceRealization:
-    """Stateful wrapper bundling a config with its cascade state block."""
-
-    def __init__(self, config: ReferenceConfig, n: int, qd_dot0=None):
-        self.config = config
-        self.n = n
-        self.states = cascade_init(config, n, qd_dot0)
-        self.zdot_cache = np.zeros(n)
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.states[0]
-
-    def derivative(self, q, qdot, qd, qd_dot=None, qd_ddot=None) -> np.ndarray:
-        phi_dot, zdot = cascade_rates(self.config, self.states, q, qdot, qd, qd_dot, qd_ddot)
-        self.zdot_cache = zdot
-        return phi_dot
 
 
 # -- high-order oracle (test-side ground truth) -------------------------------

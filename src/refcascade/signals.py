@@ -154,20 +154,37 @@ class _SignalVector:
         return self._rows(t, 0, upto)
 
     def eval_grid(self, t, order: int = 0) -> np.ndarray:
-        """Vectorized evaluation over a time array; returns (len(t), n)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros((t.size, self.n))
-        for j, joint in enumerate(self.joints):
-            acc = out[:, j]
-            if order == 0:
-                acc += joint.offset
-            for k in range(order, len(joint.poly)):
-                acc += joint.poly[k] * math.perm(k, order) * t ** (k - order)
-            for tone in joint.tones:
-                acc += tone.amp * tone.omega**order * np.sin(
-                    tone.omega * t + tone.phase + order * (math.pi / 2.0)
-                )
-        return out
+        """Vectorized evaluation over a time array; returns (len(t), n).
+
+        Row ``i`` equals ``eval(t[i], order)`` bitwise: these are the
+        operations of :meth:`_rows`, in the same order, on the whole grid.
+        """
+        # joints along rows and times along columns, so every loop runs
+        # over the long axis; the result is transposed back at the end
+        t = np.asarray(t, dtype=float).reshape(1, -1)
+        key = (order, order)
+        base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
+        out = np.repeat(base.T, t.size, axis=1)
+        if cols:
+            tp = t.copy()
+            term = np.empty_like(out)
+            for col in cols:
+                out += np.multiply(col.T, tp, out=term)
+                tp *= t
+        if tone_gain.size:
+            vals = self._tone_w[:, None] * t
+            vals += tone_shift.T
+            np.sin(vals, out=vals)
+            vals *= tone_gain.T
+            if self._tone_owner is None:
+                out += vals
+            else:
+                # bincount's order: each joint sums its tones from zero
+                summed = np.zeros_like(out)
+                for i, j in enumerate(self._tone_owner):
+                    summed[j] += vals[i]
+                out += summed
+        return np.ascontiguousarray(out.T)
 
 
 class TrajectorySpec(_SignalVector):

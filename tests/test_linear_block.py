@@ -1,23 +1,31 @@
-"""The compiled filter block of each controller against its FilterBanks.
+"""The compiled affine map of each filtering controller against its definition.
 
-Every controller that filters runs its banks through one LinearBlock: one
-``C @ x`` for the outputs and one ``A @ x`` plus the inputs for the chain
-derivatives.  Here each tapped output (with the current-input terms the
-controllers add) and each block derivative is checked against the bank's own
-``output``/``output_dot``/``output_ddot``/``deriv`` on random states and
-inputs.
+``filtered_adaptive``, ``stacked_single`` and ``stacked_multi`` evaluate
+their whole linear state map through one LinearBlock.  The reference laws
+below restate each torque law block by block with the filter banks' own
+``output``/``output_dot``/``output_ddot``/``deriv`` and with
+``cascade_rates``.  On random states, inputs and times every block of
+``xdot``, the torque and the logged signals must agree with them to
+roundoff: the compiled map sums the same terms in another order.
 """
+
+import gc
 
 import numpy as np
 import pytest
 
 from refcascade.controllers import GainSet, build_controller
+from refcascade.controllers.base import Layout
 from refcascade.filters import FilterBank, LinearBlock
 from refcascade.manipulator import TwoLinkArm
-from refcascade.refdyn import critically_damped_coeffs
+from refcascade.refdyn import cascade_rates, critically_damped_coeffs
 from refcascade.signals import TrajectorySpec
 
 RTOL = 1e-14
+# the estimate rates are products of separately rounded outputs whose terms
+# can cancel (largest seen: 2.9e-14 on the one-entry freq_hat block); a
+# wrong coefficient still shows as an O(1) error
+RTOL_RATES = 1e-13
 
 CASES = [
     ("filtered_adaptive", {}),
@@ -26,94 +34,239 @@ CASES = [
     ("stacked_multi", {"n_star": 2}),
 ]
 
+# filter block -> the controller attribute holding its bank
+FILTER_BLOCKS = {
+    "filtered_adaptive": {"wbank": "wbank", "hbank": "hbank"},
+    "stacked_single": {"b_psi": "b_psi", "b_psith": "b_psi", "b_y": "b_y", "b_v": "b_v"},
+    "stacked_multi": {"f_e": "f_e", "f_u": "f_u", "f_w": "f_w", "b_y": "b_y", "b_v": "b_v",
+                      "outer_w": "f_outer_w", "outer_h": "f_outer_h"},
+}
 
-def _controller(variant, kw):
+
+def _controller(variant, kw, traj=None):
     model = TwoLinkArm()
-    gains = GainSet(K=np.array([20.0, 30.0]), Lambda=np.array([2.0, 3.5]))
-    traj = TrajectorySpec.constant([0.3, -0.2])
+    gains = GainSet(K=np.array([20.0, 30.0]), Lambda=np.array([2.0, 3.5]), gamma_freq=3.0)
+    traj = traj or TrajectorySpec.constant([0.3, -0.2])
     return build_controller(variant, model.shape(), gains, traj,
                             critically_damped_coeffs(4.0, 3), theta_hat0=np.zeros(5), **kw)
 
 
-def _feed(d, u):
-    return d[:, None] * u if u.ndim == 2 else d * u
+def _moving(variant, kw):
+    # a trajectory with nonzero derivatives, so every q_d column counts
+    traj = TrajectorySpec.multisine([[(0.3, 1.1, 0.2)], [(0.2, 0.7, -0.4), (0.1, 2.0, 0.0)]],
+                                    offsets=[0.3, -0.2])
+    return _controller(variant, kw, traj)
 
 
-def _close(got, want):
+def _filtered_adaptive(c, t, q, qdot, x):
+    v = lambda name: c.layout.view(x, name)  # noqa: E731
+    qd, qd_dot, qd_ddot = c.traj.derivs(t, 2)
+    phi, aux, xi, th = v("phi"), v("qd_aux"), v("xi"), v("theta_hat")
+    W = c.wbank.output(v("wbank"))
+    h = W @ th - c.hbank.output(v("hbank"))
+    e = (qdot - qd_dot) + c.alpha_star * (q - qd)
+    qdd_aux = (-c.a1s * aux[1] - c.a0s * aux[0] + h + qd_ddot + c.a1s * qd_dot + c.a0s * qd
+               - c.lambda_D_star * (W @ (W.T @ e)))
+    phi_dot, zdot = cascade_rates(c.refcfg, phi, q, qdot, aux[0], aux[1], qdd_aux)
+    s = qdot - phi[0]
+    Y = c.shape.regressor(q, qdot, phi[0], zdot)
+    tau = -c.K * s + Y @ th - c.lambda_D * (Y @ xi)
+    rates = {
+        "phi": phi_dot, "qd_aux": np.array([aux[1], qdd_aux]),
+        "xi": -c.lam * xi + c.lam * (Y.T @ s), "theta_hat": -c.gamma * (W.T @ e),
+        "wbank": c.wbank.deriv(v("wbank"), Y), "hbank": c.hbank.deriv(v("hbank"), Y @ th),
+    }
+    return tau, rates, {"W": W, "h": h, "ref_vel": phi[0], "ref_acc": zdot, "s": s}
+
+
+def _stacked_single(c, t, q, qdot, x):
+    v = lambda name: c.layout.view(x, name)  # noqa: E731
+    qd, qd_dot, qd_ddot = c.traj.derivs(t, 2)
+    phi, aux, chi, xi, th = v("phi"), v("qd_aux"), v("chi"), v("xi"), v("theta_hat")
+    thf = v("freq_hat")[0]
+    psi = q - chi[0]
+    psidot = qdot - chi[1]
+    psith = psi * thf
+    W1 = c.b_psi.output(v("b_psi"), psi)
+    g1_psith = c.b_psi.output(v("b_psith"), psith)
+    WG2, WG3 = (c.b_y.output(v("b_y"), k=k) for k in (0, 1))
+    vG2, vG3 = (c.b_v.output(v("b_v"), k=k) for k in (0, 1))
+    Wst = thf * WG2 + WG3
+    h = W1 * thf - g1_psith + thf * (WG2 @ th - vG2) + WG3 @ th - vG3
+    e = (qdot - qd_dot) + c.alpha_star * (q - qd)
+    qdd_aux = (-c.a1s * aux[1] - c.a0s * aux[0] + h + qd_ddot + c.a1s * qd_dot + c.a0s * qd
+               - c.lambda_D_star * (Wst @ (Wst.T @ e)))
+    phi_dot, zdot = cascade_rates(c.refcfg, phi, q, qdot, aux[0], aux[1], qdd_aux)
+    chidd = zdot + thf * psi
+    chidot_aux = chi[1] - c.alpha_star * psi
+    s_aux = qdot - chidot_aux
+    chidd_aux = chidd - c.alpha_star * psidot
+    Y = c.shape.regressor(q, qdot, chidot_aux, chidd_aux)
+    tau = -c.K * s_aux + Y @ th - c.lambda_D * (Y @ xi)
+    rates = {
+        "phi": phi_dot, "qd_aux": np.array([aux[1], qdd_aux]), "chi": np.array([chi[1], chidd]),
+        "xi": -c.lam * xi + c.lam * (Y.T @ s_aux), "theta_hat": -c.gamma * (Wst.T @ e),
+        "freq_hat": np.array([0.0 if c.freeze_freq else -c.gamma_f * (W1 @ e)]),
+        "b_psi": c.b_psi.deriv(v("b_psi"), psi), "b_psith": c.b_psi.deriv(v("b_psith"), psith),
+        "b_y": c.b_y.deriv(v("b_y"), Y), "b_v": c.b_v.deriv(v("b_v"), Y @ th),
+    }
+    outs = {"W1": W1, "h": h, "psi": psi, "psidot": psidot, "ref_vel": chidot_aux,
+            "ref_acc": chidd_aux, "s": s_aux, "zdot": zdot}
+    return tau, rates, outs
+
+
+def _stacked_multi(c, t, q, qdot, x):
+    v = lambda name: c.layout.view(x, name)  # noqa: E731
+    ns = c.n_star
+    qd, qd_dot, qd_ddot = c.traj.derivs(t, 2)
+    phi, aux, chi1, xi, th, thf = (v(k) for k in ("phi", "qd_aux", "chi1", "xi", "theta_hat",
+                                                  "freq_hat"))
+    by = [c.b_y.output(v("b_y"), k=k) for k in range(ns + 1)]
+    bv = [c.b_v.output(v("b_v"), k=k) for k in range(ns + 1)]
+    mW = by[ns] + sum(thf[i] * by[i] for i in range(ns))
+    mh = bv[ns] + sum(thf[i] * bv[i] for i in range(ns))
+    Wst = c.f_outer_w.output(v("outer_w"), mW)
+    h = Wst @ th - c.f_outer_h.output(v("outer_h"), mh)
+    e = (qdot - qd_dot) + c.ass * (q - qd)
+    qdd_aux = (-c.a1ss * aux[1] - c.a0ss * aux[0] + h + qd_ddot + c.a1ss * qd_dot + c.a0ss * qd
+               - c.lambda_D_star * (Wst @ (Wst.T @ e)))
+    r1 = qdd_aux - c.a1ss * (qdot - aux[1]) - c.a0ss * (q - aux[0])
+    psi1 = q - chi1[0]
+    psi1dot = qdot - chi1[1]
+    chi2 = chi1[0] - c.f_e.output(v("f_e")) + c.f_u.output(v("f_u"))
+    chi2d = chi1[1] - c.f_e.output_dot(v("f_e"), psi1) + c.f_u.output_dot(v("f_u"), 0.0)
+    psi2 = q - chi2
+    W_i = [c.f_w.output(v("f_w"), psi2, k=i) for i in range(ns)]
+    mdrive = sum(thf[i] * W_i[i] for i in range(ns))
+    chi2dd = (r1 - c.f_e.output_ddot(v("f_e"), psi1, psi1dot)
+              + c.f_u.output_ddot(v("f_u"), mdrive, 0.0))
+    phi_dot, zdot = cascade_rates(c.refcfg, phi, q, qdot, chi2, chi2d, chi2dd)
+    s = qdot - phi[0]
+    Y = c.shape.regressor(q, qdot, phi[0], zdot)
+    tau = -c.K * s + Y @ th - c.lambda_D * (Y @ xi)
+    layer_err = psi1dot + c.kappa_s * psi1
+    freq_rate = [0.0 if c.freeze_freq else -c.gamma_f[i] * (W_i[i] @ layer_err) for i in range(ns)]
+    rates = {
+        "phi": phi_dot, "qd_aux": np.array([aux[1], qdd_aux]), "chi1": np.array([chi1[1], r1]),
+        "f_e": c.f_e.deriv(v("f_e"), psi1), "f_u": c.f_u.deriv(v("f_u"), mdrive),
+        "f_w": c.f_w.deriv(v("f_w"), psi2),
+        "xi": -c.lam * xi + c.lam * (Y.T @ s), "theta_hat": -c.gamma * (Wst.T @ e),
+        "freq_hat": np.array(freq_rate),
+        "b_y": c.b_y.deriv(v("b_y"), Y), "b_v": c.b_v.deriv(v("b_v"), Y @ th),
+        "outer_w": c.f_outer_w.deriv(v("outer_w"), mW),
+        "outer_h": c.f_outer_h.deriv(v("outer_h"), mh),
+    }
+    outs = {"h": h, "chi2": chi2, "psi1": psi1, "psi2": psi2, "ref_vel": phi[0],
+            "ref_acc": zdot, "s": s}
+    return tau, rates, outs
+
+
+REFERENCE = {
+    "filtered_adaptive": _filtered_adaptive,
+    "stacked_single": _stacked_single,
+    "stacked_multi": _stacked_multi,
+}
+
+
+def _close(got, want, rtol=RTOL):
+    got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-def _draw(ctrl, rng):
-    x = rng.uniform(-1.0, 1.0, ctrl.state_size)
-    inputs = {name: rng.uniform(-1.0, 1.0, bank.state_shape()[:-1])
-              for name, bank in ctrl.block.banks.items()}
-    return x, inputs
+def _samples(ctrl, seed, count=5):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t = rng.uniform(0.0, 5.0)
+        q, qdot = rng.uniform(-1.0, 1.0, (2, ctrl.n))
+        yield t, q, qdot, rng.uniform(-1.0, 1.0, ctrl.state_size)
+
+
+def _evaluations(variant, kw, seed):
+    ctrl = _moving(variant, kw)
+    for t, q, qdot, x in _samples(ctrl, seed):
+        yield ctrl, ctrl.evaluate(t, q, qdot, x), REFERENCE[variant](ctrl, t, q, qdot, x)
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
 def test_outputs_match_the_banks(variant, kw):
-    ctrl = _controller(variant, kw)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        x, inputs = _draw(ctrl, rng)
-        _, rates = _draw(ctrl, rng)
-        for (name, kind, ks), ys in zip(ctrl.block.taps, ctrl.block.outputs(x)):
-            bank = ctrl.block.banks[name]
-            if isinstance(ks, slice):
-                ks = range(len(bank.C))[ks]
-            else:
-                ks, ys = [ks], [ys]
-            assert len(ys) == len(ks)
-            for k, y in zip(ks, ys):
-                _check_tap(bank, kind, k, y, ctrl.layout.view(x, name), inputs[name], rates[name])
-
-
-def _check_tap(bank, kind, k, y, xb, u, udot):
-    biproper = np.any(bank.D[k] != 0.0)
-    if kind == "C":
-        _close(y + _feed(bank.D[k], u), bank.output(xb, u, k=k))
-    elif kind == "CA":
-        got = y + _feed(bank.CB[k], u)
-        if biproper:
-            got = got + _feed(bank.D[k], udot)
-        _close(got, bank.output_dot(xb, u, udot, k=k))
-    else:
-        assert kind == "CA2" and not biproper
-        got = y + _feed(bank.CAB[k], u) + _feed(bank.CB[k], udot)
-        _close(got, bank.output_ddot(xb, u, udot, k=k))
+    # the filter outputs the law reads, through the torque and logged signals
+    for _, ev, (tau, _, outs) in _evaluations(variant, kw, 11):
+        _close(ev.tau, tau)
+        for name, want in outs.items():
+            _close(ev.extras[name], want)
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
 def test_derivative_matches_the_banks(variant, kw):
-    ctrl = _controller(variant, kw)
+    for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, 12):
+        for name in FILTER_BLOCKS[variant]:
+            _close(ctrl.layout.view(ev.xdot, name), rates[name])
+    # the chains keep their exact structure in the compiled rates: a state's
+    # rate is the next state and nothing else, and the last one's reads the
+    # denominator tail on its own chain (its drive adds the rest)
     block = ctrl.block
-    rng = np.random.default_rng(12)
-    filtered = np.zeros(ctrl.state_size, dtype=bool)
-    for name in block.banks:
-        ctrl.layout.view(filtered, name)[...] = True
-    for _ in range(5):
-        x, inputs = _draw(ctrl, rng)
-        xd = block.deriv(x, [inputs[name].ravel() for name in block.banks])
-        for name, bank in block.banks.items():
-            want = bank.deriv(ctrl.layout.view(x, name), inputs[name])
-            _close(ctrl.layout.view(xd, name), want)
-        assert np.all(xd[~filtered] == 0.0)
-    assert np.all(block.A[~filtered] == 0.0)
-    assert np.all(block.C[:, ~filtered] == 0.0)
+    rates = np.vstack([np.pad(block.early_map[: block.n_early],
+                              ((0, 0), (0, block.late_map.shape[1] - block.early_map.shape[1]))),
+                       block.late_map[: block.n_late]])
+    index = np.arange(ctrl.state_size)
+    for name, attr in FILTER_BLOCKS[variant].items():
+        bank = getattr(ctrl, attr)
+        idx = ctrl.layout.view(index, name)
+        shift = np.zeros(idx[..., :-1].shape + (rates.shape[1],))
+        np.put_along_axis(shift, idx[..., 1:, None], 1.0, axis=-1)
+        assert np.array_equal(rates[idx[..., :-1]], shift)
+        per_row = (bank.rows,) + (1,) * (idx.ndim - 2) + (bank.order,)
+        last = rates[idx[..., -1:], idx]
+        assert np.array_equal(last, np.broadcast_to(-bank.a.reshape(per_row), last.shape))
+    # the outputs read only [x; w], never a nonlinear input
+    assert block.C.shape[1] == ctrl.state_size + 5 * ctrl.n
+
+
+@pytest.mark.parametrize("variant,kw", CASES + [("stacked_single", {"freeze_freq": True}),
+                                                ("stacked_multi", {"n_star": 2,
+                                                                   "freeze_freq": True})])
+def test_state_rates_match_their_definitions(variant, kw):
+    # phi against cascade_rates on the controller's own drive, xi against
+    # -lam xi + lam Y^T s, and likewise the proxy, layer and estimate blocks
+    for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, 13):
+        for name in ctrl.layout.names():
+            if name not in FILTER_BLOCKS[variant]:
+                _close(ctrl.layout.view(ev.xdot, name), rates[name], RTOL_RATES)
 
 
 def test_every_output_the_laws_read_is_tapped():
-    # stacked_multi reads every regressor-path output, the outer filters, the
-    # tone-layer chains up to their second derivative and every tone regressor
+    # stacked_multi reads every regressor-path output (tone index last), the
+    # outer filters, the tone regressors and its plain signals from one
+    # product with [x; w]
     ctrl = _controller("stacked_multi", {"n_star": 2})
-    shapes = [y.shape for y in ctrl.block.outputs(np.zeros(ctrl.state_size))]
-    assert shapes == [(3, 2, 5), (3, 2), (2, 5), (2,)] + [(2,)] * 6 + [(2, 2)]
-    assert ctrl.block.C.shape == (30 + 6 + 10 + 2 + 12 + 4, ctrl.state_size)
+    v = np.zeros(ctrl.state_size + 5 * ctrl.n)
+    shapes = [y.shape for y in ctrl.block.outputs(v)]
+    assert shapes == [(2, 5, 3), (2, 3), (2, 5), (2,), (2, 2), (2,), (5,), (2,), (5,)] + [(2,)] * 6
+    assert ctrl.block.C.shape == (30 + 6 + 10 + 2 + 4 + 2 + 5 + 2 + 5 + 12, v.size)
 
 
 def test_block_rejects_a_layout_that_does_not_match_its_bank():
     ctrl = _controller("filtered_adaptive", {})
     bank = FilterBank([[2.0, 3.0, 1.0]] * 2, [[[1.0], [1.0]]])
+    block = LinearBlock(ctrl.layout, ctrl.n, (), ())
     with pytest.raises(ValueError, match="state shape"):
-        LinearBlock(ctrl.layout, {"hbank": bank}, [])
+        block.tap("hbank", bank)
+
+
+def test_compile_rejects_a_signal_read_too_early():
+    layout = Layout()
+    layout.add("z", 2)
+    block = LinearBlock(layout, 2, (("h", 2),), ())
+    # the outputs are formed before any nonlinear input exists
+    with pytest.raises(ValueError, match="not given"):
+        block.compile([block.signal("h")], ({"z": block.signal("z")}, ()), ({}, ()))
+
+
+@pytest.mark.parametrize("variant,kw", CASES)
+def test_building_and_dropping_leaves_no_garbage_cycle(variant, kw):
+    gc.collect()
+    ctrl = _controller(variant, kw)
+    ctrl.evaluate(0.0, np.zeros(2), np.zeros(2), ctrl.initial_state(np.zeros(2), np.zeros(2)))
+    del ctrl
+    assert gc.collect() == 0

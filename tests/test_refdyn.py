@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from refcascade.numerics import poly_from_roots
 from refcascade.refdyn import (
     HurwitzCoeffs,
     ReferenceConfig,
-    ReferenceRealization,
     cascade_drive,
     cascade_init,
     cascade_rates,
@@ -280,14 +280,40 @@ class TestCascadeDrive:
         assert oracle_realization_gaps(configs, q, qd, t) == want
 
 
-class TestRealizationWrapper:
-    def test_stateful_interface(self):
-        cfg = ReferenceConfig(critically_damped_coeffs(4.0, 2), "full")
-        real = ReferenceRealization(cfg, 2, qd_dot0=np.array([0.5, 0.0]))
-        assert np.array_equal(real.z, [0.5, 0.0])
-        d = real.derivative(
-            np.zeros(2), np.array([0.5, 0.0]), np.zeros(2),
-            np.array([0.5, 0.0]), np.zeros(2),
-        )
-        assert d.shape == (2, 2)
-        assert np.array_equal(real.zdot_cache, d[0])
+def _unit_basis_matrices(cfg, n):
+    """``(A, B)`` of ``phi_dot = A phi + B w``, from cascade_rates on a unit basis.
+
+    ``w`` stacks the inputs the variant reads: q, qdot, q_d and, as declared,
+    q_d' and q_d''.  Every input carries the basis as a leading axis.
+    """
+    k = {"position": 3, "velocity": 4}.get(cfg.availability, 5)
+    size = (cfg.ell + k) * n
+    basis = np.eye(size).reshape(size, cfg.ell + k, n)
+    inputs = [basis[:, cfg.ell + i] for i in range(k)] + [None] * (5 - k)
+    phi_dot, zdot = cascade_rates(cfg, basis[:, : cfg.ell].swapaxes(0, 1), *inputs)
+    assert np.array_equal(zdot, phi_dot[0])
+    M = phi_dot.transpose(0, 2, 1).reshape(cfg.ell * n, size)
+    return M[:, : cfg.ell * n], M[:, cfg.ell * n :], k
+
+
+class TestCascadeMatrix:
+    """The rates are linear with no constant term, so their values on a unit
+    basis are their matrix; the filtering controllers compile them that way."""
+
+    @pytest.mark.parametrize("availability", ["position", "velocity", "full", "full_corrected"])
+    @pytest.mark.parametrize("ell", range(1, 7))
+    def test_basis_matrix_reproduces_the_rates(self, availability, ell):
+        rng = np.random.default_rng(10 * ell + len(availability))
+        n = 2
+        # a random stable set: distinct negative real roots
+        alphas = poly_from_roots(-rng.uniform(0.5, 3.0, ell + 1))[:-1]
+        lam = rng.uniform(0.5, 3.0, n) if availability == "full_corrected" else None
+        cfg = ReferenceConfig(HurwitzCoeffs(ell, alphas), availability, lam)
+        A, B, k = _unit_basis_matrices(cfg, n)
+        for _ in range(20):
+            phi = rng.standard_normal((ell, n))
+            w = rng.standard_normal((k, n))
+            want, zdot = cascade_rates(cfg, phi, *w, *[None] * (5 - k))
+            got = (A @ phi.ravel() + B @ w.ravel()).reshape(ell, n)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(zdot, want[0])

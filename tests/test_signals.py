@@ -78,6 +78,18 @@ class TestDerivs:
                 for k in range(5):
                     assert np.array_equal(rows[k], spec.eval(t, k))
 
+    def test_grid_rows_equal_eval_bitwise(self):
+        # the run log's q_d column is one grid evaluation over the sample times
+        ts = 0.004 * np.arange(2501)
+        extra = [TrajectorySpec.polynomial([[0.3, 0.2, -0.05, 0.01], [-0.1, 0.0, 0.02]]),
+                 TrajectorySpec.constant([0.3, -0.2])]
+        for spec in list(self._specs()) + extra:
+            for k in (0, 1, 3):
+                grid = spec.eval_grid(ts, k)
+                assert grid.shape == (ts.size, spec.n)
+                for t, row in zip(ts, grid):
+                    assert np.array_equal(row, spec.eval(t, k))
+
     def test_repeated_time_returns_independent_arrays(self):
         for spec in self._specs():
             want = spec.derivs(0.7, 2).copy()
