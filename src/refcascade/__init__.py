@@ -7,7 +7,7 @@ to unknown disturbance tone frequencies.
 """
 
 from .manipulator import ArmParams, ArmShape, TwoLinkArm
-from .numerics import NonFiniteStateError, PolynomialCoeffs, rk4_step, routh_hurwitz
+from .numerics import NonFiniteStateError, rk4_step, routh_hurwitz
 from .refdyn import (
     HurwitzCoeffs,
     ReferenceConfig,
@@ -23,7 +23,6 @@ __all__ = [
     "ArmShape",
     "TwoLinkArm",
     "NonFiniteStateError",
-    "PolynomialCoeffs",
     "rk4_step",
     "routh_hurwitz",
     "HurwitzCoeffs",

@@ -132,7 +132,6 @@ SCHEMA = {
     "run": {
         "dt": ("float", "0.001", "integration step [s]"),
         "duration": ("float", "20.0", "simulated time [s]"),
-        "seed": ("int", "0", "experiment seed (carried into logs for provenance)"),
         "q0": ("vector", "0 0", "initial joint positions [rad]"),
         "qdot0": ("vector", "0 0", "initial joint velocities [rad/s]"),
         "extras_stride": ("int", "1", "steps between derived-quantity samples (torque, estimates, diagnostics)"),

@@ -1,11 +1,15 @@
 """Torque-law variants as ODE components, plus trajectory-level diagnostics.
 
-``build_controller`` is the single construction point used by the experiment
-harness; ``lyapunov_diag`` and ``closed_loop_residual`` are diagnostics that
-(unlike the controllers) may read the true plant model.
+Each variant is one class, which also owns its diagnostics (energy and
+closed-loop residual).  ``build_controller`` is the single construction
+point used by the experiment harness; ``lyapunov_diag`` and
+``closed_loop_residual`` call the diagnostics, which (unlike the torque
+laws) may read the true plant model.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -46,18 +50,23 @@ __all__ = [
     "closed_loop_residual",
 ]
 
-VARIANTS = (
-    "adaptive",
-    "plain",
-    "pid",
-    "pid_textbook",
-    "known",
-    "nldamp",
-    "passive",
-    "filtered_adaptive",
-    "stacked_single",
-    "stacked_multi",
+# one class per variant, in the order the CLI help lists them
+_CLASSES = (
+    AdaptiveCascadeController,
+    PlainCascadeController,
+    PidReformulatedController,
+    PidTextbookController,
+    KnownParamsController,
+    NonlinearDampingController,
+    PassiveFilterController,
+    FilteredAdaptiveController,
+    StackedSingleController,
+    StackedMultiController,
 )
+# variant -> (class, the options its constructor takes)
+_BY_VARIANT = {cls.variant: (cls, frozenset(inspect.signature(cls).parameters))
+               for cls in _CLASSES}
+VARIANTS = tuple(_BY_VARIANT)
 
 
 def build_controller(
@@ -74,109 +83,38 @@ def build_controller(
     freeze_freq=False,
     matched_init=True,
 ) -> ControllerBase:
-    """Construct a controller variant; raises :class:`ConfigError` on misuse."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown controller variant '{variant}'")
-    needs_coeffs = variant not in ("pid", "pid_textbook")
-    if needs_coeffs and coeffs is None:
-        raise ConfigError(f"variant '{variant}' needs a cascade coefficient set")
+    """Construct a controller variant; raises :class:`ConfigError` on misuse.
 
-    if variant == "adaptive":
-        return AdaptiveCascadeController(shape, gains, traj, coeffs, theta_hat0)
-    if variant == "plain":
-        return PlainCascadeController(shape, gains, traj, coeffs)
-    if variant == "pid":
-        return PidReformulatedController(shape, gains, traj, matched_init=matched_init)
-    if variant == "pid_textbook":
-        return PidTextbookController(shape, gains, traj)
-    if variant == "known":
-        return KnownParamsController(shape, gains, traj, coeffs, feedforward_theta)
-    if variant == "nldamp":
-        return NonlinearDampingController(shape, gains, traj, coeffs, theta_hat0)
-    if variant == "passive":
-        return PassiveFilterController(shape, gains, traj, coeffs, theta_hat0)
-    if variant == "filtered_adaptive":
-        return FilteredAdaptiveController(shape, gains, traj, coeffs, theta_hat0)
-    if variant == "stacked_single":
-        return StackedSingleController(
-            shape, gains, traj, coeffs, theta_hat0,
-            freq_hat0=0.0 if freq_hat0 is None else float(np.atleast_1d(freq_hat0)[0]),
-            freeze_freq=freeze_freq,
-        )
-    return StackedMultiController(
-        shape, gains, traj, coeffs, n_star, theta_hat0,
-        freq_hat0=freq_hat0, freeze_freq=freeze_freq,
+    Each variant's constructor takes the options it names; the others are
+    not passed to it.
+    """
+    if variant not in _BY_VARIANT:
+        raise ConfigError(f"unknown controller variant '{variant}'")
+    cls, taken = _BY_VARIANT[variant]
+    if cls.needs_coeffs and coeffs is None:
+        raise ConfigError(f"variant '{variant}' needs a cascade coefficient set")
+    options = dict(
+        coeffs=coeffs, theta_hat0=theta_hat0, feedforward_theta=feedforward_theta,
+        n_star=n_star, freq_hat0=freq_hat0, freeze_freq=freeze_freq, matched_init=matched_init,
     )
+    return cls(shape, gains, traj, **{k: v for k, v in options.items() if k in taken})
 
 
 def lyapunov_diag(controller, model, q, qdot, extras):
-    """Energy-like diagnostics along a trajectory; may read the true model.
-
-    Returns ``(V, V_aux)`` where entries are NaN when the variant defines no
-    such diagnostic.  Controllers themselves never call this.
-    """
-    variant = controller.variant
-    nan = float("nan")
-    if "s" not in extras:
-        return nan, nan
-    s = extras["s"]
-    quad = 0.5 * s @ model.inertia(q) @ s
-    if variant == "adaptive":
-        dth = extras["theta_hat"] - model.theta
-        gamma = controller.gamma
-        return quad + 0.5 * dth @ (dth / gamma), nan
-    if variant in ("passive", "filtered_adaptive", "stacked_single", "stacked_multi"):
-        xi = extras.get("xi")
-        if xi is None:
-            return nan, nan
-        g = controller.gains
-        v = quad + (g.lambda_D / (2.0 * g.lam)) * xi @ xi
-        v_aux = quad + (g.lambda_D / (4.0 * g.lam)) * xi @ xi
-        return v, v_aux
-    return nan, nan
+    """Energy-like diagnostics ``(V, V_aux)`` along a trajectory; may read
+    the true model.  NaN entries mark a diagnostic the variant does not
+    define.  Controllers themselves never call this."""
+    return controller.energy(model, q, qdot, extras)
 
 
 def closed_loop_residual(controller, model, t, q, qdot, tau, tau_star, extras):
-    """Residual of the variant's input-side closed-loop identity.
+    """Residual of the variant's closed-loop identity, or NaN if it has none.
 
     Evaluated purely from logged signals (the joint acceleration is
-    reconstructed through the plant model); the displayed cascade equations
-    are algebraic identities along any trajectory, so these should sit at
-    numerical roundoff.  Returns NaN for variants without a displayed
-    input-side subsystem.
+    reconstructed through the plant model); the displayed identities hold
+    along any trajectory, so these should sit at numerical roundoff.
     """
-    variant = controller.variant
-    qdd = model.forward_dynamics(q, qdot, tau, tau_star)
-    M = model.inertia(q)
-    C = model.coriolis(q, qdot)
-
-    if variant == "pid":
-        kd, _, _ = controller.gains.pid_diags(controller.n)
-        res = M @ qdd + C @ qdot + model.gravity(q) - tau_star + kd * extras["s"]
-        return float(np.max(np.abs(res)))
-    if variant == "plain":
-        K = controller.gains.k_diag(controller.n)
-        res = M @ qdd + C @ qdot + model.gravity(q) - tau_star + K * extras["s"]
-        return float(np.max(np.abs(res)))
-    if variant not in ("adaptive", "known", "nldamp", "passive",
-                       "filtered_adaptive", "stacked_single", "stacked_multi"):
-        return float("nan")
-
-    s = extras["s"]
-    sdot = qdd - extras["ref_acc"]
-    K = controller.gains.k_diag(controller.n)
-    res = M @ sdot + C @ s + K * s - tau_star
-    Y = model.regressor(q, qdot, extras["ref_vel"], extras["ref_acc"])
-    if variant == "known":
-        pass  # exact feedforward: no parameter-error term
-    else:
-        dth = extras["theta_hat"] - model.theta
-        res = res - Y @ dth
-    if variant == "nldamp":
-        res = res + controller.gains.lambda_D * (Y @ (Y.T @ s))
-    elif variant in ("passive", "filtered_adaptive", "stacked_single", "stacked_multi"):
-        res = res + controller.gains.lambda_D * (Y @ extras["xi"])
-    return float(np.max(np.abs(res)))
+    return controller.residual(model, q, qdot, tau, tau_star, extras)
 
 
 def layer_error_residual(extras, alpha_star):

@@ -29,48 +29,70 @@ import numpy as np
 
 from ..filters import FilterBank, LinearBlock, regressor_loop_channel
 from ..refdyn import ReferenceConfig, cascade_rates
-from .base import ConfigError, ControlEval, ControllerBase, GainSet
+from .base import ControlEval, ControllerBase, FilteredDamping, GainSet
 
 __all__ = ["FilteredAdaptiveController"]
 
 
 def make_loop_bank(coeffs, a0s, a1s, lam_vec, k_vec, cols):
     """Per-joint loop-operator bank (strictly proper, relative degree one)."""
-    dens = []
-    nums = []
-    for lam_r, k_r in zip(lam_vec, k_vec):
-        num, den = regressor_loop_channel(coeffs.alphas, a0s, a1s, lam_r, k_r)
-        nums.append(num)
-        dens.append(den)
-    dens = np.vstack(dens)
-    width = max(n.size for n in nums)
-    num_arr = np.zeros((len(nums), width))
-    for r, n_ in enumerate(nums):
-        num_arr[r, : n_.size] = n_
-    return FilterBank(dens, [num_arr], cols=cols)
+    nums, dens = zip(*(regressor_loop_channel(coeffs.alphas, a0s, a1s, lam_r, k_r)
+                       for lam_r, k_r in zip(lam_vec, k_vec)))
+    return FilterBank(np.vstack(dens), [np.vstack(nums)], cols=cols)
 
 
-class FilteredAdaptiveController(ControllerBase):
-    variant = "filtered_adaptive"
-    availability = "full"
+class ProxyController(FilteredDamping, ControllerBase):
+    """Shared structure of the filtering laws.
 
-    def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0=None):
+    The reference cascade runs, on the full-corrected availability, against
+    the proxy desired position ``qd_aux`` (or a layer built on it), whose
+    acceleration absorbs the swap term ``h`` and the damping term; the
+    torque is the filtered-damping law.  The layout starts with ``phi`` and
+    ``qd_aux`` and holds ``theta_hat``; a compiled block reads the
+    nonlinear inputs ``h`` and ``damping``.
+    """
+
+    def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0):
         super().__init__(shape, gains, traj)
-        gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
-        self.K = gains.k_diag(self.n)
-        if np.any(self.K <= 0.0):
-            raise ConfigError("filtered adaptation needs strictly positive K entries")
+        self.K = self._positive_k()
         self.Lam = gains.lambda_diag(self.n)
         self.gamma = gains.gamma_diag(self.p_dim)
         self.lambda_D = gains.lambda_D
         self.lam = gains.lam
-        self.alpha_star = gains.alpha_star
         self.lambda_D_star = gains.lambda_D_star
-        self.a0s, self.a1s = gains.star_pair()
         self.refcfg = ReferenceConfig(coeffs, "full_corrected", self.Lam)
-        self.theta_hat0 = (
-            np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
+        self.theta_hat0 = self._estimate0(theta_hat0)
+
+    def _proxy(self, sig, alpha, a0, a1):
+        """Signals of the target error e = dqdot + alpha dq, with
+        (a0, a1) = (alpha^2, 2 alpha), and of the proxy's acceleration."""
+        aux, q, qdot, qd = sig("qd_aux"), sig("q"), sig("qdot"), sig("qd")
+        e = (qdot - qd[1]) + alpha * (q - qd[0])
+        qdd_aux = (
+            -a1 * aux[1] - a0 * aux[0] + sig("h")
+            + qd[2] + a1 * qd[1] + a0 * qd[0]
+            - self.lambda_D_star * sig("damping")
         )
+        return e, qdd_aux
+
+    def initial_state(self, q0, qdot0, t0=0.0):
+        x = super().initial_state(q0, qdot0, t0)
+        qd0, qd_dot0 = self.traj.derivs(t0, 1)
+        self.layout.view(x, "qd_aux")[:] = (qd0, qd_dot0)
+        self.layout.view(x, "phi")[0] = qd_dot0
+        self.layout.view(x, "theta_hat")[:] = self.theta_hat0
+        return x
+
+
+class FilteredAdaptiveController(ProxyController):
+    variant = "filtered_adaptive"
+    availability = "full"
+
+    def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0=None):
+        gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
+        super().__init__(shape, gains, traj, coeffs, theta_hat0)
+        self.alpha_star = gains.alpha_star
+        self.a0s, self.a1s = gains.star_pair()
 
         self.wbank = make_loop_bank(coeffs, self.a0s, self.a1s, self.Lam, self.K, self.p_dim)
         self.hbank = self.wbank.with_cols(1)
@@ -92,13 +114,8 @@ class FilteredAdaptiveController(ControllerBase):
     def _compile(self, block):
         sig = block.signal
         phi, aux, xi = sig("phi"), sig("qd_aux"), sig("xi")
-        q, qdot, qd = sig("q"), sig("qdot"), sig("qd")
-        e = (qdot - qd[1]) + self.alpha_star * (q - qd[0])
-        qdd_aux = (
-            -self.a1s * aux[1] - self.a0s * aux[0] + sig("h")
-            + qd[2] + self.a1s * qd[1] + self.a0s * qd[0]
-            - self.lambda_D_star * sig("damping")
-        )
+        q, qdot = sig("q"), sig("qdot")
+        e, qdd_aux = self._proxy(sig, self.alpha_star, self.a0s, self.a1s)
         # the cascade takes the signals' column axis as a leading axis
         phi_dot, zdot = cascade_rates(
             self.refcfg, phi.swapaxes(1, 2), q.T, qdot.T, aux[0].T, aux[1].T, qdd_aux.T
@@ -117,17 +134,6 @@ class FilteredAdaptiveController(ControllerBase):
                    "hbank": (self.hbank, sig("Y_th"))},
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
-
-    def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        qd0, qd_dot0 = self.traj.derivs(t0, 1)
-        aux = self.layout.view(x, "qd_aux")
-        aux[0] = qd0
-        aux[1] = qd_dot0
-        phi = self.layout.view(x, "phi")
-        phi[0] = qd_dot0
-        self.layout.view(x, "theta_hat")[:] = self.theta_hat0
-        return x
 
     def evaluate(self, t, q, qdot, x):
         qd = self.traj.derivs(t, 2)

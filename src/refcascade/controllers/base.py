@@ -29,6 +29,8 @@ __all__ = [
     "Layout",
     "ControlEval",
     "ControllerBase",
+    "SIdentity",
+    "FilteredDamping",
     "diag_entries",
 ]
 
@@ -151,10 +153,6 @@ class TrajectoryView:
         self.availability = availability
         self.max_order = _AVAILABILITY_ORDER[availability]
 
-    @property
-    def n(self):
-        return self._traj.n
-
     def _refuse(self, order):
         raise ConfigError(
             f"trajectory derivative of order {order} exceeds the declared "
@@ -213,10 +211,17 @@ class ControlEval:
 
 
 class ControllerBase:
-    """Common plumbing: shape, gains, trajectory view and state layout."""
+    """Common plumbing: shape, gains, trajectory view and state layout.
+
+    A subclass defines one variant: its name, whether it runs on a cascade
+    coefficient set, its torque law and its diagnostics.  The diagnostics
+    may read the true plant model, which the law itself never sees; a
+    variant without one returns NaN.
+    """
 
     variant: str = ""
     availability: str = "full"
+    needs_coeffs: bool = True
 
     def __init__(self, shape: ArmShape, gains: GainSet, traj):
         self.shape = shape
@@ -231,7 +236,68 @@ class ControllerBase:
         return self.layout.size
 
     def initial_state(self, q0, qdot0, t0=0.0) -> np.ndarray:
-        raise NotImplementedError
+        """Controller state at ``t0``; zero unless the variant sets blocks."""
+        return np.zeros(self.state_size)
 
     def evaluate(self, t, q, qdot, x) -> ControlEval:
         raise NotImplementedError
+
+    def energy(self, model, q, qdot, extras):
+        """Energy-like functions ``(V, V_aux)`` at a sampled state."""
+        return np.nan, np.nan
+
+    def residual(self, model, q, qdot, tau, tau_star, extras) -> float:
+        """Largest entry of the variant's closed-loop identity residual."""
+        return np.nan
+
+    def _estimate0(self, theta_hat0):
+        """The initial (or fixed) parameter estimate; zero by default."""
+        return np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
+
+    def _positive_k(self):
+        k = self.gains.k_diag(self.n)
+        if np.any(k <= 0.0):
+            raise ConfigError(f"{self.variant} needs strictly positive K entries")
+        return k
+
+
+class SIdentity:
+    """Diagnostics of a law acting on the input-side error s = qdot - z.
+
+    Along any trajectory the closed loop reads
+    ``M s' + C s + K s = tau* + Y (theta_hat - theta) - damping``, with
+    ``Y = Y(q, qdot, z, z')`` and ``K`` the variant's ``self.K``; a variant
+    states only its estimate-error and damping terms, and ``s``, ``z`` and
+    ``z'`` are the logged ``s``, ``ref_vel`` and ``ref_acc``.
+    """
+
+    def residual(self, model, q, qdot, tau, tau_star, extras):
+        s = extras["s"]
+        sdot = model.forward_dynamics(q, qdot, tau, tau_star) - extras["ref_acc"]
+        res = model.inertia(q) @ sdot + model.coriolis(q, qdot) @ s + self.K * s - tau_star
+        Y = model.regressor(q, qdot, extras["ref_vel"], extras["ref_acc"])
+        res = res - self._estimate_error(Y, model, extras) + self._damping(Y, s, extras)
+        return float(np.max(np.abs(res)))
+
+    def _estimate_error(self, Y, model, extras):
+        return Y @ (extras["theta_hat"] - model.theta)
+
+    def _damping(self, Y, s, extras):
+        return 0.0
+
+
+class FilteredDamping(SIdentity):
+    """Damping -lambda_D Y xi through the filter xi' = -lam xi + lam Y^T s.
+
+    Its energies add the filter state's storage to the kinetic energy of s.
+    """
+
+    def _damping(self, Y, s, extras):
+        return self.gains.lambda_D * (Y @ extras["xi"])
+
+    def energy(self, model, q, qdot, extras):
+        s, xi = extras["s"], extras["xi"]
+        quad = 0.5 * s @ model.inertia(q) @ s
+        g = self.gains
+        return (quad + (g.lambda_D / (2.0 * g.lam)) * xi @ xi,
+                quad + (g.lambda_D / (4.0 * g.lam)) * xi @ xi)

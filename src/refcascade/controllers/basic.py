@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..refdyn import ReferenceConfig, cascade_init, cascade_rates
-from .base import ConfigError, ControlEval, ControllerBase, GainSet
+from .base import ConfigError, ControlEval, ControllerBase, FilteredDamping, GainSet, SIdentity
 
 __all__ = [
     "AdaptiveCascadeController",
@@ -39,19 +39,18 @@ class _CascadeController(ControllerBase):
         self.K = gains.k_diag(self.n)
         self.layout.add("phi", self.refcfg.ell, self.n)
 
-    def _init_phi(self, x, t0):
+    def initial_state(self, q0, qdot0, t0=0.0):
+        x = super().initial_state(q0, qdot0, t0)
         qd_dot0 = None
         if self.ref_availability != "position":
             qd_dot0 = self.traj.eval(t0, 1)
         self.layout.view(x, "phi")[:] = cascade_init(self.refcfg, self.n, qd_dot0)
+        return x
 
     def _reference(self, t, q, qdot, x):
         """Cascade rates against the true desired trajectory."""
-        qd_dot = qd_ddot = None
         if self.ref_availability == "position":
-            qd = self.traj.eval(t, 0)
-        elif self.ref_availability == "velocity":
-            qd, qd_dot = self.traj.derivs(t, 1)
+            qd, qd_dot, qd_ddot = self.traj.eval(t, 0), None, None
         else:
             qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         phi = self.layout.view(x, "phi")
@@ -59,7 +58,15 @@ class _CascadeController(ControllerBase):
         return phi[0], zdot, phi_dot, qd
 
 
-class AdaptiveCascadeController(_CascadeController):
+def _torque_residual(model, q, qdot, tau, tau_star, gain, s):
+    """Torque-side identity M qdd + C qdot + g = tau* - gain s."""
+    qdd = model.forward_dynamics(q, qdot, tau, tau_star)
+    res = (model.inertia(q) @ qdd + model.coriolis(q, qdot) @ qdot + model.gravity(q)
+           - tau_star + gain * s)
+    return float(np.max(np.abs(res)))
+
+
+class AdaptiveCascadeController(SIdentity, _CascadeController):
     """Adaptive tracking from position-only desired-trajectory knowledge.
 
     tau = -K s + Y(q, qdot, z, zdot) theta_hat,   s = qdot - z,
@@ -74,14 +81,11 @@ class AdaptiveCascadeController(_CascadeController):
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
         self.gamma = gains.gamma_diag(self.p_dim)
-        self.theta_hat0 = (
-            np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
-        )
+        self.theta_hat0 = self._estimate0(theta_hat0)
         self.layout.add("theta_hat", self.p_dim)
 
     def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        self._init_phi(x, t0)
+        x = super().initial_state(q0, qdot0, t0)
         self.layout.view(x, "theta_hat")[:] = self.theta_hat0
         return x
 
@@ -101,6 +105,11 @@ class AdaptiveCascadeController(_CascadeController):
         }
         return ControlEval(tau, xdot, extras)
 
+    def energy(self, model, q, qdot, extras):
+        s = extras["s"]
+        dth = extras["theta_hat"] - model.theta
+        return 0.5 * s @ model.inertia(q) @ s + 0.5 * dth @ (dth / self.gamma), np.nan
+
 
 class PlainCascadeController(_CascadeController):
     """Pure error feedback tau = -K (qdot - z), no dynamics knowledge."""
@@ -109,11 +118,6 @@ class PlainCascadeController(_CascadeController):
     availability = "full"
     ref_availability = "full"
 
-    def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        self._init_phi(x, t0)
-        return x
-
     def evaluate(self, t, q, qdot, x):
         z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
         s = qdot - z
@@ -121,6 +125,9 @@ class PlainCascadeController(_CascadeController):
         xdot = phi_dot.ravel()  # phi is the whole controller state
         extras = {"ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd}
         return ControlEval(tau, xdot, extras)
+
+    def residual(self, model, q, qdot, tau, tau_star, extras):
+        return _torque_residual(model, q, qdot, tau, tau_star, self.K, extras["s"])
 
 
 class PidReformulatedController(ControllerBase):
@@ -133,6 +140,7 @@ class PidReformulatedController(ControllerBase):
 
     variant = "pid"
     availability = "full"
+    needs_coeffs = False
 
     def __init__(self, shape, gains, traj, matched_init=True):
         super().__init__(shape, gains, traj)
@@ -141,7 +149,7 @@ class PidReformulatedController(ControllerBase):
         self.layout.add("z", self.n)
 
     def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
+        x = super().initial_state(q0, qdot0, t0)
         z0 = self.traj.eval(t0, 1).astype(float)
         if self.matched_init:
             dq0 = np.asarray(q0, float) - self.traj.eval(t0, 0)
@@ -161,20 +169,21 @@ class PidReformulatedController(ControllerBase):
         extras = {"ref_vel": z.copy(), "ref_acc": zdot, "s": s, "qd": qd}
         return ControlEval(tau, xdot, extras)
 
+    def residual(self, model, q, qdot, tau, tau_star, extras):
+        return _torque_residual(model, q, qdot, tau, tau_star, self.kd, extras["s"])
+
 
 class PidTextbookController(ControllerBase):
     """Classical PID: tau = -K_D dqdot - K_P dq - K_I integral(dq)."""
 
     variant = "pid_textbook"
     availability = "full"
+    needs_coeffs = False
 
     def __init__(self, shape, gains, traj):
         super().__init__(shape, gains, traj)
         self.kd, self.kp, self.ki = gains.pid_diags(self.n)
         self.layout.add("integral", self.n)
-
-    def initial_state(self, q0, qdot0, t0=0.0):
-        return np.zeros(self.state_size)
 
     def evaluate(self, t, q, qdot, x):
         qd, qd_dot = self.traj.derivs(t, 1)
@@ -187,7 +196,7 @@ class PidTextbookController(ControllerBase):
         return ControlEval(tau, xdot, extras)
 
 
-class KnownParamsController(_CascadeController):
+class KnownParamsController(SIdentity, _CascadeController):
     """Feedback plus exact feedforward when the lumped parameters are known.
 
     tau = -K s + Y(q, qdot, z, zdot) theta with the correction-augmented
@@ -207,11 +216,6 @@ class KnownParamsController(_CascadeController):
         if self.theta_ff.shape != (self.p_dim,):
             raise ConfigError("feedforward_theta has the wrong dimension")
 
-    def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        self._init_phi(x, t0)
-        return x
-
     def evaluate(self, t, q, qdot, x):
         z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
         s = qdot - z
@@ -221,8 +225,11 @@ class KnownParamsController(_CascadeController):
         extras = {"ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd}
         return ControlEval(tau, xdot, extras)
 
+    def _estimate_error(self, Y, model, extras):
+        return 0.0  # exact feedforward
 
-class NonlinearDampingController(_CascadeController):
+
+class NonlinearDampingController(SIdentity, _CascadeController):
     """A-priori estimate feedforward robustified by nonlinear damping.
 
     tau = -K s + Y theta_hat - lambda_D Y Y^T s with a fixed theta_hat.
@@ -234,15 +241,8 @@ class NonlinearDampingController(_CascadeController):
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
-        self.theta_hat = (
-            np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
-        )
+        self.theta_hat = self._estimate0(theta_hat0)
         self.lambda_D = gains.lambda_D
-
-    def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        self._init_phi(x, t0)
-        return x
 
     def evaluate(self, t, q, qdot, x):
         z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
@@ -256,8 +256,11 @@ class NonlinearDampingController(_CascadeController):
         }
         return ControlEval(tau, xdot, extras)
 
+    def _damping(self, Y, s, extras):
+        return self.lambda_D * (Y @ (Y.T @ s))
 
-class PassiveFilterController(_CascadeController):
+
+class PassiveFilterController(FilteredDamping, _CascadeController):
     """Damping injected through a first-order filter of Y^T s.
 
     xi' = -lam xi + lam Y^T s and tau = -K s + Y theta_hat - lambda_D Y xi;
@@ -270,18 +273,11 @@ class PassiveFilterController(_CascadeController):
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
-        self.theta_hat = (
-            np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
-        )
+        self.theta_hat = self._estimate0(theta_hat0)
         self.lambda_D = gains.lambda_D
         self.lam = gains.lam
         gains.validate_positive(("lambda_D", "lam"))
         self.layout.add("xi", self.p_dim)
-
-    def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        self._init_phi(x, t0)
-        return x
 
     def evaluate(self, t, q, qdot, x):
         z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)

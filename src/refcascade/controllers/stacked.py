@@ -38,19 +38,23 @@ from ..filters import (
     freq_regressor_channel,
     tone_path_channel,
 )
-from ..numerics import poly_mul
-from ..refdyn import HurwitzCoeffs, ReferenceConfig, cascade_rates
-from .base import ConfigError, ControlEval, ControllerBase, GainSet
+from ..numerics import poly_mul, routh_hurwitz
+from ..refdyn import HurwitzCoeffs, cascade_rates
+from .augmented import ProxyController
+from .base import ConfigError, ControlEval, GainSet
 
 __all__ = ["StackedSingleController", "StackedMultiController", "hstar_denominator"]
 
 
-def _stack_rows(rows):
-    width = max(r.size for r in rows)
-    out = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        out[i, : r.size] = r
-    return out
+def _initial_tones(freq_hat0, n_star):
+    """Initial tone-parameter estimates: one value for every tone (zero by
+    default) or one per tone."""
+    fh = np.array(0.0 if freq_hat0 is None else freq_hat0, dtype=float, ndmin=1)
+    if fh.size == 1:
+        fh = np.repeat(fh, n_star)
+    if fh.shape != (n_star,):
+        raise ConfigError(f"freq_hat0 must have one entry or one per tone ({n_star})")
+    return fh
 
 
 def hstar_denominator(gains: GainSet, n_star: int) -> np.ndarray:
@@ -64,45 +68,29 @@ def hstar_denominator(gains: GainSet, n_star: int) -> np.ndarray:
         if den.size != 2 * n_star:
             raise ConfigError("tone-layer denominator needs 2 n_star coefficients")
         full = np.append(den, 1.0)
-    else:
-        if gains.hstar_rate <= 0.0:
-            raise ConfigError("hstar_rate must be positive")
-        full = poly_mul(*([[gains.hstar_rate, 1.0]] * (2 * n_star)))
-    from ..numerics import routh_hurwitz
-
-    if routh_hurwitz(full) != "stable":
-        raise ConfigError("tone-layer denominator is not Hurwitz-stable")
-    return full[:-1]
+        if routh_hurwitz(full) != "stable":
+            raise ConfigError("tone-layer denominator is not Hurwitz-stable")
+        return full[:-1]
+    # every root is -hstar_rate, so the default is Hurwitz once the rate is positive
+    if gains.hstar_rate <= 0.0:
+        raise ConfigError("hstar_rate must be positive")
+    return poly_mul(*([[gains.hstar_rate, 1.0]] * (2 * n_star)))[:-1]
 
 
-class StackedSingleController(ControllerBase):
+class StackedSingleController(ProxyController):
     variant = "stacked_single"
     availability = "full"
 
     def __init__(self, shape, gains: GainSet, traj, coeffs: HurwitzCoeffs,
-                 theta_hat0=None, freq_hat0=0.0, freeze_freq=False):
-        super().__init__(shape, gains, traj)
+                 theta_hat0=None, freq_hat0=None, freeze_freq=False):
         if coeffs.ell < 2:
             raise ConfigError("stacked structures need cascade order >= 2")
-        gains.validate_positive(
-            ("lambda_D", "lam", "alpha_star", "lambda_D_star")
-        )
-        self.K = gains.k_diag(self.n)
-        if np.any(self.K <= 0.0):
-            raise ConfigError("stacked structures need strictly positive K entries")
-        self.Lam = gains.lambda_diag(self.n)
-        self.gamma = gains.gamma_diag(self.p_dim)
+        gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
+        super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.gamma_f = gains.freq_gains(1)[0]
-        self.lambda_D = gains.lambda_D
-        self.lam = gains.lam
         self.alpha_star = gains.alpha_star
-        self.lambda_D_star = gains.lambda_D_star
         self.a0s, self.a1s = gains.star_pair()
-        self.refcfg = ReferenceConfig(coeffs, "full_corrected", self.Lam)
-        self.theta_hat0 = (
-            np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
-        )
-        self.freq_hat0 = float(freq_hat0)
+        self.freq_hat0 = _initial_tones(freq_hat0, 1)
         self.freeze_freq = bool(freeze_freq)
 
         alphas = coeffs.alphas
@@ -118,8 +106,8 @@ class StackedSingleController(ControllerBase):
             y_nums2.append(num2)
             y_nums3.append(num3)
             y_dens.append(den2)
-        self.b_psi = FilterBank(np.vstack(psi_dens), [_stack_rows(psi_nums)], cols=1)
-        self.b_y = FilterBank(np.vstack(y_dens), [_stack_rows(y_nums2), _stack_rows(y_nums3)],
+        self.b_psi = FilterBank(np.vstack(psi_dens), [np.vstack(psi_nums)], cols=1)
+        self.b_y = FilterBank(np.vstack(y_dens), [np.vstack(y_nums2), np.vstack(y_nums3)],
                               cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
 
@@ -145,15 +133,10 @@ class StackedSingleController(ControllerBase):
     def _compile(self, block):
         sig = block.signal
         phi, aux, chi, xi = sig("phi"), sig("qd_aux"), sig("chi"), sig("xi")
-        q, qdot, qd = sig("q"), sig("qdot"), sig("qd")
+        q, qdot = sig("q"), sig("qdot")
         psi = q - chi[0]
         psidot = qdot - chi[1]
-        e = (qdot - qd[1]) + self.alpha_star * (q - qd[0])
-        qdd_aux = (
-            -self.a1s * aux[1] - self.a0s * aux[0] + sig("h")
-            + qd[2] + self.a1s * qd[1] + self.a0s * qd[0]
-            - self.lambda_D_star * sig("damping")
-        )
+        e, qdd_aux = self._proxy(sig, self.alpha_star, self.a0s, self.a1s)
         # the cascade takes the signals' column axis as a leading axis
         phi_dot, zdot = cascade_rates(
             self.refcfg, phi.swapaxes(1, 2), q.T, qdot.T, aux[0].T, aux[1].T, qdd_aux.T
@@ -185,16 +168,8 @@ class StackedSingleController(ControllerBase):
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        qd0, qd_dot0 = self.traj.derivs(t0, 1)
-        aux = self.layout.view(x, "qd_aux")
-        aux[0] = qd0
-        aux[1] = qd_dot0
-        chi = self.layout.view(x, "chi")
-        chi[0] = np.asarray(q0, float)
-        chi[1] = np.asarray(qdot0, float)
-        self.layout.view(x, "phi")[0] = qd_dot0
-        self.layout.view(x, "theta_hat")[:] = self.theta_hat0
+        x = super().initial_state(q0, qdot0, t0)
+        self.layout.view(x, "chi")[:] = (q0, qdot0)
         self.layout.view(x, "freq_hat")[:] = self.freq_hat0
         return x
 
@@ -227,13 +202,12 @@ class StackedSingleController(ControllerBase):
         return ControlEval(tau, xdot, extras)
 
 
-class StackedMultiController(ControllerBase):
+class StackedMultiController(ProxyController):
     variant = "stacked_multi"
     availability = "full"
 
     def __init__(self, shape, gains: GainSet, traj, coeffs: HurwitzCoeffs,
                  n_star: int, theta_hat0=None, freq_hat0=None, freeze_freq=False):
-        super().__init__(shape, gains, traj)
         n_star = int(n_star)
         if n_star < 1:
             raise ConfigError("stacked_multi needs at least one tone (n_star >= 1)")
@@ -242,31 +216,15 @@ class StackedMultiController(ControllerBase):
         gains.validate_positive(
             ("lambda_D", "lam", "alpha_star_star", "kappa_star", "lambda_D_star")
         )
+        super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.n_star = n_star
-        self.K = gains.k_diag(self.n)
-        self.Lam = gains.lambda_diag(self.n)
-        self.gamma = gains.gamma_diag(self.p_dim)
         self.gamma_f = gains.freq_gains(n_star)
-        self.lambda_D = gains.lambda_D
-        self.lam = gains.lam
         self.ass = gains.alpha_star_star
         self.a0ss, self.a1ss = gains.star_star_pair()
         self.k0s, self.k1s = gains.kappa_pair()
         self.kappa_s = gains.kappa_star
-        self.lambda_D_star = gains.lambda_D_star
-        self.refcfg = ReferenceConfig(coeffs, "full_corrected", self.Lam)
-        self.theta_hat0 = (
-            np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
-        )
-        self.freq_hat0 = (
-            np.zeros(n_star) if freq_hat0 is None else np.asarray(freq_hat0, float)
-        )
-        if self.freq_hat0.shape != (n_star,):
-            raise ConfigError("freq_hat0 must have one entry per tone")
+        self.freq_hat0 = _initial_tones(freq_hat0, n_star)
         self.freeze_freq = bool(freeze_freq)
-
-        if np.any(self.K <= 0.0):
-            raise ConfigError("stacked structures need strictly positive K entries")
 
         hden_tail = hstar_denominator(gains, n_star)  # length 2 n_star
         hden = np.append(hden_tail, 1.0)
@@ -295,7 +253,7 @@ class StackedMultiController(ControllerBase):
                 for i in range(1, n_star + 2)]  # p^(2i+ell-3) kpoly; the last is the direct path
         self.b_y = FilterBank(
             np.vstack([np.convolve(den, [k_r, 1.0]) for k_r in self.K]),
-            [_stack_rows([lam_r * num for lam_r in self.Lam]) for num in nums],
+            [np.vstack([lam_r * num for lam_r in self.Lam]) for num in nums],
             cols=self.p_dim,
         )
         self.b_v = self.b_y.with_cols(1)
@@ -330,15 +288,10 @@ class StackedMultiController(ControllerBase):
     def _compile(self, block):
         sig = block.signal
         phi, aux, chi1, xi = sig("phi"), sig("qd_aux"), sig("chi1"), sig("xi")
-        q, qdot, qd = sig("q"), sig("qdot"), sig("qd")
+        q, qdot = sig("q"), sig("qdot")
         every = slice(None)
 
-        e = (qdot - qd[1]) + self.ass * (q - qd[0])
-        qdd_aux = (
-            -self.a1ss * aux[1] - self.a0ss * aux[0] + sig("h")
-            + qd[2] + self.a1ss * qd[1] + self.a0ss * qd[0]
-            - self.lambda_D_star * sig("damping")
-        )
+        e, qdd_aux = self._proxy(sig, self.ass, self.a0ss, self.a1ss)
         r1 = qdd_aux - self.a1ss * (qdot - aux[1]) - self.a0ss * (q - aux[0])
 
         psi1 = q - chi1[0]
@@ -393,16 +346,9 @@ class StackedMultiController(ControllerBase):
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
-        x = np.zeros(self.state_size)
-        qd0, qd_dot0 = self.traj.derivs(t0, 1)
-        aux = self.layout.view(x, "qd_aux")
-        aux[0] = qd0
-        aux[1] = qd_dot0
-        chi1 = self.layout.view(x, "chi1")
-        chi1[0] = np.asarray(q0, float)
-        chi1[1] = np.asarray(qdot0, float)
-        self.layout.view(x, "phi")[0] = np.asarray(qdot0, float)
-        self.layout.view(x, "theta_hat")[:] = self.theta_hat0
+        x = super().initial_state(q0, qdot0, t0)
+        self.layout.view(x, "chi1")[:] = (q0, qdot0)
+        self.layout.view(x, "phi")[0] = qdot0
         self.layout.view(x, "freq_hat")[:] = self.freq_hat0
         return x
 

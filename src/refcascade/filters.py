@@ -33,20 +33,15 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import warnings
 
 import numpy as np
 
-from .numerics import poly_mul, routh_hurwitz
+from .numerics import poly_mul
 
 __all__ = [
     "FilterBank",
     "LinearBlock",
-    "RationalFilter",
-    "make_filter",
-    "build_operator",
     "cascade_poly",
-    "OPERATOR_KINDS",
 ]
 
 
@@ -138,9 +133,6 @@ class FilterBank:
         if self.cols == 1:
             return (self.rows, self.order)
         return (self.rows, self.cols, self.order)
-
-    def initial_state(self) -> np.ndarray:
-        return np.zeros(self.state_shape())
 
     def with_cols(self, cols) -> FilterBank:
         """The same filters for a signal with ``cols`` columns; shares the coefficients."""
@@ -380,72 +372,10 @@ def _unpack(y, spec):
     return [y[s] if shape is None else y[s].reshape(shape) for s, shape in spec]
 
 
-class RationalFilter:
-    """Single-channel proper rational operator with owned state.
-
-    Thin convenience wrapper over a one-row :class:`FilterBank`; the state is
-    owned by whoever integrates it, exposed as the mutable ``state`` array.
-    """
-
-    def __init__(self, num, den, stable_required=False, name=""):
-        num = np.asarray(num, dtype=float)
-        den = np.asarray(den, dtype=float)
-        if num.size > den.size:
-            raise ValueError("improper transfer function rejected")
-        verdict = routh_hurwitz(den) if den.size > 1 else "stable"
-        if verdict != "stable":
-            if stable_required:
-                raise ValueError(f"operator {name or 'filter'} has a non-stable denominator ({verdict})")
-            warnings.warn(
-                f"filter denominator is {verdict}; outputs may not settle",
-                stacklevel=3,
-            )
-        self.num = num
-        self.den = den
-        self._bank = FilterBank(den[None, :], [num[None, :]])
-        self.state = np.zeros(self._bank.order)
-        self.order = self._bank.order
-
-    @property
-    def feedthrough(self) -> float:
-        return float(self._bank.D[0, 0])
-
-    @property
-    def strictly_proper(self) -> bool:
-        return self.feedthrough == 0.0
-
-    def derivative(self, u, state=None) -> np.ndarray:
-        x = self.state if state is None else state
-        return self._bank.deriv(x[None, :], np.array([u]))[0]
-
-    def output(self, u=None, state=None) -> float:
-        x = self.state if state is None else state
-        uu = None if u is None else np.array([u])
-        return float(self._bank.output(x[None, :], uu)[0])
-
-    def response_at(self, omega) -> complex:
-        return self._bank.response_at(omega)
-
-
-def make_filter(num, den) -> RationalFilter:
-    """Generic constructor: proper rationals only, zero initial state.
-
-    Unstable denominators are allowed with a warning (handy for test
-    constructions); the named operator builders below insist on stability.
-    """
-    return RationalFilter(num, den)
-
-
 # -- named operators of the torque laws --------------------------------------
 #
-# Channelwise builders; `alphas` are the cascade coefficients a_0..a_l,
-# (a0s, a1s) the second-order target-error pair, `hden` the tone-layer
-# denominator coefficients (increasing powers, without the leading 1).
-
-
-def _check_stable(den, name):
-    if routh_hurwitz(den) != "stable":
-        raise ValueError(f"{name}: denominator is not Hurwitz-stable")
+# Channelwise builders; `alphas` are the cascade coefficients a_0..a_l and
+# (a0s, a1s) the second-order target-error pair.
 
 
 def regressor_loop_channel(alphas, a0s, a1s, lam_r, k_r):
@@ -457,13 +387,6 @@ def regressor_loop_channel(alphas, a0s, a1s, lam_r, k_r):
     ell = len(alphas) - 1
     num = lam_r * poly_mul([a0s, a1s, 1.0], _monomial(ell - 1))
     den = poly_mul(cascade_poly(alphas), [k_r, 1.0])
-    return num, den
-
-
-def cascade_error_channel(alphas, a0s, a1s):
-    """Map from the cascade input to the second-order target error."""
-    num = np.array([a0s, a1s, 1.0])
-    den = cascade_poly(alphas)
     return num, den
 
 
@@ -495,54 +418,3 @@ def direct_path_channel(alphas, a0s, a1s, alpha_st, lam_r, k_r):
     num = lam_r * poly_mul([a0s, a1s, 1.0], _monomial(ell))
     den = poly_mul(cascade_poly(alphas), [alpha_st, 1.0], [k_r, 1.0])
     return num, den
-
-
-def tone_layer_channel(hden, k0s, k1s):
-    """Second-order-numerator filter wrapping the tone-adaptation layer.
-
-    ``hden`` holds the 2 n_star denominator coefficients (leading 1 implied).
-    """
-    num = np.array([k0s, k1s, 1.0])
-    den = cascade_poly(hden)
-    if den.size % 2 == 0:
-        raise ValueError("tone-layer denominator degree must be even (2 n_star)")
-    return num, den
-
-
-def inner_error_channel(hden):
-    """p^2 over the tone-layer denominator."""
-    return _monomial(2), cascade_poly(hden)
-
-
-def cascade_tap_channel(alphas):
-    """p^(l-1) over the cascade polynomial."""
-    ell = len(alphas) - 1
-    return _monomial(ell - 1), cascade_poly(alphas)
-
-
-def cascade_tap0_channel(alphas):
-    """1 over the cascade polynomial."""
-    return _monomial(0), cascade_poly(alphas)
-
-
-OPERATOR_KINDS = {
-    "regressor_loop": regressor_loop_channel,
-    "cascade_error": cascade_error_channel,
-    "freq_regressor": freq_regressor_channel,
-    "tone_path": tone_path_channel,
-    "direct_path": direct_path_channel,
-    "tone_layer": tone_layer_channel,
-    "inner_error": inner_error_channel,
-    "cascade_tap": cascade_tap_channel,
-    "cascade_tap0": cascade_tap0_channel,
-}
-
-
-def build_operator(kind: str, **params) -> RationalFilter:
-    """Construct a named operator as a stability-checked scalar filter."""
-    try:
-        builder = OPERATOR_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown operator kind '{kind}'") from None
-    num, den = builder(**params)
-    return RationalFilter(num, den, stable_required=True, name=kind)

@@ -35,6 +35,7 @@ __all__ = [
     "MetricsReport",
     "build_model",
     "build_experiment",
+    "integrate",
     "run_experiment",
     "compute_metrics",
     "sweep",
@@ -155,15 +156,12 @@ def build_experiment(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"cascade coefficients rejected: {exc}") from exc
 
-    fh0 = np.asarray(c["freq_hat0"], dtype=float)
-    if c["variant"] == "stacked_multi" and fh0.size == 1:
-        fh0 = np.repeat(fh0, c["n_star"])
     controller = build_controller(
         c["variant"], model.shape(), gains, traj, coeffs,
         theta_hat0=_resolve_theta(c["theta_hat0"], model, "theta_hat0"),
         feedforward_theta=_resolve_theta(c["feedforward_theta"], model, "feedforward_theta"),
         n_star=c["n_star"],
-        freq_hat0=fh0 if c["variant"] == "stacked_multi" else float(fh0[0]),
+        freq_hat0=c["freq_hat0"],
         freeze_freq=c["freeze_freq"],
         matched_init=c["matched_init"],
     )
@@ -184,22 +182,19 @@ def _validate_run(cfg):
         raise ConfigError("residual_stride must be 0 or a positive multiple of extras_stride")
 
 
-def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
-    """Integrate one experiment; deterministic for identical configurations."""
-    _validate_run(cfg)
-    model, controller, traj, dist = build_experiment(cfg)
+def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
+    """Advance plant and controller jointly by ``steps`` RK4 steps of ``dt``.
+
+    The state starts at ``(q0, qdot0)`` and the controller's initial state.
+    On every ``stride``-th step the controller is evaluated at the step
+    start, ``sample(k, t, q, qdot, ev, tau_star)`` is called with that
+    evaluation, and it doubles as the step's first RK4 stage.  A non-finite
+    state ends the run at the time of the step that produced it.
+
+    Returns ``(t, q, qdot, divergence_time)``: the plant samples of every
+    step reached, and ``None`` unless the run diverged.
+    """
     n = model.n
-    r = cfg.values["run"]
-    dt = r["dt"]
-    steps = int(round(r["duration"] / dt))
-    stride = r["extras_stride"]
-    res_stride = r["residual_stride"]
-
-    q0 = np.asarray(cfg.get("run", "q0"), dtype=float)
-    qdot0 = np.asarray(cfg.get("run", "qdot0"), dtype=float)
-    if q0.shape != (n,) or qdot0.shape != (n,):
-        raise ConfigError(f"q0/qdot0 must have {n} entries")
-
     x = np.concatenate([q0, qdot0, controller.initial_state(q0, qdot0, 0.0)])
 
     def deriv(t, xx):
@@ -209,16 +204,9 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         qdd = model.forward_dynamics(q, qdot, ev.tau, dist.eval(t))
         return np.concatenate([qdot, qdd, ev.xdot])
 
-    n_samples = steps + 1
-    t_arr = np.empty(n_samples)
-    q_arr = np.empty((n_samples, n))
-    qdot_arr = np.empty((n_samples, n))
-
-    e_idx, tau_l, taus_l, refv_l, s_l, V_l, Vaux_l, th_l, fh_l = [], [], [], [], [], [], [], [], []
-    res_t, res_l = [], []
-
-    nan_row = np.full(n, np.nan)  # shared filler; np.vstack copies it
-    diverged = False
+    t_arr = np.empty(steps + 1)
+    q_arr = np.empty((steps + 1, n))
+    qdot_arr = np.empty((steps + 1, n))
     div_time = None
     k = 0
     t = 0.0
@@ -233,45 +221,68 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         if k % stride == 0:
             ev = controller.evaluate(t, q, qdot, x[2 * n :])
             ts = dist.eval(t)
-            # the logged evaluation doubles as the first integration stage
             k1 = np.concatenate(
                 [qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot]
             )
-            e_idx.append(k)
-            tau_l.append(ev.tau)
-            taus_l.append(ts)
-            refv_l.append(ev.extras.get("ref_vel", nan_row))
-            s_l.append(ev.extras.get("s", nan_row))
-            V, V_aux = lyapunov_diag(controller, model, q, qdot, ev.extras)
-            V_l.append(V)
-            Vaux_l.append(V_aux)
-            th = ev.extras.get("theta_hat")
-            th_l.append(None if th is None else np.array(th))
-            fh = ev.extras.get("freq_hat")
-            fh_l.append(None if fh is None else np.array(fh))
-            if res_stride and k % res_stride == 0:
-                res_t.append(t)
-                res_l.append(
-                    closed_loop_residual(controller, model, t, q, qdot, ev.tau, ts, ev.extras)
-                )
+            sample(k, t, q, qdot, ev, ts)
 
         if k >= steps:
             break
         try:
             x = rk4_step(deriv, x, t, dt, k1=k1)
         except NonFiniteStateError:
-            diverged = True
             div_time = t
             break
         if not np.isfinite(x).all():
-            diverged = True
             div_time = t
             break
         k += 1
         t = k * dt
+    return t_arr[: k + 1], q_arr[: k + 1], qdot_arr[: k + 1], div_time
 
-    last = k + 1
-    qd_arr = traj.eval_grid(t_arr[:last], 0)
+
+def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
+    """Integrate one experiment; deterministic for identical configurations."""
+    _validate_run(cfg)
+    model, controller, traj, dist = build_experiment(cfg)
+    n = model.n
+    r = cfg.values["run"]
+    dt = r["dt"]
+    res_stride = r["residual_stride"]
+
+    q0 = np.asarray(cfg.get("run", "q0"), dtype=float)
+    qdot0 = np.asarray(cfg.get("run", "qdot0"), dtype=float)
+    if q0.shape != (n,) or qdot0.shape != (n,):
+        raise ConfigError(f"q0/qdot0 must have {n} entries")
+
+    e_idx, tau_l, taus_l, refv_l, s_l, V_l, Vaux_l, th_l, fh_l = [], [], [], [], [], [], [], [], []
+    res_t, res_l = [], []
+    nan_row = np.full(n, np.nan)  # shared filler; np.vstack copies it
+
+    def sample(k, t, q, qdot, ev, ts):
+        e_idx.append(k)
+        tau_l.append(ev.tau)
+        taus_l.append(ts)
+        refv_l.append(ev.extras.get("ref_vel", nan_row))
+        s_l.append(ev.extras.get("s", nan_row))
+        V, V_aux = lyapunov_diag(controller, model, q, qdot, ev.extras)
+        V_l.append(V)
+        Vaux_l.append(V_aux)
+        th = ev.extras.get("theta_hat")
+        th_l.append(None if th is None else np.array(th))
+        fh = ev.extras.get("freq_hat")
+        fh_l.append(None if fh is None else np.array(fh))
+        if res_stride and k % res_stride == 0:
+            res_t.append(t)
+            res_l.append(
+                closed_loop_residual(controller, model, t, q, qdot, ev.tau, ts, ev.extras)
+            )
+
+    t_arr, q_arr, qdot_arr, div_time = integrate(
+        model, controller, dist, q0, qdot0, dt, int(round(r["duration"] / dt)),
+        r["extras_stride"], sample,
+    )
+    qd_arr = traj.eval_grid(t_arr, 0)
     theta_arr = None
     if th_l and th_l[0] is not None:
         theta_arr = np.vstack(th_l)
@@ -280,12 +291,12 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         freq_arr = np.vstack(fh_l)
 
     return TimeSeriesLog(
-        t=t_arr[:last],
-        q=q_arr[:last],
-        qdot=qdot_arr[:last],
+        t=t_arr,
+        q=q_arr,
+        qdot=qdot_arr,
         qd=qd_arr,
-        dq=q_arr[:last] - qd_arr,
-        extras_stride=stride,
+        dq=q_arr - qd_arr,
+        extras_stride=r["extras_stride"],
         et=np.array(e_idx, dtype=int),
         tau=np.vstack(tau_l),
         tau_star=np.vstack(taus_l),
@@ -297,13 +308,12 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         freq_hat=freq_arr,
         residual_t=np.array(res_t),
         residual=np.array(res_l),
-        diverged=diverged,
+        diverged=div_time is not None,
         divergence_time=div_time,
         meta={
             "variant": controller.variant,
             "dt": dt,
             "duration": r["duration"],
-            "seed": r["seed"],
             "csv_decimate": r["csv_decimate"],
         },
     )
@@ -338,7 +348,7 @@ _SWEEP_AXES = ("ell", "kappa")
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values):
-    """One run per axis value under a shared seed; returns [(value, report)].
+    """One run per axis value; returns [(value, report)].
 
     ``axis`` is ``ell``, ``kappa`` or ``gain:<name>`` for any key in the
     gains section.

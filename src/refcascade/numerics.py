@@ -8,13 +8,10 @@ Polynomials are stored as coefficient arrays in increasing-power order,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "NonFiniteStateError",
-    "PolynomialCoeffs",
     "poly_mul",
     "poly_from_roots",
     "rk4_step",
@@ -35,36 +32,6 @@ class NonFiniteStateError(RuntimeError):
         super().__init__(
             f"non-finite state entries at t={t:.6g} (state indices {self.indices})"
         )
-
-
-@dataclass(frozen=True)
-class PolynomialCoeffs:
-    """Real polynomial ``coeffs[m] w^m + ... + coeffs[0]``.
-
-    The leading coefficient must be nonzero; ``monic`` records whether it is
-    exactly one.
-    """
-
-    coeffs: np.ndarray = field()
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if c[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def monic(self) -> bool:
-        return self.coeffs[-1] == 1.0
-
-    def __call__(self, w):
-        return np.polynomial.polynomial.polyval(w, self.coeffs)
 
 
 def poly_mul(*polys):
@@ -121,15 +88,6 @@ def rk4_step(deriv, x, t, h, k1=None):
     return x + (h / 6.0) * incr
 
 
-def _as_coeff_array(poly):
-    if isinstance(poly, PolynomialCoeffs):
-        return poly.coeffs
-    c = np.asarray(poly, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("polynomial must be a non-empty 1-D coefficient sequence")
-    return c
-
-
 def routh_hurwitz(poly) -> str:
     """Classify a polynomial as ``'stable'``, ``'unstable'`` or ``'marginal'``.
 
@@ -139,11 +97,12 @@ def routh_hurwitz(poly) -> str:
     reported, never repaired with epsilon rows, so callers must reject
     marginal coefficient sets themselves.
 
-    Accepts a :class:`PolynomialCoeffs` or an increasing-power coefficient
-    sequence.  Raises ``ValueError`` for degree < 1 or a zero leading
-    coefficient.
+    Accepts an increasing-power coefficient sequence.  Raises
+    ``ValueError`` for degree < 1 or a zero leading coefficient.
     """
-    c = _as_coeff_array(poly)
+    c = np.asarray(poly, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("polynomial must be a non-empty 1-D coefficient sequence")
     if c[-1] == 0.0:
         raise ValueError("zero leading coefficient")
     degree = c.size - 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from refcascade.harness import integrate
 from refcascade.manipulator import TwoLinkArm
-from refcascade.numerics import rk4_step
 from refcascade.signals import DisturbanceSpec
 
 
@@ -15,35 +15,17 @@ def run_closed_loop(model, controller, dist, duration, dt=1e-3, sample_stride=50
     """Integrate plant + controller jointly, returning per-sample records.
 
     Each record is (t, q, qdot, eval) with the controller evaluation taken at
-    the sampled state.  Used by controller-level tests; the experiment
-    harness has its own richer loop.
+    a sampled state, every ``sample_stride`` steps.  The run starts on the
+    desired trajectory, at rest where the controller may not read the
+    desired velocity.
     """
-    n = model.n
     q0 = controller.traj.eval(0.0, 0)
-    qdot0 = np.zeros(n)
-    try:
-        qdot0 = controller.traj.eval(0.0, 1)
-    except Exception:
-        pass
-    x = np.concatenate([q0, qdot0, controller.initial_state(q0, qdot0, 0.0)])
-
-    def deriv(t, xx):
-        q, qdot, cx = xx[:n], xx[n : 2 * n], xx[2 * n :]
-        ev = controller.evaluate(t, q, qdot, cx)
-        qdd = model.forward_dynamics(q, qdot, ev.tau, dist.eval(t))
-        return np.concatenate([qdot, qdd, ev.xdot])
-
-    steps = int(round(duration / dt))
+    qdot0 = controller.traj.eval(0.0, 1) if controller.traj.max_order >= 1 else np.zeros(model.n)
     records = []
-    t = 0.0
-    for k in range(steps + 1):
-        if k % sample_stride == 0 or k == steps:
-            q, qdot, cx = x[:n], x[n : 2 * n], x[2 * n :]
-            records.append((t, q.copy(), qdot.copy(), controller.evaluate(t, q, qdot, cx)))
-        if k == steps:
-            break
-        x = rk4_step(deriv, x, t, dt)
-        t = (k + 1) * dt
+    integrate(
+        model, controller, dist, q0, qdot0, dt, int(round(duration / dt)), sample_stride,
+        lambda k, t, q, qdot, ev, ts: records.append((t, q.copy(), qdot.copy(), ev)),
+    )
     return records
 
 

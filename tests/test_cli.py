@@ -62,6 +62,20 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("overrides", [
+        # the removed provenance-only seed is an unknown key
+        ["run.seed=0"],
+        # stacked_single adapts one tone: a second estimate is refused, not dropped
+        ["controller.variant=stacked_single", "controller.freq_hat0=1 2"],
+        # an explicit tone-layer denominator must be Hurwitz
+        ["controller.variant=stacked_multi", "controller.n_star=1", "gains.hstar_den=1 -1"],
+    ])
+    def test_rejected_override_exit_2(self, run_config, tmp_path, overrides):
+        args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_3(self, tmp_path):
         code = main([

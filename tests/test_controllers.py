@@ -11,6 +11,7 @@ from refcascade.controllers import (
     lyapunov_diag,
 )
 from refcascade.filters import FilterBank
+from refcascade.harness import integrate
 from refcascade.manipulator import ArmParams, TwoLinkArm
 from refcascade.numerics import poly_mul, rk4_step
 from refcascade.refdyn import critically_damped_coeffs
@@ -111,34 +112,15 @@ class TestTrivialTorques:
 
 
 class TestPidEquivalence:
-    def _configs(self, traj, q0, qdot0, bias):
+    def _run_pair(self, traj, q0, qdot0, bias, duration=10.0, dt=1e-3):
         model = TwoLinkArm()
         dist = DisturbanceSpec.tones([[], []], bias=bias)
-        return model, dist
-
-    def _run_pair(self, traj, q0, qdot0, bias, duration=10.0, dt=1e-3):
-        model, dist = self._configs(traj, q0, qdot0, bias)
         taus = {}
         for variant in ("pid", "pid_textbook"):
             ctrl = build_controller(variant, model.shape(), GainSet(), traj)
-            x = np.concatenate([q0, qdot0, ctrl.initial_state(q0, qdot0, 0.0)])
-
-            def deriv(t, xx):
-                q, qdot, cx = xx[:2], xx[2:4], xx[4:]
-                ev = ctrl.evaluate(t, q, qdot, cx)
-                qdd = model.forward_dynamics(q, qdot, ev.tau, dist.eval(t))
-                return np.concatenate([qdot, qdd, ev.xdot])
-
             out = []
-            t = 0.0
-            steps = int(round(duration / dt))
-            for k in range(steps + 1):
-                q, qdot, cx = x[:2], x[2:4], x[4:]
-                out.append(ctrl.evaluate(t, q, qdot, cx).tau)
-                if k == steps:
-                    break
-                x = rk4_step(deriv, x, t, dt)
-                t = (k + 1) * dt
+            integrate(model, ctrl, dist, q0, qdot0, dt, int(round(duration / dt)), 1,
+                      lambda k, t, q, qdot, ev, ts: out.append(ev.tau))
             taus[variant] = np.array(out)
         return np.max(np.abs(taus["pid"] - taus["pid_textbook"]))
 
@@ -161,18 +143,9 @@ class TestPidEquivalence:
         dist = DisturbanceSpec.tones([[], []], bias=[1.0, -0.5])
         ctrl = build_controller("pid", model.shape(), GainSet(), traj)
         q0 = np.array([0.3, -0.1])
-        x = np.concatenate([q0, np.zeros(2), ctrl.initial_state(q0, np.zeros(2), 0.0)])
-
-        def deriv(t, xx):
-            q, qdot, cx = xx[:2], xx[2:4], xx[4:]
-            ev = ctrl.evaluate(t, q, qdot, cx)
-            return np.concatenate([qdot, model.forward_dynamics(q, qdot, ev.tau, dist.eval(t)), ev.xdot])
-
-        t = 0.0
-        for _ in range(15000):
-            x = rk4_step(deriv, x, t, 1e-3)
-            t += 1e-3
-        assert np.linalg.norm(x[:2] - [0.3, -0.1]) < 1e-3
+        _, q, _, _ = integrate(model, ctrl, dist, q0, np.zeros(2), 1e-3, 15000, 15000,
+                               lambda *sample: None)
+        assert np.linalg.norm(q[-1] - [0.3, -0.1]) < 1e-3
 
 
 class TestClosedLoopResiduals:
@@ -379,8 +352,8 @@ class TestStackedStructure:
         def u(t, order=0):
             return 0.7 * 1.3**order * np.sin(1.3 * t + order * np.pi / 2)
 
-        xa = absorbed.initial_state()
-        xp = plain.initial_state()
+        xa = np.zeros(absorbed.state_shape())
+        xp = np.zeros(plain.state_shape())
         t, dt = 0.0, 1e-3
         gaps = []
         for k in range(12000):

@@ -1,68 +1,76 @@
 import numpy as np
 import pytest
 
+from refcascade.controllers import GainSet, hstar_denominator
 from refcascade.filters import (
     FilterBank,
-    RationalFilter,
-    build_operator,
     cascade_poly,
-    make_filter,
+    freq_regressor_channel,
     regressor_loop_channel,
 )
 from refcascade.numerics import rk4_step
 from refcascade.refdyn import critically_damped_coeffs
 
 
-def simulate_filter(filt, u_of_t, t_end, dt=1e-3):
-    state = np.zeros(filt.order)
+def scalar_bank(num, den):
+    """One-row bank of the filter num(p) / den(p)."""
+    return FilterBank(np.array([den], dtype=float), [np.array([num], dtype=float)])
+
+
+def simulate_filter(bank, u_of_t, t_end, dt=1e-3):
+    state = np.zeros(bank.order)
     t = 0.0
     while t < t_end - dt / 2:
-        state = rk4_step(lambda tt, xx: filt.derivative(u_of_t(tt), xx), state, t, dt)
+        state = rk4_step(lambda tt, xx: bank.deriv(xx[None, :], np.array([u_of_t(tt)]))[0],
+                         state, t, dt)
         t += dt
     return state, t
 
 
+def scalar_output(bank, state, u=None):
+    return float(bank.output(state[None, :], None if u is None else np.array([u]))[0])
+
+
 class TestMakeFilter:
     def test_first_order_strictly_proper(self):
-        filt = make_filter([1.0], [1.0, 1.0])
-        assert filt.order == 1
-        assert filt.strictly_proper
+        bank = scalar_bank([1.0], [1.0, 1.0])
+        assert bank.order == 1
+        assert bank.D[0, 0] == 0.0
 
     def test_identity_operator(self):
-        filt = make_filter([2.0, 1.0], [2.0, 1.0])
-        assert filt.feedthrough == 1.0
-        assert filt.output(u=0.7) == pytest.approx(0.7)
+        bank = scalar_bank([2.0, 1.0], [2.0, 1.0])
+        assert bank.D[0, 0] == 1.0
+        assert scalar_output(bank, np.zeros(1), 0.7) == pytest.approx(0.7)
 
     def test_improper_rejected(self):
         with pytest.raises(ValueError):
-            make_filter([1.0, 0.0, 1.0], [1.0, 1.0])
-
-    def test_unstable_denominator_warns(self):
-        with pytest.warns(UserWarning):
-            make_filter([1.0], [-1.0, 1.0])
+            scalar_bank([1.0, 0.0, 1.0], [1.0, 1.0])
 
     def test_step_response(self):
-        filt = make_filter([1.0], [1.0, 1.0])
-        state, t = simulate_filter(filt, lambda tt: 1.0, 1.0)
-        assert abs(filt.output(1.0, state) - (1.0 - np.exp(-t))) < 1e-6
+        bank = scalar_bank([1.0], [1.0, 1.0])
+        state, t = simulate_filter(bank, lambda tt: 1.0, 1.0)
+        assert abs(scalar_output(bank, state, 1.0) - (1.0 - np.exp(-t))) < 1e-6
 
     def test_sine_steady_state_amplitude(self):
-        filt = make_filter([1.0], [1.0, 1.0])
+        bank = scalar_bank([1.0], [1.0, 1.0])
         omega = 2.0
         state = np.zeros(1)
         t = 0.0
         amps = []
         while t < 30.0:
-            state = rk4_step(lambda tt, xx: filt.derivative(np.sin(omega * tt), xx), state, t, 1e-3)
+            state = rk4_step(
+                lambda tt, xx: bank.deriv(xx[None, :], np.array([np.sin(omega * tt)]))[0],
+                state, t, 1e-3,
+            )
             t += 1e-3
             if t > 20.0:
-                amps.append(filt.output(np.sin(omega * t), state))
+                amps.append(scalar_output(bank, state, np.sin(omega * t)))
         measured = (max(amps) - min(amps)) / 2.0
         assert abs(measured - 1.0 / np.sqrt(5.0)) / (1.0 / np.sqrt(5.0)) < 0.01
 
     def test_zero_in_zero_out(self):
-        filt = make_filter([1.0, 0.5], [2.0, 1.0, 1.0])
-        assert filt.output(0.0) == 0.0
+        bank = scalar_bank([1.0, 0.5], [2.0, 1.0, 1.0])
+        assert scalar_output(bank, np.zeros(2), 0.0) == 0.0
 
 
 class TestOperators:
@@ -80,36 +88,24 @@ class TestOperators:
         assert (len(den) - 1) - (len(num) - 1) == 1
 
     def test_cascade_error_biproper_at_order_one(self):
+        # p^2 + 2a p + a^2 over the degree-2 cascade polynomial feeds through
         coeffs = critically_damped_coeffs(2.0, 1)
-        filt = build_operator(
-            "cascade_error", alphas=coeffs.alphas, a0s=4.0, a1s=4.0
-        )
-        # numerator p^2 + 2a p + a^2 over the degree-2 cascade polynomial
-        assert np.allclose(filt.num, [4.0, 4.0, 1.0])
-        assert np.allclose(filt.den, cascade_poly(coeffs.alphas))
-        assert filt.feedthrough == 1.0
+        bank = scalar_bank([4.0, 4.0, 1.0], cascade_poly(coeffs.alphas))
+        assert np.array_equal(bank.a[0], coeffs.alphas)
+        assert bank.D[0, 0] == 1.0
 
     def test_tone_layer_structure(self):
-        # one tone: denominator degree 2
-        filt = build_operator("tone_layer", hden=[4.0, 4.0], k0s=4.0, k1s=4.0)
-        assert len(filt.den) - 1 == 2
+        # one tone: the tone-layer denominator has degree 2
+        assert hstar_denominator(GainSet(), 1).size == 2
 
     def test_tone_layer_rejects_odd_degree(self):
         with pytest.raises(ValueError):
-            build_operator("tone_layer", hden=[1.0, 3.0, 3.0], k0s=1.0, k1s=2.0)
+            hstar_denominator(GainSet(hstar_den=(1.0, 3.0, 3.0)), 1)
 
     def test_stacked_operators_need_order_two(self):
         coeffs = critically_damped_coeffs(2.0, 1)
         with pytest.raises(ValueError):
-            build_operator("freq_regressor", alphas=coeffs.alphas, a0s=4.0, a1s=4.0, lam_r=2.0)
-
-    def test_unstable_operator_rejected(self):
-        with pytest.raises(ValueError):
-            build_operator("cascade_tap0", alphas=np.array([-1.0, 2.0, 1.0]))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_operator("nonsense")
+            freq_regressor_channel(coeffs.alphas, 4.0, 4.0, 2.0)
 
 
 class TestFrequencyResponse:
@@ -140,7 +136,8 @@ class TestBankAlgebra:
         ua = lambda t: np.array([np.sin(1.3 * t)])
         ub = lambda t: np.array([np.cos(0.7 * t)])
         uc = lambda t: 2.0 * ua(t) - 0.5 * ub(t)
-        (xa, xb, xc), t = self._drive(bank, [bank.initial_state()] * 3, [ua, ub, uc])
+        x0 = np.zeros(bank.state_shape())
+        (xa, xb, xc), t = self._drive(bank, [x0] * 3, [ua, ub, uc])
         ya = bank.output(xa, ua(t))
         yb = bank.output(xb, ub(t))
         yc = bank.output(xc, uc(t))
@@ -159,8 +156,8 @@ class TestBankAlgebra:
             base = np.outer(np.array([1.0, -0.5]), np.arange(1.0, 6.0))
             return base * np.sin(0.9 * t) + 0.3 * np.cos(1.7 * t)
 
-        xm = mat_bank.initial_state()
-        xv = vec_bank.initial_state()
+        xm = np.zeros(mat_bank.state_shape())
+        xv = np.zeros(vec_bank.state_shape())
         t = 0.0
         dt = 1e-3
         worst = 0.0
@@ -201,7 +198,7 @@ class TestBankAlgebra:
         def udot(t):
             return np.array([1.1 * np.cos(1.1 * t) - 0.92 * np.sin(2.3 * t)])
 
-        x = bank.initial_state()
+        x = np.zeros(bank.state_shape())
         t = 0.0
         dt = 5e-4
         ys, yds, ydds, ts = [], [], [], []
@@ -223,12 +220,12 @@ class TestBankAlgebra:
     def test_biproper_requires_current_input(self):
         bank = FilterBank(np.array([[1.0, 1.0]]), [np.array([[0.5, 1.0]])])
         with pytest.raises(ValueError):
-            bank.output(bank.initial_state())
+            bank.output(np.zeros(bank.state_shape()))
 
 
 class TestRationalFilterState:
     def test_owned_state_updates(self):
-        filt = RationalFilter([1.0], [1.0, 1.0])
-        d = filt.derivative(1.0)
+        bank = scalar_bank([1.0], [1.0, 1.0])
+        d = bank.deriv(np.zeros((1, 1)), np.array([1.0]))[0]
         assert d.shape == (1,)
         assert d[0] == pytest.approx(1.0)

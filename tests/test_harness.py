@@ -6,7 +6,9 @@ from refcascade.controllers import ConfigError
 from refcascade.harness import (
     MetricsReport,
     TimeSeriesLog,
+    build_experiment,
     compute_metrics,
+    integrate,
     run_experiment,
     sweep,
     write_log_csv,
@@ -36,6 +38,21 @@ class TestRunExperiment:
         write_log_csv(a, pa)
         write_log_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_log_is_the_integration_core_record(self):
+        # run_experiment logs exactly what the shared core integrates
+        cfg = cfg_with(BASE + [("run", "duration", "0.5"), ("run", "extras_stride", "5"),
+                               ("run", "csv_decimate", "10"), ("run", "residual_stride", "0")])
+        log = run_experiment(cfg)
+        model, controller, _, dist = build_experiment(cfg)
+        taus = []
+        t, q, qdot, div_time = integrate(
+            model, controller, dist, np.zeros(2), np.zeros(2), 0.002, 250, 5,
+            lambda k, t, q, qdot, ev, ts: taus.append(ev.tau),
+        )
+        assert div_time is None and not log.diverged
+        for got, want in ((log.t, t), (log.q, q), (log.qdot, qdot), (log.tau, np.array(taus))):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_zero_gain_rest_constant_log(self):
         ov = [

@@ -5,7 +5,6 @@ import pytest
 
 from refcascade.numerics import (
     NonFiniteStateError,
-    PolynomialCoeffs,
     poly_from_roots,
     poly_mul,
     rk4_step,
@@ -118,15 +117,6 @@ class TestRouthHurwitz:
 
 
 class TestPolynomialHelpers:
-    def test_coeffs_invariants(self):
-        p = PolynomialCoeffs([1.0, 2.0, 1.0])
-        assert p.degree == 2 and p.monic
-        assert p(0.0) == 1.0
-        with pytest.raises(ValueError):
-            PolynomialCoeffs([1.0, 0.0])
-        with pytest.raises(ValueError):
-            PolynomialCoeffs([])
-
     def test_poly_from_roots(self):
         poly = poly_from_roots([-1.0, complex(-2.0, 1.0), complex(-2.0, -1.0)])
         # (w+1)(w^2+4w+5)
