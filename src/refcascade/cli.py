@@ -76,10 +76,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--values: expected comma-separated numbers, got '{args.values}'") from None
     if not values:
         _say(args, "empty sweep axis: nothing to do")
-        values = []
     results = sweep(cfg, args.axis, values)
     out = _outdir(args)
     write_sweep_csv(args.axis, results, out / "sweep.csv")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import inspect
 
-import numpy as np
-
 from ..manipulator import ArmShape
 from .base import ConfigError, ControlEval, ControllerBase, GainSet, TrajectoryView
 from .basic import (
@@ -116,9 +114,3 @@ def closed_loop_residual(controller, model, t, q, qdot, tau, tau_star, extras):
     """
     return controller.residual(model, q, qdot, tau, tau_star, extras)
 
-
-def layer_error_residual(extras, alpha_star):
-    """Residual of the stacked layer identity psi' = -alpha_star psi + s_aux."""
-    psidot = extras["psidot"]
-    res = psidot - (-alpha_star * extras["psi"] + extras["s"])
-    return float(np.max(np.abs(res)))

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..filters import FilterBank, LinearBlock, regressor_loop_channel
 from ..refdyn import ReferenceConfig, cascade_rates
-from .base import ControlEval, ControllerBase, FilteredDamping, GainSet
+from .base import ControllerBase, FilteredDamping, GainSet
 
 __all__ = ["FilteredAdaptiveController"]
 
@@ -135,7 +135,7 @@ class FilteredAdaptiveController(ProxyController):
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
-    def evaluate(self, t, q, qdot, x):
+    def evaluate(self, t, q, qdot, x, extras=None):
         qd = self.traj.derivs(t, 2)
         v = np.concatenate((x, q, qdot, qd.ravel()))
         W, hv, e, th, xi, z, s, aux0 = self.block.outputs(v)
@@ -147,9 +147,7 @@ class FilteredAdaptiveController(ProxyController):
         v = np.concatenate((v, Y.ravel(), Y @ th, Y.T @ s, Wt_e, Y @ xi))
         xdot, (tau,) = self.block.late(v, rates)
 
-        extras = {
-            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd[0],
-            "theta_hat": th, "xi": xi,
-            "W": W, "h": h, "qd_aux": aux0,
-        }
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd[0], theta_hat=th, xi=xi,
+                          W=W, h=h, qd_aux=aux0)
+        return tau, xdot

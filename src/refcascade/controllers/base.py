@@ -1,9 +1,13 @@
 """Shared infrastructure for the torque-law implementations.
 
 Every controller is an ODE component: it exposes the size of its internal
-state block, an initializer, and a pure ``evaluate`` that maps the current
-measurements and internal state to the commanded torque, the state-block
-time derivative, and a dictionary of derived views for logging.  The
+state block, an initializer, and a pure ``evaluate``, its one statement of
+the law, mapping measurements and internal state to the commanded torque and
+the state-block time derivative on every RK4 stage.  ``observe`` runs the
+same law at a sampled step and also returns the derived views a log records,
+which the stages never build.  Each reference cascade runs as precomputed
+matrix rows: one product with ``[phi; q; qdot; q_d rows]`` in the
+single-layer laws, the filtering laws' compiled block otherwise.  The
 experiment loop concatenates plant and controller states and integrates them
 jointly, so no controller ever integrates anything privately.
 
@@ -15,7 +19,7 @@ declared derivative order of the desired trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -207,7 +211,7 @@ class ControlEval:
 
     tau: np.ndarray
     xdot: np.ndarray
-    extras: Mapping[str, np.ndarray] = field(default_factory=dict)
+    extras: Mapping[str, np.ndarray]
 
 
 class ControllerBase:
@@ -239,8 +243,16 @@ class ControllerBase:
         """Controller state at ``t0``; zero unless the variant sets blocks."""
         return np.zeros(self.state_size)
 
-    def evaluate(self, t, q, qdot, x) -> ControlEval:
+    def evaluate(self, t, q, qdot, x, extras=None):
+        """The law's ``(tau, xdot)``; a dict ``extras``, if given, also
+        receives the derived views a sampled step logs."""
         raise NotImplementedError
+
+    def observe(self, t, q, qdot, x) -> ControlEval:
+        """The law at a sampled state, with its derived views."""
+        extras = {}
+        tau, xdot = self.evaluate(t, q, qdot, x, extras)
+        return ControlEval(tau, xdot, extras)
 
     def energy(self, model, q, qdot, extras):
         """Energy-like functions ``(V, V_aux)`` at a sampled state."""

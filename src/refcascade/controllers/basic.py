@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..refdyn import ReferenceConfig, cascade_init, cascade_rates
-from .base import ConfigError, ControlEval, ControllerBase, FilteredDamping, GainSet, SIdentity
+from .base import ConfigError, ControllerBase, FilteredDamping, GainSet, SIdentity
 
 __all__ = [
+    "compile_cascade",
     "AdaptiveCascadeController",
     "PlainCascadeController",
     "PidReformulatedController",
@@ -27,8 +28,29 @@ __all__ = [
 ]
 
 
+# desired-trajectory rows q_d, q_d', ... that each cascade variant reads
+_QD_ROWS = {"position": 1, "velocity": 2, "full": 3, "full_corrected": 3}
+
+
+def compile_cascade(refcfg: ReferenceConfig, n: int) -> np.ndarray:
+    """The matrix whose product with ``v = [phi; q; qdot; q_d rows]``
+    stacks ``phi'`` (first ``n`` rows: ``z'``) over ``s = qdot - z``.
+
+    The q_d rows are those the availability declares.  Its columns are the
+    rates, linear without a constant term, on the unit basis of ``v``.
+    """
+    ell = refcfg.ell
+    blocks = ell + 2 + _QD_ROWS[refcfg.availability]
+    # unit[b, j] is block b of the j-th unit vector
+    unit = np.eye(blocks * n).reshape(blocks * n, blocks, n).swapaxes(0, 1)
+    phi, q, qdot = unit[:ell], unit[ell], unit[ell + 1]
+    phi_dot, _ = cascade_rates(refcfg, phi, q, qdot, *unit[ell + 2 :])
+    rows = np.concatenate((phi_dot, (qdot - phi[0])[None]))
+    return rows.transpose(0, 2, 1).reshape((ell + 1) * n, blocks * n)
+
+
 class _CascadeController(ControllerBase):
-    """Base for variants owning one reference cascade block ``phi``."""
+    """Base for variants whose layout leads with one reference cascade block ``phi``."""
 
     ref_availability = "full"
 
@@ -38,6 +60,8 @@ class _CascadeController(ControllerBase):
         self.refcfg = ReferenceConfig(coeffs, self.ref_availability, lam)
         self.K = gains.k_diag(self.n)
         self.layout.add("phi", self.refcfg.ell, self.n)
+        self.M = compile_cascade(self.refcfg, self.n)
+        self._m = self.layout.size
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
@@ -47,15 +71,11 @@ class _CascadeController(ControllerBase):
         self.layout.view(x, "phi")[:] = cascade_init(self.refcfg, self.n, qd_dot0)
         return x
 
-    def _reference(self, t, q, qdot, x):
-        """Cascade rates against the true desired trajectory."""
-        if self.ref_availability == "position":
-            qd, qd_dot, qd_ddot = self.traj.eval(t, 0), None, None
-        else:
-            qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
-        phi = self.layout.view(x, "phi")
-        phi_dot, zdot = cascade_rates(self.refcfg, phi, q, qdot, qd, qd_dot, qd_ddot)
-        return phi[0], zdot, phi_dot, qd
+    def _cascade(self, t, q, qdot, x):
+        """``(z, z', s, phi', q_d)`` against the true desired trajectory."""
+        qd = self.traj.derivs(t, self.traj.max_order)  # the rows M reads
+        r = self.M @ np.concatenate((x[: self._m], q, qdot, qd.ravel()))
+        return x[: self.n], r[: self.n], r[self._m :], r[: self._m], qd[0]
 
 
 def _torque_residual(model, q, qdot, tau, tau_star, gain, s):
@@ -89,21 +109,15 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
         self.layout.view(x, "theta_hat")[:] = self.theta_hat0
         return x
 
-    def evaluate(self, t, q, qdot, x):
-        z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
-        th = self.layout.view(x, "theta_hat")
-        s = qdot - z
+    def evaluate(self, t, q, qdot, x, extras=None):
+        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        th = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ th
-
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "phi")[:] = phi_dot
-        self.layout.view(xdot, "theta_hat")[:] = -self.gamma * (Y.T @ s)
-        extras = {
-            "ref_vel": z, "ref_acc": zdot, "s": s,
-            "theta_hat": th.copy(), "qd": qd,
-        }
-        return ControlEval(tau, xdot, extras)
+        xdot = np.concatenate((phi_dot, -self.gamma * (Y.T @ s)))
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy(), qd=qd)
+        return tau, xdot
 
     def energy(self, model, q, qdot, extras):
         s = extras["s"]
@@ -118,13 +132,12 @@ class PlainCascadeController(_CascadeController):
     availability = "full"
     ref_availability = "full"
 
-    def evaluate(self, t, q, qdot, x):
-        z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
-        s = qdot - z
+    def evaluate(self, t, q, qdot, x, extras=None):
+        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
         tau = -self.K * s
-        xdot = phi_dot.ravel()  # phi is the whole controller state
-        extras = {"ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd}
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd)
+        return tau, phi_dot  # phi is the whole controller state
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.K, extras["s"])
@@ -157,17 +170,16 @@ class PidReformulatedController(ControllerBase):
         self.layout.view(x, "z")[:] = z0
         return x
 
-    def evaluate(self, t, q, qdot, x):
+    def evaluate(self, t, q, qdot, x, extras=None):
         qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
         dq = q - qd
         dqdot = qdot - qd_dot
-        z = self.layout.view(x, "z")
         zdot = qd_ddot - (self.kp * dqdot + self.ki * dq) / self.kd
-        s = qdot - z
+        s = qdot - x  # z is the whole controller state
         tau = -self.kd * s
-        xdot = zdot  # z is the whole controller state
-        extras = {"ref_vel": z.copy(), "ref_acc": zdot, "s": s, "qd": qd}
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=x.copy(), ref_acc=zdot, s=s, qd=qd)
+        return tau, zdot
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.kd, extras["s"])
@@ -185,15 +197,14 @@ class PidTextbookController(ControllerBase):
         self.kd, self.kp, self.ki = gains.pid_diags(self.n)
         self.layout.add("integral", self.n)
 
-    def evaluate(self, t, q, qdot, x):
+    def evaluate(self, t, q, qdot, x, extras=None):
         qd, qd_dot = self.traj.derivs(t, 1)
         dq = q - qd
         dqdot = qdot - qd_dot
-        integ = self.layout.view(x, "integral")
-        tau = -self.kd * dqdot - self.kp * dq - self.ki * integ
-        xdot = dq  # the integral is the whole controller state
-        extras = {"qd": qd, "s": dqdot}
-        return ControlEval(tau, xdot, extras)
+        tau = -self.kd * dqdot - self.kp * dq - self.ki * x  # x is the integral
+        if extras is not None:
+            extras.update(qd=qd, s=dqdot)
+        return tau, dq
 
 
 class KnownParamsController(SIdentity, _CascadeController):
@@ -216,14 +227,13 @@ class KnownParamsController(SIdentity, _CascadeController):
         if self.theta_ff.shape != (self.p_dim,):
             raise ConfigError("feedforward_theta has the wrong dimension")
 
-    def evaluate(self, t, q, qdot, x):
-        z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
-        s = qdot - z
+    def evaluate(self, t, q, qdot, x, extras=None):
+        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_ff
-        xdot = phi_dot.ravel()  # phi is the whole controller state
-        extras = {"ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd}
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd)
+        return tau, phi_dot  # phi is the whole controller state
 
     def _estimate_error(self, Y, model, extras):
         return 0.0  # exact feedforward
@@ -244,17 +254,13 @@ class NonlinearDampingController(SIdentity, _CascadeController):
         self.theta_hat = self._estimate0(theta_hat0)
         self.lambda_D = gains.lambda_D
 
-    def evaluate(self, t, q, qdot, x):
-        z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
-        s = qdot - z
+    def evaluate(self, t, q, qdot, x, extras=None):
+        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ (Y.T @ s))
-        xdot = phi_dot.ravel()  # phi is the whole controller state
-        extras = {
-            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd,
-            "theta_hat": self.theta_hat,
-        }
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd, theta_hat=self.theta_hat)
+        return tau, phi_dot  # phi is the whole controller state
 
     def _damping(self, Y, s, extras):
         return self.lambda_D * (Y @ (Y.T @ s))
@@ -279,17 +285,13 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
         gains.validate_positive(("lambda_D", "lam"))
         self.layout.add("xi", self.p_dim)
 
-    def evaluate(self, t, q, qdot, x):
-        z, zdot, phi_dot, qd = self._reference(t, q, qdot, x)
-        xi = self.layout.view(x, "xi")
-        s = qdot - z
+    def evaluate(self, t, q, qdot, x, extras=None):
+        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        xi = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ xi)
-        xdot = np.empty(self.state_size)
-        self.layout.view(xdot, "phi")[:] = phi_dot
-        self.layout.view(xdot, "xi")[:] = -self.lam * xi + self.lam * (Y.T @ s)
-        extras = {
-            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd,
-            "xi": xi.copy(), "theta_hat": self.theta_hat,
-        }
-        return ControlEval(tau, xdot, extras)
+        xdot = np.concatenate((phi_dot, -self.lam * xi + self.lam * (Y.T @ s)))
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd, xi=xi.copy(),
+                          theta_hat=self.theta_hat)
+        return tau, xdot

@@ -41,7 +41,7 @@ from ..filters import (
 from ..numerics import poly_mul, routh_hurwitz
 from ..refdyn import HurwitzCoeffs, cascade_rates
 from .augmented import ProxyController
-from .base import ConfigError, ControlEval, GainSet
+from .base import ConfigError, GainSet
 
 __all__ = ["StackedSingleController", "StackedMultiController", "hstar_denominator"]
 
@@ -173,7 +173,7 @@ class StackedSingleController(ProxyController):
         self.layout.view(x, "freq_hat")[:] = self.freq_hat0
         return x
 
-    def evaluate(self, t, q, qdot, x):
+    def evaluate(self, t, q, qdot, x, extras=None):
         qd = self.traj.derivs(t, 2)
         v = np.concatenate((x, q, qdot, qd.ravel()))
         W1, g1_psith, (WG2, WG3), (vG2, vG3), e, th, thf, xi, psi, psidot, chidot_aux, s_aux, z = (
@@ -192,14 +192,10 @@ class StackedSingleController(ProxyController):
         v = np.concatenate((v, Y.ravel(), Y @ th, Y.T @ s_aux, Wt_e, W1 @ e[:, None], Y @ xi))
         xdot, (tau,) = self.block.late(v, rates)
 
-        extras = {
-            "ref_vel": chidot_aux, "ref_acc": chidd_aux, "s": s_aux, "qd": qd[0],
-            "z": z, "zdot": zdot,
-            "theta_hat": th, "xi": xi,
-            "freq_hat": thf,
-            "psi": psi, "psidot": psidot, "h": h, "W1": W1,
-        }
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=chidot_aux, ref_acc=chidd_aux, s=s_aux, qd=qd[0], z=z, zdot=zdot,
+                          theta_hat=th, xi=xi, freq_hat=thf, psi=psi, psidot=psidot, h=h, W1=W1)
+        return tau, xdot
 
 
 class StackedMultiController(ProxyController):
@@ -352,7 +348,7 @@ class StackedMultiController(ProxyController):
         self.layout.view(x, "freq_hat")[:] = self.freq_hat0
         return x
 
-    def evaluate(self, t, q, qdot, x):
+    def evaluate(self, t, q, qdot, x, extras=None):
         qd = self.traj.derivs(t, 2)
         v = np.concatenate((x, q, qdot, qd.ravel()))
         by, bv, Wst, oh, W_i, e, th, thf, xi, z, s, layer_err, psi1, psi2, chi2 = (
@@ -376,9 +372,7 @@ class StackedMultiController(ProxyController):
         )
         xdot, (tau,) = self.block.late(v, rates)
 
-        extras = {
-            "ref_vel": z, "ref_acc": zdot, "s": s, "qd": qd[0],
-            "theta_hat": th, "xi": xi, "freq_hat": thf,
-            "psi1": psi1, "psi2": psi2, "chi2": chi2, "h": h,
-        }
-        return ControlEval(tau, xdot, extras)
+        if extras is not None:
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd[0], theta_hat=th, xi=xi,
+                          freq_hat=thf, psi1=psi1, psi2=psi2, chi2=chi2, h=h)
+        return tau, xdot

@@ -170,6 +170,8 @@ def build_experiment(cfg: ExperimentConfig):
 
 def _validate_run(cfg):
     r = cfg.values["run"]
+    if not (math.isfinite(r["dt"]) and math.isfinite(r["duration"])):
+        raise ConfigError("dt and duration must be finite")
     if r["dt"] <= 0.0:
         raise ConfigError("dt must be positive")
     if r["duration"] < 10.0 * r["dt"]:
@@ -186,9 +188,9 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     """Advance plant and controller jointly by ``steps`` RK4 steps of ``dt``.
 
     The state starts at ``(q0, qdot0)`` and the controller's initial state.
-    On every ``stride``-th step the controller is evaluated at the step
+    On every ``stride``-th step the controller is observed at the step
     start, ``sample(k, t, q, qdot, ev, tau_star)`` is called with that
-    evaluation, and it doubles as the step's first RK4 stage.  A non-finite
+    observation, and it doubles as the step's first RK4 stage.  A non-finite
     state ends the run at the time of the step that produced it.
 
     Returns ``(t, q, qdot, divergence_time)``: the plant samples of every
@@ -200,9 +202,9 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     def deriv(t, xx):
         q = xx[:n]
         qdot = xx[n : 2 * n]
-        ev = controller.evaluate(t, q, qdot, xx[2 * n :])
-        qdd = model.forward_dynamics(q, qdot, ev.tau, dist.eval(t))
-        return np.concatenate([qdot, qdd, ev.xdot])
+        tau, xdot = controller.evaluate(t, q, qdot, xx[2 * n :])
+        qdd = model.forward_dynamics(q, qdot, tau, dist.eval(t))
+        return np.concatenate([qdot, qdd, xdot])
 
     t_arr = np.empty(steps + 1)
     q_arr = np.empty((steps + 1, n))
@@ -219,11 +221,9 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
 
         k1 = None
         if k % stride == 0:
-            ev = controller.evaluate(t, q, qdot, x[2 * n :])
+            ev = controller.observe(t, q, qdot, x[2 * n :])
             ts = dist.eval(t)
-            k1 = np.concatenate(
-                [qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot]
-            )
+            k1 = np.concatenate([qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
             sample(k, t, q, qdot, ev, ts)
 
         if k >= steps:

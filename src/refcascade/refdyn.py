@@ -183,8 +183,8 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     The rates are linear in ``phi`` and the inputs, with no constant term,
     and every argument may carry leading axes (``phi`` after its level
     axis, as (ell, ..., n)).  Evaluated on a unit basis, the function
-    therefore yields its own matrix; the filtering controllers compile
-    their cascade rows that way.
+    therefore yields its own matrix; every controller compiles its
+    cascade rows that way.
     """
     drive = cascade_drive(config, q, qdot, qd, qd_dot, qd_ddot)
     return cascade_rates_from_drive(config, phi, drive)

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 from refcascade.config import load_config
-from refcascade.controllers import layer_error_residual
 from refcascade.harness import compute_metrics, run_experiment, write_log_csv
 from refcascade.validation import (
     suite_cascade_equivalence,
@@ -306,8 +305,8 @@ def test_ac9_closed_loop_residuals():
     model, ctrl, traj, dist = build_experiment(cfg)
     q0 = np.array([0.3, -0.2])
     x = ctrl.initial_state(q0, np.zeros(2))
-    ev = ctrl.evaluate(0.5, q0 + 0.01, np.array([0.1, -0.05]), x)
-    layer = layer_error_residual(ev.extras, ctrl.alpha_star)
+    ex = ctrl.observe(0.5, q0 + 0.01, np.array([0.1, -0.05]), x).extras
+    layer = float(np.max(np.abs(ex["psidot"] - (-ctrl.alpha_star * ex["psi"] + ex["s"]))))
     ok = ok and layer <= 1e-9
     details.append(f"layer identity: {layer:.2e}")
     criterion("AC-9", ok, "max residuals (<= 1e-9, < 5s each): " + "; ".join(details))

@@ -76,6 +76,14 @@ class TestRunCommand:
             args += ["--set", pair]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("override", ["run.duration=nan", "run.duration=inf", "run.dt=nan"])
+    def test_non_finite_run_length_exit_2(self, run_config, tmp_path, override):
+        code = main([
+            "run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet",
+            "--set", override,
+        ])
+        assert code == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_3(self, tmp_path):
         code = main([
@@ -99,6 +107,13 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.DictReader(open(out / "sweep.csv")))
         assert [r["axis_value"] for r in rows] == ["1", "2"]
+
+    def test_non_numeric_value_exit_2(self, run_config, tmp_path):
+        code = main([
+            "sweep", "--config", str(run_config), "--out", str(tmp_path / "sw"),
+            "--quiet", "--axis", "ell", "--values", "a",
+        ])
+        assert code == 2
 
     def test_empty_values(self, run_config, tmp_path):
         code = main([

@@ -185,7 +185,7 @@ def _samples(ctrl, seed, count=5):
 def _evaluations(variant, kw, seed):
     ctrl = _moving(variant, kw)
     for t, q, qdot, x in _samples(ctrl, seed):
-        yield ctrl, ctrl.evaluate(t, q, qdot, x), REFERENCE[variant](ctrl, t, q, qdot, x)
+        yield ctrl, ctrl.observe(t, q, qdot, x), REFERENCE[variant](ctrl, t, q, qdot, x)
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
