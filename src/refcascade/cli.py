@@ -111,6 +111,7 @@ def cmd_pid_compare(args) -> int:
     log_a = run_experiment(cfg)
     cfg_b = cfg.copy()
     cfg_b.set("controller", "variant", "pid_textbook")
+    cfg_b.set("controller", "matched_init", "true")  # an option of the reformulated side only
     log_b = run_experiment(cfg_b)
     m = min(log_a.tau.shape[0], log_b.tau.shape[0])
     gap = float(np.max(np.abs(log_a.tau[:m] - log_b.tau[:m])))

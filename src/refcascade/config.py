@@ -170,6 +170,10 @@ class ExperimentConfig:
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
 
+    def is_default(self, section, key) -> bool:
+        typ, default, _help = SCHEMA[section][key]
+        return self.values[section][key] == _PARSERS[typ](default)
+
     def copy(self):
         return ExperimentConfig({s: dict(kv) for s, kv in self.values.items()})
 

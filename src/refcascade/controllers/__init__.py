@@ -44,6 +44,7 @@ __all__ = [
     "StackedMultiController",
     "hstar_denominator",
     "build_controller",
+    "variant_options",
     "lyapunov_diag",
     "closed_loop_residual",
 ]
@@ -67,6 +68,13 @@ _BY_VARIANT = {cls.variant: (cls, frozenset(inspect.signature(cls).parameters))
 VARIANTS = tuple(_BY_VARIANT)
 
 
+def variant_options(variant: str) -> frozenset:
+    """The :func:`build_controller` options the variant's constructor takes."""
+    if variant not in _BY_VARIANT:
+        raise ConfigError(f"unknown controller variant '{variant}'")
+    return _BY_VARIANT[variant][1]
+
+
 def build_controller(
     variant: str,
     shape: ArmShape,
@@ -86,9 +94,8 @@ def build_controller(
     Each variant's constructor takes the options it names; the others are
     not passed to it.
     """
-    if variant not in _BY_VARIANT:
-        raise ConfigError(f"unknown controller variant '{variant}'")
-    cls, taken = _BY_VARIANT[variant]
+    taken = variant_options(variant)
+    cls = _BY_VARIANT[variant][0]
     if cls.needs_coeffs and coeffs is None:
         raise ConfigError(f"variant '{variant}' needs a cascade coefficient set")
     options = dict(

@@ -47,9 +47,12 @@ def diag_entries(value, n, name) -> np.ndarray:
     """Coerce a gain to diagonal entries of length n.
 
     Scalars broadcast; vectors pass through; square matrices must be exactly
-    diagonal (the control laws rely on channelwise decoupling).
+    diagonal (the control laws rely on channelwise decoupling).  Every entry
+    must be finite.
     """
     arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name}: entries must be finite")
     if arr.ndim == 0:
         arr = np.full(n, float(arr))
     elif arr.ndim == 2:
@@ -122,8 +125,8 @@ class GainSet:
             g = np.full(n_star, float(g))
         if g.shape != (n_star,):
             raise ConfigError(f"expected {n_star} tone adaptation gain(s)")
-        if np.any(g <= 0.0):
-            raise ConfigError("tone adaptation gains must be positive")
+        if not (np.isfinite(g) & (g > 0.0)).all():
+            raise ConfigError("tone adaptation gains must be positive and finite")
         return g
 
     def star_pair(self):
@@ -140,8 +143,8 @@ class GainSet:
 
     def validate_positive(self, names):
         for name in names:
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"gain '{name}' must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"gain '{name}' must be positive and finite")
 
 
 _AVAILABILITY_ORDER = {"position": 0, "velocity": 1, "full": 2}

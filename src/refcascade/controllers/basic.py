@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..refdyn import ReferenceConfig, cascade_init, cascade_rates
+from ..refdyn import QD_ROWS, ReferenceConfig, cascade_init, cascade_rates
 from .base import ConfigError, ControllerBase, FilteredDamping, GainSet, SIdentity
 
 __all__ = [
@@ -28,10 +28,6 @@ __all__ = [
 ]
 
 
-# desired-trajectory rows q_d, q_d', ... that each cascade variant reads
-_QD_ROWS = {"position": 1, "velocity": 2, "full": 3, "full_corrected": 3}
-
-
 def compile_cascade(refcfg: ReferenceConfig, n: int) -> np.ndarray:
     """The matrix whose product with ``v = [phi; q; qdot; q_d rows]``
     stacks ``phi'`` (first ``n`` rows: ``z'``) over ``s = qdot - z``.
@@ -40,7 +36,7 @@ def compile_cascade(refcfg: ReferenceConfig, n: int) -> np.ndarray:
     rates, linear without a constant term, on the unit basis of ``v``.
     """
     ell = refcfg.ell
-    blocks = ell + 2 + _QD_ROWS[refcfg.availability]
+    blocks = ell + 2 + QD_ROWS[refcfg.availability]
     # unit[b, j] is block b of the j-th unit vector
     unit = np.eye(blocks * n).reshape(blocks * n, blocks, n).swapaxes(0, 1)
     phi, q, qdot = unit[:ell], unit[ell], unit[ell + 1]
@@ -252,6 +248,8 @@ class NonlinearDampingController(SIdentity, _CascadeController):
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
         self.theta_hat = self._estimate0(theta_hat0)
+        if not 0.0 <= gains.lambda_D < np.inf:  # zero turns the damping off
+            raise ConfigError("gain 'lambda_D' must be nonnegative and finite")
         self.lambda_D = gains.lambda_D
 
     def evaluate(self, t, q, qdot, x, extras=None):

@@ -72,8 +72,7 @@ def hstar_denominator(gains: GainSet, n_star: int) -> np.ndarray:
             raise ConfigError("tone-layer denominator is not Hurwitz-stable")
         return full[:-1]
     # every root is -hstar_rate, so the default is Hurwitz once the rate is positive
-    if gains.hstar_rate <= 0.0:
-        raise ConfigError("hstar_rate must be positive")
+    gains.validate_positive(("hstar_rate",))
     return poly_mul(*([[gains.hstar_rate, 1.0]] * (2 * n_star)))[:-1]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .controllers import (
     build_controller,
     closed_loop_residual,
     lyapunov_diag,
+    variant_options,
 )
 from .manipulator import ArmParams, TwoLinkArm
 from .numerics import NonFiniteStateError, rk4_step
@@ -93,19 +94,6 @@ class MetricsReport:
     diverged: bool
     divergence_time: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rms_dq_first": self.rms_dq_first,
-            "rms_dq_last": self.rms_dq_last,
-            "max_torque": self.max_torque,
-            "final_V": self.final_V,
-            "theta_hat_final": self.theta_hat_final,
-            "freq_hat_final": self.freq_hat_final,
-            "residual_max": self.residual_max,
-            "diverged": self.diverged,
-            "divergence_time": self.divergence_time,
-        }
-
 
 def build_model(cfg: ExperimentConfig) -> TwoLinkArm:
     m = cfg.values["model"]
@@ -156,8 +144,7 @@ def build_experiment(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"cascade coefficients rejected: {exc}") from exc
 
-    controller = build_controller(
-        c["variant"], model.shape(), gains, traj, coeffs,
+    options = dict(
         theta_hat0=_resolve_theta(c["theta_hat0"], model, "theta_hat0"),
         feedforward_theta=_resolve_theta(c["feedforward_theta"], model, "feedforward_theta"),
         n_star=c["n_star"],
@@ -165,6 +152,12 @@ def build_experiment(cfg: ExperimentConfig):
         freeze_freq=c["freeze_freq"],
         matched_init=c["matched_init"],
     )
+    # an option the variant does not take may only keep its default
+    taken = variant_options(c["variant"])
+    for key in options:
+        if key not in taken and not cfg.is_default("controller", key):
+            raise ConfigError(f"controller.{key} does not apply to variant '{c['variant']}'")
+    controller = build_controller(c["variant"], model.shape(), gains, traj, coeffs, **options)
     return model, controller, traj, dist
 
 
@@ -415,7 +408,7 @@ def write_log_csv(log: TimeSeriesLog, path):
 
 def write_metrics_json(report: MetricsReport, path):
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

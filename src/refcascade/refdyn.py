@@ -39,20 +39,21 @@ from .numerics import routh_hurwitz
 
 __all__ = [
     "AVAILABILITIES",
+    "QD_ROWS",
     "HurwitzCoeffs",
     "ReferenceConfig",
     "critically_damped_coeffs",
     "scale_coeffs",
     "cascade_init",
     "cascade_rates",
-    "cascade_drive",
-    "cascade_rates_from_drive",
     "reference_oracle",
     "realization_trajectory",
     "oracle_realization_gaps",
 ]
 
 AVAILABILITIES = ("position", "velocity", "full", "full_corrected")
+# desired-trajectory rows q_d, q_d', ... that each variant reads
+QD_ROWS = {"position": 1, "velocity": 2, "full": 3, "full_corrected": 3}
 
 
 @dataclass(frozen=True)
@@ -183,68 +184,42 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     The rates are linear in ``phi`` and the inputs, with no constant term,
     and every argument may carry leading axes (``phi`` after its level
     axis, as (ell, ..., n)).  Evaluated on a unit basis, the function
-    therefore yields its own matrix; every controller compiles its
-    cascade rows that way.
-    """
-    drive = cascade_drive(config, q, qdot, qd, qd_dot, qd_ddot)
-    return cascade_rates_from_drive(config, phi, drive)
-
-
-def cascade_drive(config, q, qdot, qd, qd_dot=None, qd_ddot=None):
-    """The part of :func:`cascade_rates` that reads no cascade state.
-
-    Returns an opaque flat list of arrays (``None`` for a term the variant
-    lacks) for :func:`cascade_rates_from_drive`.  The inputs may carry
-    leading axes, e.g. a grid of sample times; every term then carries the
-    same axes, and indexing each term at one sample gives exactly that
-    sample's drive.
+    therefore yields its own matrix; every controller, and the realization
+    checked against the oracle below, compiles its cascade that way.
     """
     av = config.availability
     _check_inputs(av, qd_dot, qd_ddot)
     alphas = config.coeffs.alphas
     ell = config.ell
     dq = q - qd
+    phi_dot = np.empty_like(phi)
+    z = phi[0]
 
     if av == "position":
-        terms = [-alphas[1] * qdot - alphas[0] * dq]
-        for j in range(1, ell):
-            # level j subtracts alphas[ell-j+1] qdot and adds alphas[ell-j] qd
-            terms += (alphas[ell - j + 1] * qdot, alphas[ell - j] * qd)
-        return terms
+        if ell == 1:
+            phi_dot[0] = -alphas[1] * qdot - alphas[0] * dq
+        else:
+            for j in range(1, ell):  # levels 1..ell-1
+                phi_dot[j - 1] = phi[j] - alphas[ell - j + 1] * qdot + alphas[ell - j] * qd
+            phi_dot[ell - 1] = -alphas[1] * qdot - alphas[0] * dq
+        return phi_dot, phi_dot[0]
 
     dqd = qdot - qd_dot
     if av == "velocity":
-        top = -alphas[ell] * dqd
+        top_extra = -alphas[ell] * dqd
     else:
-        top = qd_ddot - alphas[ell] * dqd
-    tail = alphas[0] * dq if ell == 1 else -alphas[1] * dqd - alphas[0] * dq
-    terms = [top, tail, qdot if av == "full_corrected" else None]
-    for j in range(2, ell):
-        # middle level j subtracts alphas[ell-j+1] dqd
-        terms.append(alphas[ell - j + 1] * dqd)
-    return terms
+        top_extra = qd_ddot - alphas[ell] * dqd
+        if av == "full_corrected":
+            top_extra = top_extra + config.Lambda * (qdot - z)
 
-
-def cascade_rates_from_drive(config, phi, drive):
-    """:func:`cascade_rates` from the states and one sample of their drive."""
-    ell = len(phi)
-    phi_dot = np.empty_like(phi)
-    if config.availability == "position":
-        for j in range(1, ell):
-            phi_dot[j - 1] = phi[j] - drive[2 * j - 1] + drive[2 * j]
-        phi_dot[ell - 1] = drive[0]
-        return phi_dot, phi_dot[0]
-
-    top, tail, qdot = drive[:3]
-    if qdot is not None:  # full_corrected
-        top = top + config.Lambda * (qdot - phi[0])
     if ell == 1:
-        phi_dot[0] = top - tail
+        phi_dot[0] = top_extra - alphas[0] * dq
         return phi_dot, phi_dot[0]
-    phi_dot[0] = phi[1] + top
-    for j in range(2, ell):
-        phi_dot[j - 1] = phi[j] - drive[j + 1]
-    phi_dot[ell - 1] = tail
+
+    phi_dot[0] = phi[1] + top_extra
+    for j in range(2, ell):  # middle levels
+        phi_dot[j - 1] = phi[j] - alphas[ell - j + 1] * dqd
+    phi_dot[ell - 1] = -alphas[1] * dqd - alphas[0] * dq
     return phi_dot, phi_dot[0]
 
 
@@ -351,30 +326,26 @@ def _oracle_system(config, q_traj, qd_traj, ts, t0):
 
 
 def _realization_system(config, q_traj, qd_traj, ts):
-    """RHS on the stage grid ``ts`` and initial state of the cascade."""
+    """RHS ``phi' = A phi + d[j]`` on the stage grid ``ts`` and initial state
+    of the cascade: ``A`` holds the rates on the unit basis of ``phi`` at zero
+    input, ``d`` the rates at zero state over the whole grid."""
     n = q_traj.n
+    m = config.ell * n
     av = config.availability
+    inputs = [q_traj.eval_grid(ts, 0), q_traj.eval_grid(ts, 1)]
+    inputs += [qd_traj.eval_grid(ts, k) for k in range(QD_ROWS[av])]
 
-    qd_dot_g = None if av == "position" else qd_traj.eval_grid(ts, 1)
-    qd_ddot_g = (
-        qd_traj.eval_grid(ts, 2) if av in ("full", "full_corrected") else None
-    )
+    unit = np.eye(m).reshape(m, config.ell, n).swapaxes(0, 1)
+    A, _ = cascade_rates(config, unit, *[np.zeros(n)] * len(inputs))
+    A = A.transpose(0, 2, 1).reshape(m, m)
+    d, _ = cascade_rates(config, np.zeros((config.ell, ts.size, n)), *inputs)
+    d = d.swapaxes(0, 1).reshape(ts.size, m)
 
-    qd_dot0 = None if av == "position" else qd_dot_g[0]
+    qd_dot0 = None if av == "position" else inputs[3][0]  # q_d'(t0)
     phi0 = cascade_init(config, n, qd_dot0).ravel()
 
-    # the state-free half of cascade_rates, once over the whole stage grid;
-    # stages[j] is stage time j's drive
-    drive = cascade_drive(
-        config, q_traj.eval_grid(ts, 0), q_traj.eval_grid(ts, 1),
-        qd_traj.eval_grid(ts, 0), qd_dot_g, qd_ddot_g,
-    )
-    stages = list(zip(*([None] * ts.size if d is None else d for d in drive)))
-    shape = (config.ell, n)
-
     def f(j, x):
-        phi_dot, _ = cascade_rates_from_drive(config, x.reshape(shape), stages[j])
-        return phi_dot.ravel()
+        return A @ x + d[j]
 
     return f, phi0
 

@@ -38,12 +38,6 @@ class Tone:
     omega: float
     phase: float = 0.0
 
-    def eval(self, t, order: int) -> float:
-        # d^k/dt^k [A sin(wt+p)] = A w^k sin(wt + p + k pi/2)
-        return self.amp * self.omega**order * math.sin(
-            self.omega * t + self.phase + order * (math.pi / 2.0)
-        )
-
 
 @dataclass(frozen=True)
 class JointSignal:
@@ -52,18 +46,6 @@ class JointSignal:
     poly: tuple = ()
     tones: tuple = ()
     offset: float = 0.0
-
-    def eval(self, t, order: int = 0) -> float:
-        val = 0.0
-        if order == 0:
-            val += self.offset
-        for k in range(order, len(self.poly)):
-            # d^order/dt^order of c_k t^k  ->  c_k k!/(k-order)! t^(k-order)
-            fac = math.perm(k, order)
-            val += self.poly[k] * fac * t ** (k - order)
-        for tone in self.tones:
-            val += tone.eval(t, order)
-        return val
 
 
 class _SignalVector:

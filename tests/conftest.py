@@ -1,9 +1,21 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from refcascade.harness import integrate
 from refcascade.manipulator import TwoLinkArm
 from refcascade.signals import DisturbanceSpec
+
+# property tests draw the same examples on every run and keep no example
+# database; the constants hypothesis caches from the source go to a directory
+# removed at exit, so no run writes .hypothesis/
+settings.register_profile("refcascade", derandomize=True, deadline=None, database=None)
+settings.load_profile("refcascade")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="refcascade-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

@@ -76,6 +76,35 @@ class TestRunCommand:
             args += ["--set", pair]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        ["gains.k=nan"],
+        ["gains.gamma=nan"],
+        ["controller.variant=passive", "gains.lambda=nan"],
+        ["controller.variant=passive", "gains.lambda_d=inf"],
+        ["controller.variant=stacked_single", "gains.gamma_freq=nan"],
+        ["controller.variant=stacked_multi", "gains.hstar_rate=nan"],
+        ["controller.variant=filtered_adaptive", "gains.alpha_star=nan"],
+        ["controller.variant=nldamp", "gains.lambda_d=-5"],
+    ], ids=lambda overrides: overrides[-1])
+    def test_non_finite_or_negative_gain_exit_2(self, run_config, tmp_path, overrides):
+        args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        ["controller.freeze_freq=true"],
+        ["controller.freq_hat0=1 2 3"],
+        ["controller.variant=stacked_single", "controller.n_star=3"],
+        ["controller.variant=plain", "controller.theta_hat0=auto:0.7"],
+    ], ids=lambda overrides: " ".join(overrides))
+    def test_option_the_variant_does_not_take_exit_2(self, run_config, tmp_path, overrides):
+        # the run config's variant is adaptive, which takes only theta_hat0
+        args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+
     @pytest.mark.parametrize("override", ["run.duration=nan", "run.duration=inf", "run.dt=nan"])
     def test_non_finite_run_length_exit_2(self, run_config, tmp_path, override):
         code = main([
@@ -134,6 +163,19 @@ class TestPidCompare:
             "--set", "run.duration=5",
         ])
         assert code == 0
+
+    def test_unmatched_initialization_runs_both_laws(self, tmp_path):
+        # matched_init belongs to the reformulated law; the textbook run
+        # must not refuse it
+        code = main([
+            "pid-compare", "--out", str(tmp_path / "o"), "--quiet",
+            "--set", "trajectory.kind=polynomial",
+            "--set", "trajectory.coeffs=0.4 0.25 ; -0.2 0.15",
+            "--set", "run.q0=0.2 -0.1",
+            "--set", "run.duration=1",
+            "--set", "controller.matched_init=false",
+        ])
+        assert code == 1  # the torques differ, but both runs completed
 
 
 class TestPlotData:
