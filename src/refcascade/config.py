@@ -8,18 +8,20 @@ CLI help text.
 
 Vector values are whitespace- or comma-separated floats.  Per-joint signal
 lists separate joints with ``;`` and tones within a joint with ``,``; a tone
-is written ``amp@omega`` or ``amp@omega:phase``.
+is written ``amp@omega`` or ``amp@omega:phase``.  Every number must be
+finite: ``nan`` and ``inf`` are configuration errors.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controllers import VARIANTS, ConfigError, GainSet
-from .signals import DisturbanceSpec, JointSignal, Tone, TrajectorySpec
+from .signals import DisturbanceSpec, TrajectorySpec
 
 __all__ = ["SCHEMA", "ExperimentConfig", "load_config", "parse_overrides", "schema_help"]
 
@@ -33,9 +35,16 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
 def _parse_vector(s):
     parts = s.replace(",", " ").split()
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_tones(s):
@@ -54,20 +63,17 @@ def _parse_tones(s):
                     omega, phase = rest.split(":")
                 else:
                     omega, phase = rest, "0"
-                tones.append((float(amp), float(omega), float(phase)))
+                tones.append((_parse_float(amp), _parse_float(omega), _parse_float(phase)))
         joints.append(tuple(tones))
     return tuple(joints)
 
 
 def _parse_joint_coeffs(s):
-    joints = []
-    for joint_part in s.split(";"):
-        joints.append(tuple(float(x) for x in joint_part.replace(",", " ").split()))
-    return tuple(joints)
+    return tuple(_parse_vector(joint_part) for joint_part in s.split(";"))
 
 
 _PARSERS = {
-    "float": float,
+    "float": _parse_float,
     "int": int,
     "str": str,
     "bool": _parse_bool,
@@ -88,7 +94,6 @@ SCHEMA = {
         "i1": ("float", "0.1", "link-1 rotational inertia [kg m^2]"),
         "i2": ("float", "0.1", "link-2 rotational inertia [kg m^2]"),
         "g0": ("float", "9.81", "gravity constant [m/s^2] (0 disables gravity)"),
-        "coriolis_sign": ("float", "1.0", "fault-injection knob for the validation self-test; keep at 1"),
     },
     "controller": {
         "variant": ("str", "adaptive", f"one of {', '.join(VARIANTS)}"),
@@ -117,7 +122,7 @@ SCHEMA = {
         "alpha": ("float", "4.0", "critically damped cascade rate (before time scaling)"),
         "kappa": ("float", "1.0", "time scale >= 1; the realized cascade rate is alpha * kappa"),
         "hstar_rate": ("float", "2.0", "critically damped tone-layer denominator rate"),
-        "hstar_den": ("str", "", "explicit tone-layer denominator tail (2 n_star floats), overrides hstar_rate"),
+        "hstar_den": ("vector", "", "explicit tone-layer denominator tail (2 n_star floats), overrides hstar_rate"),
     },
     "trajectory": {
         "kind": ("str", "constant", "constant | polynomial | multisine"),
@@ -186,28 +191,16 @@ class ExperimentConfig:
             return TrajectorySpec.constant(offset)
         if kind == "polynomial":
             coeffs = _pad_joints(self.get("trajectory", "coeffs"), n, (0.0,))
-            return TrajectorySpec(
-                [JointSignal(poly=c, offset=o) for c, o in zip(coeffs, offset)]
-            )
+            return TrajectorySpec.polynomial(coeffs, offset)
         if kind == "multisine":
             tones = _pad_joints(self.get("trajectory", "tones"), n, ())
-            return TrajectorySpec(
-                [
-                    JointSignal(tones=tuple(Tone(*t) for t in tl), offset=o)
-                    for tl, o in zip(tones, offset)
-                ]
-            )
+            return TrajectorySpec.multisine(tones, offset)
         raise ConfigError(f"unknown trajectory kind '{kind}'")
 
     def build_disturbance(self, n) -> DisturbanceSpec:
         bias = _pad_vector(self.get("disturbance", "bias"), n)
         tones = _pad_joints(self.get("disturbance", "tones"), n, ())
-        return DisturbanceSpec(
-            [
-                JointSignal(tones=tuple(Tone(*t) for t in tl), offset=b)
-                for tl, b in zip(tones, bias)
-            ]
-        )
+        return DisturbanceSpec.tones(tones, bias)
 
     def build_gains(self) -> GainSet:
         g = self.values["gains"]
@@ -215,9 +208,6 @@ class ExperimentConfig:
         def squeeze(v):
             return v[0] if isinstance(v, tuple) and len(v) == 1 else v
 
-        hstar_den = None
-        if g["hstar_den"].strip():
-            hstar_den = _parse_vector(g["hstar_den"])
         return GainSet(
             K=np.asarray(squeeze(g["k"])),
             Gamma=np.asarray(squeeze(g["gamma"])),
@@ -233,7 +223,7 @@ class ExperimentConfig:
             K_I=np.asarray(squeeze(g["ki"])),
             Lambda=np.asarray(squeeze(g["lam_corr"])),
             hstar_rate=g["hstar_rate"],
-            hstar_den=hstar_den,
+            hstar_den=g["hstar_den"] or None,
         )
 
 

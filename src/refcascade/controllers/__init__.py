@@ -66,6 +66,8 @@ _CLASSES = (
 _BY_VARIANT = {cls.variant: (cls, frozenset(inspect.signature(cls).parameters))
                for cls in _CLASSES}
 VARIANTS = tuple(_BY_VARIANT)
+# every name some variant's constructor takes
+_OPTIONS = frozenset().union(*(taken for _, taken in _BY_VARIANT.values()))
 
 
 def variant_options(variant: str) -> frozenset:
@@ -75,33 +77,23 @@ def variant_options(variant: str) -> frozenset:
     return _BY_VARIANT[variant][1]
 
 
-def build_controller(
-    variant: str,
-    shape: ArmShape,
-    gains: GainSet,
-    traj,
-    coeffs=None,
-    *,
-    theta_hat0=None,
-    feedforward_theta=None,
-    n_star=1,
-    freq_hat0=None,
-    freeze_freq=False,
-    matched_init=True,
-) -> ControllerBase:
+def build_controller(variant: str, shape: ArmShape, gains: GainSet, traj, coeffs=None,
+                     **options) -> ControllerBase:
     """Construct a controller variant; raises :class:`ConfigError` on misuse.
 
-    Each variant's constructor takes the options it names; the others are
-    not passed to it.
+    Each variant's constructor takes the options it names, with its own
+    defaults; the others are not passed to it.  An option that no variant
+    takes is an error.
     """
     taken = variant_options(variant)
+    unknown = sorted(set(options) - _OPTIONS)
+    if unknown:
+        raise ConfigError(f"unknown controller option(s): {', '.join(unknown)}")
+    if "coeffs" in taken:
+        if coeffs is None:
+            raise ConfigError(f"variant '{variant}' needs a cascade coefficient set")
+        options["coeffs"] = coeffs
     cls = _BY_VARIANT[variant][0]
-    if cls.needs_coeffs and coeffs is None:
-        raise ConfigError(f"variant '{variant}' needs a cascade coefficient set")
-    options = dict(
-        coeffs=coeffs, theta_hat0=theta_hat0, feedforward_theta=feedforward_theta,
-        n_star=n_star, freq_hat0=freq_hat0, freeze_freq=freeze_freq, matched_init=matched_init,
-    )
     return cls(shape, gains, traj, **{k: v for k, v in options.items() if k in taken})
 
 

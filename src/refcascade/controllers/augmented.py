@@ -34,13 +34,6 @@ from .base import ControllerBase, FilteredDamping, GainSet
 __all__ = ["FilteredAdaptiveController"]
 
 
-def make_loop_bank(coeffs, a0s, a1s, lam_vec, k_vec, cols):
-    """Per-joint loop-operator bank (strictly proper, relative degree one)."""
-    nums, dens = zip(*(regressor_loop_channel(coeffs.alphas, a0s, a1s, lam_r, k_r)
-                       for lam_r, k_r in zip(lam_vec, k_vec)))
-    return FilterBank(np.vstack(dens), [np.vstack(nums)], cols=cols)
-
-
 class ProxyController(FilteredDamping, ControllerBase):
     """Shared structure of the filtering laws.
 
@@ -52,6 +45,8 @@ class ProxyController(FilteredDamping, ControllerBase):
     nonlinear inputs ``h`` and ``damping``.
     """
 
+    availability = "full_corrected"
+
     def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0):
         super().__init__(shape, gains, traj)
         self.K = self._positive_k()
@@ -60,7 +55,7 @@ class ProxyController(FilteredDamping, ControllerBase):
         self.lambda_D = gains.lambda_D
         self.lam = gains.lam
         self.lambda_D_star = gains.lambda_D_star
-        self.refcfg = ReferenceConfig(coeffs, "full_corrected", self.Lam)
+        self.refcfg = ReferenceConfig(coeffs, self.availability, self.Lam)
         self.theta_hat0 = self._estimate0(theta_hat0)
 
     def _proxy(self, sig, alpha, a0, a1):
@@ -86,7 +81,6 @@ class ProxyController(FilteredDamping, ControllerBase):
 
 class FilteredAdaptiveController(ProxyController):
     variant = "filtered_adaptive"
-    availability = "full"
 
     def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0=None):
         gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
@@ -94,7 +88,10 @@ class FilteredAdaptiveController(ProxyController):
         self.alpha_star = gains.alpha_star
         self.a0s, self.a1s = gains.star_pair()
 
-        self.wbank = make_loop_bank(coeffs, self.a0s, self.a1s, self.Lam, self.K, self.p_dim)
+        # the loop operator per joint: strictly proper, relative degree one
+        loops = [regressor_loop_channel(coeffs.alphas, self.a0s, self.a1s, lam_r, k_r)
+                 for lam_r, k_r in zip(self.Lam, self.K)]
+        self.wbank = FilterBank.per_joint([(den, [num]) for num, den in loops], cols=self.p_dim)
         self.hbank = self.wbank.with_cols(1)
 
         n, p = self.n, self.p_dim
@@ -130,8 +127,8 @@ class FilteredAdaptiveController(ProxyController):
                    (zdot.T,)),
             late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
-                   "wbank": (self.wbank, sig("Y")),
-                   "hbank": (self.hbank, sig("Y_th"))},
+                   "wbank": block.chain("wbank", self.wbank, sig("Y")),
+                   "hbank": block.chain("hbank", self.hbank, sig("Y_th"))},
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 

@@ -25,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from ..manipulator import ArmShape
+from ..refdyn import QD_ROWS
 
 __all__ = [
     "ConfigError",
@@ -147,18 +148,16 @@ class GainSet:
                 raise ConfigError(f"gain '{name}' must be positive and finite")
 
 
-_AVAILABILITY_ORDER = {"position": 0, "velocity": 1, "full": 2}
-
-
 class TrajectoryView:
-    """Desired-trajectory access capped at a declared derivative order."""
+    """Desired-trajectory access capped at the derivative order a cascade
+    availability declares: the rows ``q_d, q_d', ...`` it reads."""
 
     def __init__(self, traj, availability: str):
-        if availability not in _AVAILABILITY_ORDER:
+        if availability not in QD_ROWS:
             raise ConfigError(f"unknown availability '{availability}'")
         self._traj = traj
         self.availability = availability
-        self.max_order = _AVAILABILITY_ORDER[availability]
+        self.max_order = QD_ROWS[availability] - 1
 
     def _refuse(self, order):
         raise ConfigError(
@@ -220,15 +219,16 @@ class ControlEval:
 class ControllerBase:
     """Common plumbing: shape, gains, trajectory view and state layout.
 
-    A subclass defines one variant: its name, whether it runs on a cascade
-    coefficient set, its torque law and its diagnostics.  The diagnostics
-    may read the true plant model, which the law itself never sees; a
-    variant without one returns NaN.
+    A subclass defines one variant: its name, its availability (the
+    reference-cascade variant, which also caps the desired-trajectory
+    derivatives the law may read), its torque law and its diagnostics.  A
+    variant runs on a cascade coefficient set when its constructor takes
+    ``coeffs``.  The diagnostics may read the true plant model, which the
+    law itself never sees; a variant without one returns NaN.
     """
 
     variant: str = ""
-    availability: str = "full"
-    needs_coeffs: bool = True
+    availability: str
 
     def __init__(self, shape: ArmShape, gains: GainSet, traj):
         self.shape = shape

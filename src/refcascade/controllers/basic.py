@@ -46,14 +46,13 @@ def compile_cascade(refcfg: ReferenceConfig, n: int) -> np.ndarray:
 
 
 class _CascadeController(ControllerBase):
-    """Base for variants whose layout leads with one reference cascade block ``phi``."""
-
-    ref_availability = "full"
+    """Base for variants whose layout leads with one reference cascade block
+    ``phi``, of the variant's availability."""
 
     def __init__(self, shape, gains: GainSet, traj, coeffs):
         super().__init__(shape, gains, traj)
-        lam = gains.lambda_diag(self.n) if self.ref_availability == "full_corrected" else None
-        self.refcfg = ReferenceConfig(coeffs, self.ref_availability, lam)
+        lam = gains.lambda_diag(self.n) if self.availability == "full_corrected" else None
+        self.refcfg = ReferenceConfig(coeffs, self.availability, lam)
         self.K = gains.k_diag(self.n)
         self.layout.add("phi", self.refcfg.ell, self.n)
         self.M = compile_cascade(self.refcfg, self.n)
@@ -62,7 +61,7 @@ class _CascadeController(ControllerBase):
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
         qd_dot0 = None
-        if self.ref_availability != "position":
+        if self.availability != "position":
             qd_dot0 = self.traj.eval(t0, 1)
         self.layout.view(x, "phi")[:] = cascade_init(self.refcfg, self.n, qd_dot0)
         return x
@@ -92,7 +91,6 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
 
     variant = "adaptive"
     availability = "position"
-    ref_availability = "position"
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
@@ -126,7 +124,6 @@ class PlainCascadeController(_CascadeController):
 
     variant = "plain"
     availability = "full"
-    ref_availability = "full"
 
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
@@ -149,7 +146,6 @@ class PidReformulatedController(ControllerBase):
 
     variant = "pid"
     availability = "full"
-    needs_coeffs = False
 
     def __init__(self, shape, gains, traj, matched_init=True):
         super().__init__(shape, gains, traj)
@@ -186,7 +182,6 @@ class PidTextbookController(ControllerBase):
 
     variant = "pid_textbook"
     availability = "full"
-    needs_coeffs = False
 
     def __init__(self, shape, gains, traj):
         super().__init__(shape, gains, traj)
@@ -212,10 +207,9 @@ class KnownParamsController(SIdentity, _CascadeController):
     """
 
     variant = "known"
-    availability = "full"
-    ref_availability = "full_corrected"
+    availability = "full_corrected"
 
-    def __init__(self, shape, gains, traj, coeffs, feedforward_theta):
+    def __init__(self, shape, gains, traj, coeffs, feedforward_theta=None):
         super().__init__(shape, gains, traj, coeffs)
         if feedforward_theta is None:
             raise ConfigError("known-parameter variant needs feedforward_theta")
@@ -242,8 +236,7 @@ class NonlinearDampingController(SIdentity, _CascadeController):
     """
 
     variant = "nldamp"
-    availability = "full"
-    ref_availability = "full_corrected"
+    availability = "full_corrected"
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
@@ -272,8 +265,7 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
     """
 
     variant = "passive"
-    availability = "full"
-    ref_availability = "full_corrected"
+    availability = "full_corrected"
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)

@@ -78,7 +78,6 @@ def hstar_denominator(gains: GainSet, n_star: int) -> np.ndarray:
 
 class StackedSingleController(ProxyController):
     variant = "stacked_single"
-    availability = "full"
 
     def __init__(self, shape, gains: GainSet, traj, coeffs: HurwitzCoeffs,
                  theta_hat0=None, freq_hat0=None, freeze_freq=False):
@@ -94,20 +93,15 @@ class StackedSingleController(ProxyController):
 
         alphas = coeffs.alphas
         # layer-error regressor filter (biproper) and the dual regressor paths
-        psi_nums, psi_dens = [], []
-        y_nums2, y_nums3, y_dens = [], [], []
+        psi, paths = [], []
         for lam_r, k_r in zip(self.Lam, self.K):
             num, den = freq_regressor_channel(alphas, self.a0s, self.a1s, lam_r)
-            psi_nums.append(num)
-            psi_dens.append(den)
+            psi.append((den, [num]))
             num2, den2 = tone_path_channel(alphas, self.a0s, self.a1s, self.alpha_star, lam_r, k_r)
             num3, _ = direct_path_channel(alphas, self.a0s, self.a1s, self.alpha_star, lam_r, k_r)
-            y_nums2.append(num2)
-            y_nums3.append(num3)
-            y_dens.append(den2)
-        self.b_psi = FilterBank(np.vstack(psi_dens), [np.vstack(psi_nums)], cols=1)
-        self.b_y = FilterBank(np.vstack(y_dens), [np.vstack(y_nums2), np.vstack(y_nums3)],
-                              cols=self.p_dim)
+            paths.append((den2, [num2, num3]))
+        self.b_psi = FilterBank.per_joint(psi)
+        self.b_y = FilterBank.per_joint(paths, cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
 
         n, p = self.n, self.p_dim
@@ -159,10 +153,10 @@ class StackedSingleController(ProxyController):
             late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f) * sig("W1_e"),
-                   "b_psi": (self.b_psi, psi),
-                   "b_psith": (self.b_psi, sig("psith")),
-                   "b_y": (self.b_y, sig("Y")),
-                   "b_v": (self.b_v, sig("Y_th"))},
+                   "b_psi": block.chain("b_psi", self.b_psi, psi),
+                   "b_psith": block.chain("b_psith", self.b_psi, sig("psith")),
+                   "b_y": block.chain("b_y", self.b_y, sig("Y")),
+                   "b_v": block.chain("b_v", self.b_v, sig("Y_th"))},
                   (-self.K[:, None] * s_aux + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
@@ -199,10 +193,9 @@ class StackedSingleController(ProxyController):
 
 class StackedMultiController(ProxyController):
     variant = "stacked_multi"
-    availability = "full"
 
     def __init__(self, shape, gains: GainSet, traj, coeffs: HurwitzCoeffs,
-                 n_star: int, theta_hat0=None, freq_hat0=None, freeze_freq=False):
+                 n_star=1, theta_hat0=None, freq_hat0=None, freeze_freq=False):
         n_star = int(n_star)
         if n_star < 1:
             raise ConfigError("stacked_multi needs at least one tone (n_star >= 1)")
@@ -225,37 +218,35 @@ class StackedMultiController(ProxyController):
         hden = np.append(hden_tail, 1.0)
         kpoly = np.array([self.k0s, self.k1s, 1.0])
         m = 2 * n_star
-
-        def tile(row):
-            return np.repeat(np.asarray(row, float)[None, :], self.n, axis=0)
+        joints = range(self.n)
 
         # marginal chain absorbing the chi_1 / psi_1 terms of the tone layer:
         # (hden - p^m) / p^m  driven by psi_1
         e_den = np.append(np.zeros(m), 1.0)
-        self.f_e = FilterBank(tile(e_den), [hden_tail], cols=1)
+        self.f_e = FilterBank.per_joint([(e_den, [hden_tail]) for _ in joints])
 
         # chain carrying the tone-regressor drive: hden / (p^m kpoly)
         u_den = poly_mul(e_den, kpoly)
-        self.f_u = FilterBank(tile(u_den), [hden], cols=1)
+        self.f_u = FilterBank.per_joint([(u_den, [hden]) for _ in joints])
 
         # tone regressors W_i = [p^(2i-2) kpoly / hden] psi_2, shared chain
         wi_nums = [poly_mul(np.append(np.zeros(2 * (i - 1)), 1.0), kpoly) for i in range(1, n_star + 1)]
-        self.f_w = FilterBank(tile(hden), wi_nums, cols=1)
+        self.f_w = FilterBank.per_joint([(hden, wi_nums) for _ in joints])
 
         # regressor paths: per-joint chains with n_star + 1 outputs
         den = poly_mul(hden, cascade_poly(coeffs.alphas))
         nums = [poly_mul(np.append(np.zeros(2 * (i - 1) + coeffs.ell - 1), 1.0), kpoly)
                 for i in range(1, n_star + 2)]  # p^(2i+ell-3) kpoly; the last is the direct path
-        self.b_y = FilterBank(
-            np.vstack([np.convolve(den, [k_r, 1.0]) for k_r in self.K]),
-            [np.vstack([lam_r * num for lam_r in self.Lam]) for num in nums],
+        self.b_y = FilterBank.per_joint(
+            [(np.convolve(den, [k_r, 1.0]), [lam_r * num for num in nums])
+             for k_r, lam_r in zip(self.K, self.Lam)],
             cols=self.p_dim,
         )
         self.b_v = self.b_y.with_cols(1)
 
         # collapsed inverse-filter composition: p^2 / kpoly (biproper)
         p2 = np.array([0.0, 0.0, 1.0])
-        self.f_outer_w = FilterBank(tile(kpoly), [p2], cols=self.p_dim)
+        self.f_outer_w = FilterBank.per_joint([(kpoly, [p2]) for _ in joints], cols=self.p_dim)
         self.f_outer_h = self.f_outer_w.with_cols(1)
 
         n, p = self.n, self.p_dim
@@ -327,16 +318,16 @@ class StackedMultiController(ProxyController):
             early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
                     "chi1": np.array((chi1[1], r1))},
                    (zdot.T,)),
-            late=({"f_e": (f_e, psi1),
-                   "f_u": (f_u, sig("m_drive")),
-                   "f_w": (self.f_w, psi2),
+            late=({"f_e": block.chain("f_e", f_e, psi1),
+                   "f_u": block.chain("f_u", f_u, sig("m_drive")),
+                   "f_w": block.chain("f_w", self.f_w, psi2),
                    "xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f[:, None]) * sig("W_err"),
-                   "b_y": (self.b_y, sig("Y")),
-                   "b_v": (self.b_v, sig("Y_th")),
-                   "outer_w": (self.f_outer_w, sig("mW")),
-                   "outer_h": (self.f_outer_h, sig("mh"))},
+                   "b_y": block.chain("b_y", self.b_y, sig("Y")),
+                   "b_v": block.chain("b_v", self.b_v, sig("Y_th")),
+                   "outer_w": block.chain("outer_w", self.f_outer_w, sig("mW")),
+                   "outer_h": block.chain("outer_h", self.f_outer_h, sig("mh"))},
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 

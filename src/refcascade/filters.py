@@ -97,6 +97,21 @@ class FilterBank:
         self.C = full[:, :, :-1] - self.D[:, :, None] * self.a
         self._has_D = (self.D != 0.0).any(axis=1).tolist()
 
+    @classmethod
+    def per_joint(cls, channels, cols=1) -> FilterBank:
+        """A bank with one row per joint (or per any other channel).
+
+        ``channels`` holds each row's ``(den, nums)``: its denominator and
+        one numerator per output, all in increasing powers.  The rows'
+        denominators share one order; their numerators may differ in length.
+        """
+        dens = np.array([den for den, _ in channels], dtype=float)
+        nums = np.zeros((len(channels[0][1]),) + dens.shape)
+        for r, (_, row) in enumerate(channels):
+            for k, num in enumerate(row):
+                nums[k, r, : len(num)] = num
+        return cls(dens, nums, cols=cols)
+
     # output-derivative maps, ydot = CA x + CB u (+ D udot) and likewise for
     # the second derivative; computed when first read, since most banks
     # serve only their outputs
@@ -218,12 +233,13 @@ class LinearBlock:
     ``S @ v``.  :meth:`signal` gives the unit signal of a state block, of
     ``q``, ``qdot``, ``qd`` (the three trajectory rows) or of a nonlinear
     input, and :meth:`tap` a filter bank's output from the bank's own
-    coefficients; any other linear function that accepts leading axes (the
+    coefficients, and :meth:`chain` the rate of a bank's chains under a
+    drive signal; any other linear function that accepts leading axes (the
     reference cascade) is evaluated on signals with that axis moved to the
-    front.  :meth:`compile` places the signals and the filter chains into
-    the matrices ``C``, ``early_map`` and ``late_map``, whose first
-    ``n_early`` and ``n_late`` rows are the state rates, and checks that
-    each stage reads only the columns it is given.
+    front.  :meth:`compile` places the signals into the matrices ``C``,
+    ``early_map`` and ``late_map``, whose first ``n_early`` and ``n_late``
+    rows are the state rates, and checks that each stage reads only the
+    columns it is given.
     """
 
     def __init__(self, layout, n, early, late):
@@ -277,6 +293,24 @@ class LinearBlock:
         diag[...] = maps.repeat(bank.cols, axis=-2)
         return out.reshape(lead + shape[:-1] + (self.width,))
 
+    def chain(self, name, bank, drive):
+        """Rate signal of the chains in block ``name`` driven by ``drive``.
+
+        Each state's rate is the next state; the last one's is the drive
+        minus the denominator tail.
+        """
+        start, shape = self._chain(name, bank)
+        m, size, W = bank.order, bank.state_size, self.width
+        rows = np.zeros((size, W))
+        # the superdiagonal of the chains' own columns, cut at each chain's end
+        rows.reshape(-1)[start + 1 : start + 1 + (size - 1) * (W + 1) : W + 1] = 1.0
+        own = rows[:, start : start + size]
+        own[m - 1 :: m] = 0.0
+        diag = np.einsum("gigj->gij", own.reshape(size // m, m, size // m, m))
+        diag[:, -1] = -bank.a.repeat(bank.cols, axis=0)
+        rows[m - 1 :: m] += drive.reshape(-1, W)
+        return rows.reshape(shape + (W,))
+
     def _chain(self, name, bank):
         """First column and shape of block ``name``, checked against ``bank``."""
         start, shape = self._cols[name]
@@ -289,10 +323,8 @@ class LinearBlock:
 
         ``outputs`` is a sequence of signals; ``early`` and ``late`` are
         each ``(rates, signals)``, ``rates`` mapping state-block names to
-        rate signals, or, for a filter block, to ``(bank, drive)``: the
-        bank's chains driven by the signal ``drive``.  The early rates'
-        blocks followed by the late ones' must be the layout's blocks, in
-        order.
+        rate signals.  The early rates' blocks followed by the late ones'
+        must be the layout's blocks, in order.
         """
         (early_rates, early_out), (late_rates, late_out) = early, late
         if tuple(early_rates) + tuple(late_rates) != self._names:
@@ -310,35 +342,7 @@ class LinearBlock:
         by ``signals``, and the signals' places in its product."""
         W = self.width
         flat = [s.reshape(-1, W) for s in signals]
-        if not any(isinstance(rate, tuple) for rate in rates.values()):
-            M = np.concatenate([rate.reshape(-1, W) for rate in rates.values()] + flat)
-        else:
-            # every block is a run of states, so its rows are a slice
-            first = self._cols[next(iter(rates))][0]
-            n_rates = sum(math.prod(self._cols[name][1]) for name in rates)
-            M = np.zeros((n_rates + sum(map(len, flat)), W))
-            for name, rate in rates.items():
-                start, shape = self._cols[name]
-                r0 = start - first
-                if isinstance(rate, tuple):
-                    bank, drive = rate
-                    self._chain(name, bank)
-                    m, size = bank.order, bank.state_size
-                    # the chains' own block is block diagonal: each state's
-                    # rate is the next state (the superdiagonal, cut at each
-                    # chain's end), the last one's is the drive minus the
-                    # denominator tail
-                    base = r0 * W + start
-                    M.reshape(-1)[base + 1 : base + 1 + (size - 1) * (W + 1) : W + 1] = 1.0
-                    own = M[r0 : r0 + size, start : start + size]
-                    own[m - 1 :: m] = 0.0
-                    diag = np.einsum("gigj->gij", own.reshape(size // m, m, size // m, m))
-                    diag[:, -1] = -bank.a.repeat(bank.cols, axis=0)
-                    M[r0 + m - 1 : r0 + size : m] += drive.reshape(-1, W)
-                else:
-                    M[r0 : r0 + math.prod(shape)] = rate.reshape(-1, W)
-            if flat:
-                M[n_rates:] = np.concatenate(flat)
+        M = np.concatenate([rate.reshape(-1, W) for rate in rates.values()] + flat)
         width = self._widths[stage]
         if M[:, width:].any():
             raise ValueError("a signal reads columns its stage is not given")

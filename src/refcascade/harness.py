@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _parse_float, _parse_vector
 from .controllers import (
     ConfigError,
     build_controller,
@@ -101,7 +101,7 @@ def build_model(cfg: ExperimentConfig) -> TwoLinkArm:
         m1=m["m1"], m2=m["m2"], l1=m["l1"], l2=m["l2"],
         lc1=m["lc1"], lc2=m["lc2"], I1=m["i1"], I2=m["i2"], g0=m["g0"],
     )
-    return TwoLinkArm(params, coriolis_sign=m["coriolis_sign"])
+    return TwoLinkArm(params)
 
 
 def _resolve_theta(spec: str, model, name):
@@ -110,11 +110,13 @@ def _resolve_theta(spec: str, model, name):
         return None
     try:
         if spec == "auto" or spec.startswith("auto:"):
-            factor = 1.0 if spec == "auto" else float(spec[5:])
+            factor = 1.0 if spec == "auto" else _parse_float(spec[5:])
             return factor * model.theta
-        vals = np.array([float(x) for x in spec.replace(",", " ").split()])
+        vals = np.array(_parse_vector(spec))
     except ValueError:
-        raise ConfigError(f"{name}: expected 'auto', 'auto:<factor>' or numbers, got '{spec}'") from None
+        raise ConfigError(
+            f"{name}: expected 'auto', 'auto:<factor>' or finite numbers, got '{spec}'"
+        ) from None
     if vals.shape != model.theta.shape:
         raise ConfigError(f"{name}: expected {model.theta.size} entries")
     return vals
@@ -144,27 +146,24 @@ def build_experiment(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"cascade coefficients rejected: {exc}") from exc
 
-    options = dict(
-        theta_hat0=_resolve_theta(c["theta_hat0"], model, "theta_hat0"),
-        feedforward_theta=_resolve_theta(c["feedforward_theta"], model, "feedforward_theta"),
-        n_star=c["n_star"],
-        freq_hat0=c["freq_hat0"],
-        freeze_freq=c["freeze_freq"],
-        matched_init=c["matched_init"],
-    )
-    # an option the variant does not take may only keep its default
+    # every other key of the section is a constructor option; an option the
+    # variant does not take may only keep its default
     taken = variant_options(c["variant"])
-    for key in options:
+    options = {}
+    for key, value in c.items():
+        if key in ("variant", "ell"):
+            continue
         if key not in taken and not cfg.is_default("controller", key):
             raise ConfigError(f"controller.{key} does not apply to variant '{c['variant']}'")
+        if key in ("theta_hat0", "feedforward_theta"):
+            value = _resolve_theta(value, model, key)
+        options[key] = value
     controller = build_controller(c["variant"], model.shape(), gains, traj, coeffs, **options)
     return model, controller, traj, dist
 
 
 def _validate_run(cfg):
     r = cfg.values["run"]
-    if not (math.isfinite(r["dt"]) and math.isfinite(r["duration"])):
-        raise ConfigError("dt and duration must be finite")
     if r["dt"] <= 0.0:
         raise ConfigError("dt must be positive")
     if r["duration"] < 10.0 * r["dt"]:

@@ -87,12 +87,9 @@ class TwoLinkArm:
     n = 2
     p_dim = 5
 
-    def __init__(self, params: ArmParams = DEFAULT_PARAMS, coriolis_sign: float = 1.0):
+    def __init__(self, params: ArmParams = DEFAULT_PARAMS):
         self.params = params
         self.theta = params.lumped()
-        # coriolis_sign is a fault-injection knob used by the validation
-        # suite's own mutation self-test; it must stay at +1 in real runs.
-        self._csign = float(coriolis_sign)
 
     # -- dynamics terms ----------------------------------------------------
 
@@ -106,7 +103,7 @@ class TwoLinkArm:
         """Christoffel-symbol Coriolis/centrifugal matrix."""
         a2 = self.theta[1]
         s2 = np.sin(q[1])
-        h = self._csign * a2 * s2
+        h = a2 * s2
         return np.array(
             [[-h * qdot[1], -h * (qdot[0] + qdot[1])], [h * qdot[0], 0.0]]
         )
@@ -164,7 +161,7 @@ class TwoLinkArm:
         q0, q1 = np.asarray(q).tolist()
         v0, v1 = np.asarray(qdot).tolist()
         c2 = np.cos(q1)
-        h = self._csign * a2 * np.sin(q1)
+        h = a2 * np.sin(q1)
         cq0, cq1 = (np.array([[-h * v1, -h * (v0 + v1)], [h * v0, 0.0]]) @ qdot).tolist()
         c12 = np.cos(q0 + q1)
         g0 = b1 * np.cos(q0) + b2 * c12

@@ -187,8 +187,11 @@ class TrajectorySpec(_SignalVector):
                     raise ValueError("tone frequencies must be positive")
 
     @classmethod
-    def polynomial(cls, coeffs_per_joint):
-        return cls([JointSignal(poly=tuple(c)) for c in coeffs_per_joint])
+    def polynomial(cls, coeffs_per_joint, offsets=None):
+        offsets = offsets if offsets is not None else [0.0] * len(coeffs_per_joint)
+        return cls(
+            [JointSignal(poly=tuple(c), offset=off) for c, off in zip(coeffs_per_joint, offsets)]
+        )
 
     @classmethod
     def multisine(cls, tones_per_joint, offsets=None):

@@ -1,8 +1,13 @@
 import csv
+from pathlib import Path
 
 import pytest
 
 from refcascade.cli import main
+from refcascade.manipulator import TwoLinkArm
+from refcascade.validation import suite_skew_symmetry
+
+RAMP_CFG = Path(__file__).resolve().parent.parent / "configs" / "ramp_adaptive.ini"
 
 
 RUN_CFG = """
@@ -69,6 +74,8 @@ class TestRunCommand:
         ["controller.variant=stacked_single", "controller.freq_hat0=1 2"],
         # an explicit tone-layer denominator must be Hurwitz
         ["controller.variant=stacked_multi", "controller.n_star=1", "gains.hstar_den=1 -1"],
+        # the removed Coriolis fault-injection knob is an unknown key
+        ["model.coriolis_sign=-1"],
     ])
     def test_rejected_override_exit_2(self, run_config, tmp_path, overrides):
         args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet"]
@@ -112,6 +119,26 @@ class TestRunCommand:
             "--set", override,
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("overrides", [
+        ["model.m1=nan"],
+        ["model.g0=inf"],
+        ["run.q0=nan 0"],
+        ["trajectory.offset=inf 0"],
+        ["disturbance.bias=nan 0"],
+        ["controller.theta_hat0=nan 1 1 1 1"],
+        ["controller.theta_hat0=auto:nan"],
+        ["controller.variant=stacked_single", "controller.freq_hat0=nan"],
+        ["controller.variant=stacked_multi", "gains.hstar_den=abc 1"],
+    ], ids=lambda overrides: overrides[-1])
+    def test_non_finite_config_value_exit_2(self, tmp_path, overrides):
+        # each of these used to run into a divergence (exit 3) or an
+        # internal error (exit 4) instead of being refused when parsed
+        args = ["run", "--config", str(RAMP_CFG), "--out", str(tmp_path / "o"), "--quiet",
+                "--set", "run.duration=1"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_exit_3(self, tmp_path):
@@ -212,11 +239,18 @@ class TestValidateCommand:
         assert code == 0
         assert "[PASS]" in text and "[FAIL]" not in text
 
-    def test_flipped_coriolis_fails(self, capsys, tmp_path):
-        code = main([
-            "validate", "--out", str(tmp_path),
-            "--set", "model.coriolis_sign=-1",
-        ])
+    def test_invalid_model_fails(self, capsys, tmp_path):
+        # the suites run on the model built from the overrides, and a failed
+        # suite is exit 1
+        code = main(["validate", "--out", str(tmp_path), "--set", "model.i2=-1"])
         text = capsys.readouterr().out
         assert code == 1
-        assert "[FAIL] coriolis-skew-symmetry" in text
+        assert "[FAIL] inertia-positive-definite" in text
+
+    def test_skew_suite_catches_flipped_coriolis(self):
+        class FlippedArm(TwoLinkArm):
+            def coriolis(self, q, qdot):
+                return -super().coriolis(q, qdot)
+
+        assert not suite_skew_symmetry(FlippedArm()).passed
+        assert suite_skew_symmetry(TwoLinkArm()).passed

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from refcascade.controllers import (
+    VARIANTS,
     ConfigError,
     GainSet,
     TrajectoryView,
@@ -13,7 +14,7 @@ from refcascade.filters import FilterBank
 from refcascade.harness import integrate
 from refcascade.manipulator import ArmParams, TwoLinkArm
 from refcascade.numerics import poly_mul, rk4_step
-from refcascade.refdyn import critically_damped_coeffs
+from refcascade.refdyn import QD_ROWS, critically_damped_coeffs
 from refcascade.signals import DisturbanceSpec, TrajectorySpec
 
 
@@ -286,6 +287,19 @@ class TestInformationDiscipline:
         with pytest.raises(ConfigError):
             view.eval(0.0, 2)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_view_order_is_the_availability_order(self, variant, model):
+        # one availability per variant: it caps the trajectory view and is
+        # the variant of the reference cascade the law runs
+        traj = TrajectorySpec.constant([0.0, 0.0])
+        ctrl = make(variant, model, traj, feedforward_theta=model.theta)
+        assert ctrl.traj.max_order == QD_ROWS[ctrl.availability] - 1
+        ctrl.traj.derivs(0.0, ctrl.traj.max_order)
+        with pytest.raises(ConfigError):
+            ctrl.traj.eval(0.0, ctrl.traj.max_order + 1)
+        if hasattr(ctrl, "refcfg"):
+            assert ctrl.refcfg.availability == ctrl.availability
+
     @pytest.mark.parametrize(
         "variant,kw",
         [
@@ -386,6 +400,11 @@ class TestGainValidation:
         traj = TrajectorySpec.constant([0.0, 0.0])
         with pytest.raises(ConfigError):
             build_controller("mystery", model.shape(), GainSet(), traj, COEFFS)
+
+    def test_option_no_variant_takes(self, model):
+        traj = TrajectorySpec.constant([0.0, 0.0])
+        with pytest.raises(ConfigError, match="bogus"):
+            make("adaptive", model, traj, bogus=1.0)
 
     def test_known_needs_theta(self, model):
         traj = TrajectorySpec.constant([0.0, 0.0])

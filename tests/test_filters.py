@@ -46,6 +46,17 @@ class TestMakeFilter:
         with pytest.raises(ValueError):
             scalar_bank([1.0, 0.0, 1.0], [1.0, 1.0])
 
+    def test_per_joint_rows_are_the_joints_filters(self):
+        # rows of different numerator lengths, the shorter padded with zeros
+        bank = FilterBank.per_joint([([2.0, 3.0, 1.0], [[1.0], [0.5, 1.0]]),
+                                     ([6.0, 5.0, 1.0], [[4.0, 1.0], [2.0]])])
+        for row, (num0, num1, den) in enumerate((([1.0], [0.5, 1.0], [2.0, 3.0, 1.0]),
+                                                 ([4.0, 1.0], [2.0], [6.0, 5.0, 1.0]))):
+            ref = FilterBank([den], [[num0], [num1]])
+            assert np.array_equal(bank.a[row], ref.a[0])
+            assert np.array_equal(bank.C[:, row], ref.C[:, 0])
+            assert np.array_equal(bank.D[:, row], ref.D[:, 0])
+
     def test_step_response(self):
         bank = scalar_bank([1.0], [1.0, 1.0])
         state, t = simulate_filter(bank, lambda tt: 1.0, 1.0)

@@ -252,6 +252,8 @@ def test_block_rejects_a_layout_that_does_not_match_its_bank():
     block = LinearBlock(ctrl.layout, ctrl.n, (), ())
     with pytest.raises(ValueError, match="state shape"):
         block.tap("hbank", bank)
+    with pytest.raises(ValueError, match="state shape"):
+        block.chain("hbank", bank, block.signal("q"))
 
 
 def test_compile_rejects_a_signal_read_too_early():
