@@ -191,16 +191,16 @@ class ExperimentConfig:
             return TrajectorySpec.constant(offset)
         if kind == "polynomial":
             coeffs = _pad_joints(self.get("trajectory", "coeffs"), n, (0.0,))
-            return TrajectorySpec.polynomial(coeffs, offset)
+            return _signal("trajectory", TrajectorySpec.polynomial, coeffs, offset)
         if kind == "multisine":
             tones = _pad_joints(self.get("trajectory", "tones"), n, ())
-            return TrajectorySpec.multisine(tones, offset)
+            return _signal("trajectory", TrajectorySpec.multisine, tones, offset)
         raise ConfigError(f"unknown trajectory kind '{kind}'")
 
     def build_disturbance(self, n) -> DisturbanceSpec:
         bias = _pad_vector(self.get("disturbance", "bias"), n)
         tones = _pad_joints(self.get("disturbance", "tones"), n, ())
-        return DisturbanceSpec.tones(tones, bias)
+        return _signal("disturbance", DisturbanceSpec.tones, tones, bias)
 
     def build_gains(self) -> GainSet:
         g = self.values["gains"]
@@ -245,6 +245,14 @@ def _pad_joints(joints, n, empty):
     if len(joints) != n:
         raise ConfigError(f"expected signal data for {n} joints, got {len(joints)}")
     return joints
+
+
+def _signal(section, build, *args):
+    """``build(*args)``, with the signal classes' value checks as config errors."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def load_config(path=None, overrides=()) -> ExperimentConfig:

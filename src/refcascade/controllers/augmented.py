@@ -29,7 +29,7 @@ import numpy as np
 
 from ..filters import FilterBank, LinearBlock, regressor_loop_channel
 from ..refdyn import ReferenceConfig, cascade_rates
-from .base import ControllerBase, FilteredDamping, GainSet
+from .base import ControllerBase, FilteredDamping, GainSet, second_order_pair
 
 __all__ = ["FilteredAdaptiveController"]
 
@@ -86,7 +86,7 @@ class FilteredAdaptiveController(ProxyController):
         gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.alpha_star = gains.alpha_star
-        self.a0s, self.a1s = gains.star_pair()
+        self.a0s, self.a1s = second_order_pair(gains.alpha_star)
 
         # the loop operator per joint: strictly proper, relative degree one
         loops = [regressor_loop_channel(coeffs.alphas, self.a0s, self.a1s, lam_r, k_r)

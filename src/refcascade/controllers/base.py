@@ -30,6 +30,7 @@ from ..refdyn import QD_ROWS
 __all__ = [
     "ConfigError",
     "GainSet",
+    "second_order_pair",
     "TrajectoryView",
     "Layout",
     "ControlEval",
@@ -67,15 +68,20 @@ def diag_entries(value, n, name) -> np.ndarray:
     return arr
 
 
+def second_order_pair(rate):
+    """``(a0, a1)`` of the critically damped ``p^2 + a1 p + a0 = (p + rate)^2``."""
+    return rate * rate, 2.0 * rate
+
+
 @dataclass(frozen=True)
 class GainSet:
     """Gains for all controller variants; unused entries are ignored.
 
     All scalars must be positive and all matrix-valued gains diagonal
     positive definite (supplied as scalars or per-channel vectors).  The
-    second-order target-error pairs are derived from their rates:
-    (alpha_star^2, 2 alpha_star) and likewise for the double-starred and
-    kappa-starred pairs.
+    second-order target-error pairs are derived from their rates
+    ``alpha_star``, ``alpha_star_star`` and ``kappa_star`` by
+    :func:`second_order_pair`.
     """
 
     K: float | np.ndarray = 20.0
@@ -129,18 +135,6 @@ class GainSet:
         if not (np.isfinite(g) & (g > 0.0)).all():
             raise ConfigError("tone adaptation gains must be positive and finite")
         return g
-
-    def star_pair(self):
-        a = self.alpha_star
-        return a * a, 2.0 * a
-
-    def star_star_pair(self):
-        a = self.alpha_star_star
-        return a * a, 2.0 * a
-
-    def kappa_pair(self):
-        k = self.kappa_star
-        return k * k, 2.0 * k
 
     def validate_positive(self, names):
         for name in names:

@@ -34,14 +34,13 @@ from ..filters import (
     FilterBank,
     LinearBlock,
     cascade_poly,
-    direct_path_channel,
     freq_regressor_channel,
-    tone_path_channel,
+    target_path_channels,
 )
 from ..numerics import poly_mul, routh_hurwitz
 from ..refdyn import HurwitzCoeffs, cascade_rates
 from .augmented import ProxyController
-from .base import ConfigError, GainSet
+from .base import ConfigError, GainSet, second_order_pair
 
 __all__ = ["StackedSingleController", "StackedMultiController", "hstar_denominator"]
 
@@ -87,7 +86,7 @@ class StackedSingleController(ProxyController):
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.gamma_f = gains.freq_gains(1)[0]
         self.alpha_star = gains.alpha_star
-        self.a0s, self.a1s = gains.star_pair()
+        self.a0s, self.a1s = second_order_pair(gains.alpha_star)
         self.freq_hat0 = _initial_tones(freq_hat0, 1)
         self.freeze_freq = bool(freeze_freq)
 
@@ -97,9 +96,9 @@ class StackedSingleController(ProxyController):
         for lam_r, k_r in zip(self.Lam, self.K):
             num, den = freq_regressor_channel(alphas, self.a0s, self.a1s, lam_r)
             psi.append((den, [num]))
-            num2, den2 = tone_path_channel(alphas, self.a0s, self.a1s, self.alpha_star, lam_r, k_r)
-            num3, _ = direct_path_channel(alphas, self.a0s, self.a1s, self.alpha_star, lam_r, k_r)
-            paths.append((den2, [num2, num3]))
+            paths.append(
+                target_path_channels(alphas, self.a0s, self.a1s, self.alpha_star, lam_r, k_r)
+            )
         self.b_psi = FilterBank.per_joint(psi)
         self.b_y = FilterBank.per_joint(paths, cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
@@ -208,8 +207,8 @@ class StackedMultiController(ProxyController):
         self.n_star = n_star
         self.gamma_f = gains.freq_gains(n_star)
         self.ass = gains.alpha_star_star
-        self.a0ss, self.a1ss = gains.star_star_pair()
-        self.k0s, self.k1s = gains.kappa_pair()
+        self.a0ss, self.a1ss = second_order_pair(self.ass)
+        self.k0s, self.k1s = second_order_pair(gains.kappa_star)
         self.kappa_s = gains.kappa_star
         self.freq_hat0 = _initial_tones(freq_hat0, n_star)
         self.freeze_freq = bool(freeze_freq)

@@ -404,21 +404,14 @@ def freq_regressor_channel(alphas, a0s, a1s, lam_r):
     return num, den
 
 
-def tone_path_channel(alphas, a0s, a1s, alpha_st, lam_r, k_r):
-    """Low-derivative path from the regressor into the target error."""
+def target_path_channels(alphas, a0s, a1s, alpha_st, lam_r, k_r):
+    """Paths from the regressor into the target error: ``(den, [low, high])``.
+
+    Both share den = P(p) (p + alpha_st) (p + k_r); the low-derivative
+    numerator is lam_r p^(l-2) (p^2 + a1s p + a0s), the high one p^2 times it.
+    """
     ell = len(alphas) - 1
     if ell < 2:
         raise ValueError("stacked operators need cascade order >= 2")
-    num = lam_r * poly_mul([a0s, a1s, 1.0], _monomial(ell - 2))
-    den = poly_mul(cascade_poly(alphas), [alpha_st, 1.0], [k_r, 1.0])
-    return num, den
-
-
-def direct_path_channel(alphas, a0s, a1s, alpha_st, lam_r, k_r):
-    """High-derivative path from the regressor into the target error."""
-    ell = len(alphas) - 1
-    if ell < 2:
-        raise ValueError("stacked operators need cascade order >= 2")
-    num = lam_r * poly_mul([a0s, a1s, 1.0], _monomial(ell))
-    den = poly_mul(cascade_poly(alphas), [alpha_st, 1.0], [k_r, 1.0])
-    return num, den
+    nums = [lam_r * poly_mul([a0s, a1s, 1.0], _monomial(power)) for power in (ell - 2, ell)]
+    return poly_mul(cascade_poly(alphas), [alpha_st, 1.0], [k_r, 1.0]), nums

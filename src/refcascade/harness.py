@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class TimeSeriesLog:
     """Per-run record: full-rate plant samples plus strided derived samples."""
@@ -59,7 +55,6 @@ class TimeSeriesLog:
     qdot: np.ndarray
     qd: np.ndarray
     dq: np.ndarray
-    extras_stride: int
     et: np.ndarray
     tau: np.ndarray
     tau_star: np.ndarray
@@ -247,27 +242,20 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
     if q0.shape != (n,) or qdot0.shape != (n,):
         raise ConfigError(f"q0/qdot0 must have {n} entries")
 
-    e_idx, tau_l, taus_l, refv_l, s_l, V_l, Vaux_l, th_l, fh_l = [], [], [], [], [], [], [], [], []
-    res_t, res_l = [], []
-    nan_row = np.full(n, np.nan)  # shared filler; np.vstack copies it
+    # one tuple per sampled step, in TimeSeriesLog's field order from ``et``
+    samples, residuals = [], []
+    nan_row = np.full(n, np.nan)  # shared filler; stacking copies it
 
     def sample(k, t, q, qdot, ev, ts):
-        e_idx.append(k)
-        tau_l.append(ev.tau)
-        taus_l.append(ts)
-        refv_l.append(ev.extras.get("ref_vel", nan_row))
-        s_l.append(ev.extras.get("s", nan_row))
-        V, V_aux = lyapunov_diag(controller, model, q, qdot, ev.extras)
-        V_l.append(V)
-        Vaux_l.append(V_aux)
-        th = ev.extras.get("theta_hat")
-        th_l.append(None if th is None else np.array(th))
-        fh = ev.extras.get("freq_hat")
-        fh_l.append(None if fh is None else np.array(fh))
+        extras = ev.extras
+        samples.append((
+            k, ev.tau, ts, extras.get("ref_vel", nan_row), extras.get("s", nan_row),
+            *lyapunov_diag(controller, model, q, qdot, extras),
+            extras.get("theta_hat"), extras.get("freq_hat"),
+        ))
         if res_stride and k % res_stride == 0:
-            res_t.append(t)
-            res_l.append(
-                closed_loop_residual(controller, model, t, q, qdot, ev.tau, ts, ev.extras)
+            residuals.append(
+                (t, closed_loop_residual(controller, model, t, q, qdot, ev.tau, ts, extras))
             )
 
     t_arr, q_arr, qdot_arr, div_time = integrate(
@@ -275,31 +263,10 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         r["extras_stride"], sample,
     )
     qd_arr = traj.eval_grid(t_arr, 0)
-    theta_arr = None
-    if th_l and th_l[0] is not None:
-        theta_arr = np.vstack(th_l)
-    freq_arr = None
-    if fh_l and fh_l[0] is not None:
-        freq_arr = np.vstack(fh_l)
-
     return TimeSeriesLog(
-        t=t_arr,
-        q=q_arr,
-        qdot=qdot_arr,
-        qd=qd_arr,
-        dq=q_arr - qd_arr,
-        extras_stride=r["extras_stride"],
-        et=np.array(e_idx, dtype=int),
-        tau=np.vstack(tau_l),
-        tau_star=np.vstack(taus_l),
-        ref_vel=np.vstack(refv_l),
-        s=np.vstack(s_l),
-        V=np.array(V_l),
-        V_aux=np.array(Vaux_l),
-        theta_hat=theta_arr,
-        freq_hat=freq_arr,
-        residual_t=np.array(res_t),
-        residual=np.array(res_l),
+        t_arr, q_arr, qdot_arr, qd_arr, q_arr - qd_arr,
+        *(None if col[0] is None else np.array(col) for col in zip(*samples)),
+        *np.array(residuals, dtype=float).reshape(-1, 2).T,
         diverged=div_time is not None,
         divergence_time=div_time,
         meta={
@@ -336,9 +303,6 @@ def compute_metrics(log: TimeSeriesLog) -> MetricsReport:
     )
 
 
-_SWEEP_AXES = ("ell", "kappa")
-
-
 def sweep(cfg: ExperimentConfig, axis: str, values):
     """One run per axis value; returns [(value, report)].
 
@@ -366,43 +330,33 @@ def sweep(cfg: ExperimentConfig, axis: str, values):
 # -- persistence ---------------------------------------------------------------
 
 
-def write_log_csv(log: TimeSeriesLog, path):
-    """Write the decimated run log as CSV (header row documents the order)."""
-    n = log.n
-    decim = int(log.meta.get("csv_decimate", 1))
-    cols = ["t"]
-    cols += [f"q{i+1}" for i in range(n)]
-    cols += [f"qdot{i+1}" for i in range(n)]
-    cols += [f"qd{i+1}" for i in range(n)]
-    cols += [f"dq{i+1}" for i in range(n)]
-    cols += [f"z{i+1}" for i in range(n)]
-    cols += [f"s{i+1}" for i in range(n)]
-    cols += [f"tau{i+1}" for i in range(n)]
-    cols += [f"taustar{i+1}" for i in range(n)]
-    cols += ["V", "Vaux"]
-    p_dim = 0 if log.theta_hat is None else log.theta_hat.shape[1]
-    cols += [f"thetahat{i+1}" for i in range(p_dim)]
-    f_dim = 0 if log.freq_hat is None else log.freq_hat.shape[1]
-    cols += [f"freqhat{i+1}" for i in range(f_dim)]
-
-    lines = [",".join(cols)]
-    for j, k in enumerate(log.et):
-        if k % decim != 0:
-            continue
-        row = [_fmt(log.t[k])]
-        for arr in (log.q, log.qdot, log.qd, log.dq):
-            row += [_fmt(v) for v in arr[k]]
-        for arr in (log.ref_vel, log.s, log.tau, log.tau_star):
-            row += [_fmt(v) for v in arr[j]]
-        row += [_fmt(log.V[j]), _fmt(log.V_aux[j])]
-        if log.theta_hat is not None:
-            row += [_fmt(v) for v in log.theta_hat[j]]
-        if log.freq_hat is not None:
-            row += [_fmt(v) for v in log.freq_hat[j]]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(path, header, rows):
+    """Write ``rows`` of numbers under ``header``, each value as ``%.17g``."""
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_log_csv(log: TimeSeriesLog, path):
+    """Write the decimated run log as CSV, one row per kept sample.
+
+    The column table below is the one statement of the file's layout: a
+    1-D array is one column, a 2-D array one column per entry, numbered
+    from 1.  Plant columns are indexed by step, derived ones by sample.
+    """
+    j = np.flatnonzero(log.et % int(log.meta.get("csv_decimate", 1)) == 0)
+    k = log.et[j]
+    table = [
+        ("t", log.t[k]), ("q", log.q[k]), ("qdot", log.qdot[k]), ("qd", log.qd[k]),
+        ("dq", log.dq[k]), ("z", log.ref_vel[j]), ("s", log.s[j]), ("tau", log.tau[j]),
+        ("taustar", log.tau_star[j]), ("V", log.V[j]), ("Vaux", log.V_aux[j]),
+    ] + [(name, est[j]) for name, est in (("thetahat", log.theta_hat), ("freqhat", log.freq_hat))
+         if est is not None]
+    header = []
+    for name, arr in table:
+        header += [name] if arr.ndim == 1 else [f"{name}{i + 1}" for i in range(arr.shape[1])]
+    _write_csv(path, header, np.column_stack([arr for _, arr in table]).tolist())
 
 
 def write_metrics_json(report: MetricsReport, path):
@@ -412,24 +366,12 @@ def write_metrics_json(report: MetricsReport, path):
 
 
 def write_sweep_csv(axis, results, path):
-    cols = [
+    header = [
         "axis_value", "rms_dq_first", "rms_dq_last", "max_torque",
         "final_V", "residual_max", "diverged",
     ]
-    lines = [",".join(cols)]
-    for value, rep in results:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(value),
-                    _fmt(rep.rms_dq_first),
-                    _fmt(rep.rms_dq_last),
-                    _fmt(rep.max_torque),
-                    _fmt(rep.final_V),
-                    _fmt(rep.residual_max) if not math.isnan(rep.residual_max) else "nan",
-                    "1" if rep.diverged else "0",
-                ]
-            )
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, header, [
+        (value, rep.rms_dq_first, rep.rms_dq_last, rep.max_torque, rep.final_V,
+         rep.residual_max, rep.diverged)
+        for value, rep in results
+    ])

@@ -45,7 +45,8 @@ def suite_inertia(model=None):
             M = model.inertia(np.array([q1, q2]))
             w = np.linalg.eigvalsh(M)
             min_eig = min(min_eig, w[0])
-            max_cond = max(max_cond, w[-1] / w[0])
+            # w[-1] / w[0] with w[0] <= 0 would read as a small or negative ratio
+            max_cond = max(max_cond, w[-1] / w[0] if w[0] > 0.0 else np.inf)
     ok = min_eig > 0.0 and max_cond <= 100.0
     return _result(
         "inertia-positive-definite",

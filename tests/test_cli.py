@@ -76,6 +76,10 @@ class TestRunCommand:
         ["controller.variant=stacked_multi", "controller.n_star=1", "gains.hstar_den=1 -1"],
         # the removed Coriolis fault-injection knob is an unknown key
         ["model.coriolis_sign=-1"],
+        # signal data the trajectory and disturbance classes refuse
+        ["trajectory.kind=polynomial", "trajectory.coeffs=1 2 3 4 5 6 7 8"],
+        ["trajectory.kind=multisine", "trajectory.tones=1@-2"],
+        ["disturbance.tones=1@0"],
     ])
     def test_rejected_override_exit_2(self, run_config, tmp_path, overrides):
         args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet"]
@@ -245,7 +249,9 @@ class TestValidateCommand:
         code = main(["validate", "--out", str(tmp_path), "--set", "model.i2=-1"])
         text = capsys.readouterr().out
         assert code == 1
+        # an indefinite inertia has an unbounded condition number
         assert "[FAIL] inertia-positive-definite" in text
+        assert "max condition number inf" in text
 
     def test_skew_suite_catches_flipped_coriolis(self):
         class FlippedArm(TwoLinkArm):

@@ -12,6 +12,7 @@ from refcascade.harness import (
     run_experiment,
     sweep,
     write_log_csv,
+    write_sweep_csv,
 )
 
 
@@ -169,7 +170,7 @@ def synthetic_log(dq, tau=None, V=None):
     V = np.zeros(n_samples) if V is None else V
     return TimeSeriesLog(
         t=t, q=dq.copy(), qdot=np.zeros_like(dq), qd=np.zeros_like(dq), dq=dq,
-        extras_stride=1, et=np.arange(n_samples), tau=tau,
+        et=np.arange(n_samples), tau=tau,
         tau_star=np.zeros_like(tau), ref_vel=np.zeros_like(tau), s=np.zeros_like(tau),
         V=V, V_aux=V.copy(), theta_hat=None, freq_hat=None,
         residual_t=np.array([]), residual=np.array([]),
@@ -201,6 +202,64 @@ class TestMetrics:
         log.divergence_time = 3.3
         rep = compute_metrics(log)
         assert rep.diverged and rep.divergence_time == 3.3
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def column(*values):
+    return np.array(values)[:, None]
+
+
+class TestCsvText:
+    # every value is written as "%.17g": 17 significant digits, so "-0",
+    # "nan", "inf", subnormals and integer-valued floats are pinned too
+    def test_log_csv_text(self, tmp_path):
+        # steps 0..4, derived samples every 2 steps, a row every 4: plant
+        # columns read steps 0 and 4, derived ones samples 0 and 2
+        log = TimeSeriesLog(
+            t=np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4]),
+            q=column(NAN, 9.0, 9.0, 9.0, -0.0), qdot=column(5e-324, 9.0, 9.0, 9.0, 1e300),
+            qd=column(1e-05, 9.0, 9.0, 9.0, 0.1), dq=column(-3.0, 9.0, 9.0, 9.0, -INF),
+            et=np.array([0, 2, 4]), tau=column(0.1, 8.0, 1e300),
+            tau_star=column(-0.0, 8.0, 5e-324), ref_vel=column(NAN, 8.0, NAN),
+            s=column(2.0, 8.0, -1e-05), V=np.array([0.5, 8.0, 12.0]),
+            V_aux=np.array([NAN, 8.0, 0.0]),
+            theta_hat=np.array([[1.0, -0.0], [8.0, 8.0], [0.1, 1e300]]),
+            freq_hat=column(2.0, 8.0, 5e-324),
+            residual_t=np.array([]), residual=np.array([]), meta={"csv_decimate": 4},
+        )
+        path = tmp_path / "log.csv"
+        write_log_csv(log, path)
+        assert path.read_text() == (
+            "t,q1,qdot1,qd1,dq1,z1,s1,tau1,taustar1,V,Vaux,thetahat1,thetahat2,freqhat1\n"
+            "0,nan,4.9406564584124654e-324,1.0000000000000001e-05,-3,nan,2,"
+            "0.10000000000000001,-0,0.5,nan,1,-0,2\n"
+            "0.40000000000000002,-0,1.0000000000000001e+300,0.10000000000000001,-inf,nan,"
+            "-1.0000000000000001e-05,1.0000000000000001e+300,4.9406564584124654e-324,12,0,"
+            "0.10000000000000001,1.0000000000000001e+300,4.9406564584124654e-324\n"
+        )
+
+    def test_sweep_csv_text(self, tmp_path):
+        def report(**changes):
+            fields = dict(
+                rms_dq_first=0.1, rms_dq_last=1e-05, max_torque=40.0, final_V=-0.0,
+                theta_hat_final=[], freq_hat_final=[], residual_max=NAN, diverged=False,
+                divergence_time=None,
+            )
+            return MetricsReport(**{**fields, **changes})
+
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv("ell", [
+            (2.0, report()),
+            (3.0, report(rms_dq_last=INF, residual_max=5e-324, diverged=True,
+                         divergence_time=1.5)),
+        ], path)
+        assert path.read_text() == (
+            "axis_value,rms_dq_first,rms_dq_last,max_torque,final_V,residual_max,diverged\n"
+            "2,0.10000000000000001,1.0000000000000001e-05,40,-0,nan,0\n"
+            "3,0.10000000000000001,inf,40,-0,4.9406564584124654e-324,1\n"
+        )
 
 
 class TestSweep:
