@@ -77,12 +77,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in args.values.split(",")] if args.values.strip() else []
     except ValueError:
         raise ConfigError(f"--values: expected comma-separated numbers, got '{args.values}'") from None
+    results = sweep(cfg, args.axis, values)
     if not values:
         _say(args, "empty sweep axis: nothing to do")
-    results = sweep(cfg, args.axis, values)
     out = _outdir(args)
     write_sweep_csv(args.axis, results, out / "sweep.csv")
     _say(args, f"wrote {out / 'sweep.csv'}")

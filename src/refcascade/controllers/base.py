@@ -170,6 +170,9 @@ class TrajectoryView:
             self._refuse(upto)
         return self._traj.derivs(t, upto)
 
+    def tabulate(self, times):
+        self._traj.tabulate(times)
+
 
 class Layout:
     """Named slices into a flat controller state vector."""

@@ -163,6 +163,8 @@ def _validate_run(cfg):
         raise ConfigError("dt must be positive")
     if r["duration"] < 10.0 * r["dt"]:
         raise ConfigError("duration must be at least 10 dt")
+    if not math.isfinite(r["duration"] / r["dt"]):
+        raise ConfigError("run.duration / run.dt overflows")
     if r["extras_stride"] < 1:
         raise ConfigError("extras_stride must be >= 1")
     if r["csv_decimate"] < 1 or r["csv_decimate"] % r["extras_stride"] != 0:
@@ -171,6 +173,10 @@ def _validate_run(cfg):
         raise ConfigError("residual_stride must be 0 or a positive multiple of extras_stride")
 
 
+_TABLE_STEPS = 256  # RK4 steps whose stage times one signal table covers
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     """Advance plant and controller jointly by ``steps`` RK4 steps of ``dt``.
 
@@ -178,13 +184,17 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     On every ``stride``-th step the controller is observed at the step
     start, ``sample(k, t, q, qdot, ev, tau_star)`` is called with that
     observation, and it doubles as the step's first RK4 stage.  A non-finite
-    state ends the run at the time of the step that produced it.
+    state ends the run at the time of the step that produced it, without
+    numpy's overflow and invalid-value warnings.  The trajectory and the
+    disturbance are tabulated over ``_TABLE_STEPS`` steps' stage times at a
+    time; no table outlives the call.
 
     Returns ``(t, q, qdot, divergence_time)``: the plant samples of every
     step reached, and ``None`` unless the run diverged.
     """
     n = model.n
     x = np.concatenate([q0, qdot0, controller.initial_state(q0, qdot0, 0.0)])
+    signals = (controller.traj, dist)
 
     def deriv(t, xx):
         q = xx[:n]
@@ -193,38 +203,51 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
         qdd = model.forward_dynamics(q, qdot, tau, dist.eval(t))
         return np.concatenate([qdot, qdd, xdot])
 
-    t_arr = np.empty(steps + 1)
-    q_arr = np.empty((steps + 1, n))
-    qdot_arr = np.empty((steps + 1, n))
+    try:
+        t_arr = np.empty(steps + 1)
+        q_arr = np.empty((steps + 1, n))
+        qdot_arr = np.empty((steps + 1, n))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"run.duration / run.dt: {steps:.3g} steps cannot be allocated") from None
     div_time = None
     k = 0
     t = 0.0
-    while True:
-        t_arr[k] = t
-        q = x[:n]
-        qdot = x[n : 2 * n]
-        q_arr[k] = q
-        qdot_arr[k] = qdot
+    try:
+        while True:
+            if k % _TABLE_STEPS == 0:
+                # the times this loop and rk4_step form, as they form them
+                starts = np.arange(k, min(k + _TABLE_STEPS, steps + 1)) * dt
+                times = np.concatenate([starts, starts + 0.5 * dt, starts + dt])
+                for signal in signals:
+                    signal.tabulate(times)
+            t_arr[k] = t
+            q = x[:n]
+            qdot = x[n : 2 * n]
+            q_arr[k] = q
+            qdot_arr[k] = qdot
 
-        k1 = None
-        if k % stride == 0:
-            ev = controller.observe(t, q, qdot, x[2 * n :])
-            ts = dist.eval(t)
-            k1 = np.concatenate([qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
-            sample(k, t, q, qdot, ev, ts)
+            k1 = None
+            if k % stride == 0:
+                ev = controller.observe(t, q, qdot, x[2 * n :])
+                ts = dist.eval(t)
+                k1 = np.concatenate([qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
+                sample(k, t, q, qdot, ev, ts)
 
-        if k >= steps:
-            break
-        try:
-            x = rk4_step(deriv, x, t, dt, k1=k1)
-        except NonFiniteStateError:
-            div_time = t
-            break
-        if not np.isfinite(x).all():
-            div_time = t
-            break
-        k += 1
-        t = k * dt
+            if k >= steps:
+                break
+            try:
+                x = rk4_step(deriv, x, t, dt, k1=k1)
+            except NonFiniteStateError:
+                div_time = t
+                break
+            if not np.isfinite(x).all():
+                div_time = t
+                break
+            k += 1
+            t = k * dt
+    finally:
+        for signal in signals:
+            signal.tabulate(None)
     return t_arr[: k + 1], q_arr[: k + 1], qdot_arr[: k + 1], div_time
 
 
@@ -309,6 +332,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values):
     ``axis`` is ``ell``, ``kappa`` or ``gain:<name>`` for any key in the
     gains section.
     """
+    if not (axis in ("ell", "kappa") or axis.startswith("gain:") and axis[5:] in cfg.values["gains"]):
+        raise ConfigError(f"unknown sweep axis '{axis}': expected ell, kappa or gain:<gains key>")
     results = []
     for value in values:
         sub = cfg.copy()
@@ -318,10 +343,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values):
             sub.set("controller", "ell", str(int(value)))
         elif axis == "kappa":
             sub.set("gains", "kappa", str(float(value)))
-        elif axis.startswith("gain:"):
-            sub.set("gains", axis.split(":", 1)[1], str(value))
         else:
-            raise ConfigError(f"unknown sweep axis '{axis}'")
+            sub.set("gains", axis[5:], str(value))
         log = run_experiment(sub)
         results.append((value, compute_metrics(log)))
     return results

@@ -69,7 +69,7 @@ class _SignalVector:
         one_each = owner == list(range(len(self.joints)))
         self._tone_owner = None if one_each else np.array(owner, dtype=int)
         self._range_cache: dict = {}
-        self._last: dict = {}
+        self.tabulate(None)
 
     @property
     def n(self) -> int:
@@ -104,10 +104,13 @@ class _SignalVector:
 
     def _rows(self, t, lo: int, hi: int) -> np.ndarray:
         key = (lo, hi)
-        last = self._last.get(key)
-        if last is not None and last[0] == t:
-            # the two midpoint stages of an RK4 step share their time
-            return last[1].copy()
+        if self._grid_times is not None:
+            if key not in self._table:
+                grid = self._grid(self._grid_times, lo, hi)
+                self._table[key] = dict(zip(self._grid_times.tolist(), grid))
+            row = self._table[key].get(t)
+            if row is not None:
+                return row.copy()
         base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
         out = base
         tp = t
@@ -121,8 +124,37 @@ class _SignalVector:
                     [np.bincount(self._tone_owner, weights=v, minlength=self.n) for v in vals]
                 )
             out = out + vals
-        self._last[key] = (t, out)
         return out.copy()
+
+    def _grid(self, times, lo: int, hi: int) -> np.ndarray:
+        """``_rows(t, lo, hi)`` at every ``t`` of ``times``: ``(T, hi - lo + 1, n)``.
+
+        The operations of :meth:`_rows` in the same order, so each row equals
+        it bitwise; times run along the last axis until the final transpose.
+        """
+        t = np.asarray(times, dtype=float).reshape(-1)
+        key = (lo, hi)
+        base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
+        out = np.repeat(base[..., None], t.size, axis=-1)
+        tp = t
+        for col in cols:
+            out += col[..., None] * tp
+            tp = tp * t
+        if tone_gain.size:
+            vals = tone_gain[..., None] * np.sin(self._tone_w[:, None] * t + tone_shift[..., None])
+            if self._tone_owner is not None:
+                # bincount's order: each joint sums its tones from zero
+                summed = np.zeros_like(out)
+                np.add.at(summed, (slice(None), self._tone_owner), vals)
+                vals = summed
+            out += vals
+        return np.ascontiguousarray(out.transpose(2, 0, 1))
+
+    def tabulate(self, times):
+        """Serve evaluations at ``times`` from tables, each order range's filled
+        by one :meth:`_grid` call on its first use; ``None`` drops them."""
+        self._grid_times = None if times is None else np.asarray(times, dtype=float)
+        self._table = {}
 
     def eval(self, t, order: int = 0) -> np.ndarray:
         return self._rows(t, order, order)[0]
@@ -136,37 +168,8 @@ class _SignalVector:
         return self._rows(t, 0, upto)
 
     def eval_grid(self, t, order: int = 0) -> np.ndarray:
-        """Vectorized evaluation over a time array; returns (len(t), n).
-
-        Row ``i`` equals ``eval(t[i], order)`` bitwise: these are the
-        operations of :meth:`_rows`, in the same order, on the whole grid.
-        """
-        # joints along rows and times along columns, so every loop runs
-        # over the long axis; the result is transposed back at the end
-        t = np.asarray(t, dtype=float).reshape(1, -1)
-        key = (order, order)
-        base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
-        out = np.repeat(base.T, t.size, axis=1)
-        if cols:
-            tp = t.copy()
-            term = np.empty_like(out)
-            for col in cols:
-                out += np.multiply(col.T, tp, out=term)
-                tp *= t
-        if tone_gain.size:
-            vals = self._tone_w[:, None] * t
-            vals += tone_shift.T
-            np.sin(vals, out=vals)
-            vals *= tone_gain.T
-            if self._tone_owner is None:
-                out += vals
-            else:
-                # bincount's order: each joint sums its tones from zero
-                summed = np.zeros_like(out)
-                for i, j in enumerate(self._tone_owner):
-                    summed[j] += vals[i]
-                out += summed
-        return np.ascontiguousarray(out.T)
+        """``(len(t), n)``: row ``i`` equals ``eval(t[i], order)`` bitwise."""
+        return self._grid(t, order, order)[:, 0]
 
 
 class TrajectorySpec(_SignalVector):

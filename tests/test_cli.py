@@ -125,6 +125,18 @@ class TestRunCommand:
         assert code == 2
 
     @pytest.mark.parametrize("overrides", [
+        ["run.duration=1e300"],
+        ["run.dt=1e-300", "run.duration=1"],
+        ["run.dt=1e-300", "run.duration=1e300"],  # the step count overflows a float
+    ], ids=lambda overrides: " ".join(overrides))
+    def test_unallocatable_run_length_exit_2(self, tmp_path, capsys, overrides):
+        args = ["run", "--config", str(RAMP_CFG), "--out", str(tmp_path / "o"), "--quiet"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+        assert "run.duration / run.dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
         ["model.m1=nan"],
         ["model.g0=inf"],
         ["run.q0=nan 0"],
@@ -144,7 +156,23 @@ class TestRunCommand:
             args += ["--set", pair]
         assert main(args) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, dt, duration", [
+        ("ramp_adaptive", "0.5", None),
+        ("tone_two", "1", None),
+        ("order_sweep", "1", None),
+        ("tone_single", "1", None),
+        ("pid_equivalence", "2", "100"),
+    ])
+    def test_divergent_configs_exit_3_without_warnings(self, tmp_path, name, dt, duration):
+        # numpy's overflow and invalid-value warnings stay inside integrate
+        args = ["run", "--config", str(RAMP_CFG.parent / f"{name}.ini"),
+                "--out", str(tmp_path / "o"), "--quiet", "--set", f"run.dt={dt}"]
+        if duration is not None:
+            args += ["--set", f"run.duration={duration}"]
+        assert main(args) == 3
+        assert (tmp_path / "o" / "log.csv").exists()
+
     def test_divergent_run_exit_3(self, tmp_path):
         code = main([
             "run", "--out", str(tmp_path / "o"), "--quiet",
@@ -174,6 +202,20 @@ class TestSweepCommand:
             "--quiet", "--axis", "ell", "--values", "a",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("axis, values", [
+        ("bogus", ""),
+        ("gain:nosuch", ""),
+        ("ell", "1,,2"),
+        ("ell", "1,"),
+    ])
+    def test_bad_axis_or_empty_field_exit_2(self, run_config, tmp_path, axis, values):
+        code = main([
+            "sweep", "--config", str(run_config), "--out", str(tmp_path / "sw"),
+            "--quiet", "--axis", axis, "--values", values,
+        ])
+        assert code == 2
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
 
     def test_empty_values(self, run_config, tmp_path):
         code = main([

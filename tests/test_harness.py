@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from refcascade.config import ExperimentConfig, load_config, parse_overrides
 from refcascade.controllers import ConfigError
 from refcascade.harness import (
+    _TABLE_STEPS,
     MetricsReport,
     TimeSeriesLog,
     build_experiment,
@@ -14,6 +17,8 @@ from refcascade.harness import (
     write_log_csv,
     write_sweep_csv,
 )
+from refcascade.numerics import rk4_step
+from refcascade.signals import _SignalVector
 
 
 def cfg_with(overrides):
@@ -69,7 +74,6 @@ class TestRunExperiment:
         assert np.max(np.abs(log.q)) == 0.0
         assert np.max(np.abs(log.tau)) == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_flagged_and_truncated(self):
         # a grossly oversized step destabilizes the integration; the run is
         # truncated and flagged, not repaired
@@ -127,6 +131,103 @@ class TestRunExperiment:
             run_experiment(cfg_with(BASE + [("gains", "alpha", "-1")]))
         with pytest.raises(ConfigError):
             run_experiment(cfg_with(BASE + [("controller", "ell", "9")]))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_records(model, controller, dist, dt, steps, stride):
+    """integrate's RK4 loop, written out on signals that are never tabulated."""
+    n = model.n
+    x = np.concatenate([np.zeros(2 * n), controller.initial_state(np.zeros(n), np.zeros(n), 0.0)])
+
+    def deriv(t, xx):
+        tau, xdot = controller.evaluate(t, xx[:n], xx[n : 2 * n], xx[2 * n :])
+        qdd = model.forward_dynamics(xx[:n], xx[n : 2 * n], tau, dist.eval(t))
+        return np.concatenate([xx[n : 2 * n], qdd, xdot])
+
+    plant, samples = [], []
+    for k in range(steps + 1):
+        t = k * dt
+        q, qdot = x[:n], x[n : 2 * n]
+        plant.append((t, q, qdot))
+        k1 = None
+        if k % stride == 0:
+            ev = controller.observe(t, q, qdot, x[2 * n :])
+            ts = dist.eval(t)
+            k1 = np.concatenate([qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
+            samples.append((k, t, q, qdot, ev.tau, ev.xdot, ts))
+        if k < steps:
+            x = rk4_step(deriv, x, t, dt, k1=k1)
+    return plant, samples
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for row_got, row_want in zip(got, want):
+        for a, b in zip(row_got, row_want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestIntegrateTables:
+    @pytest.mark.parametrize("name", ["order_sweep", "tone_two"])
+    def test_records_equal_untabulated_loop_bitwise(self, name, monkeypatch):
+        # known (multisine trajectory, one tone per joint) and stacked_multi
+        # (two tones per joint), over more than two signal-table blocks
+        cfg = load_config(CONFIGS / f"{name}.ini", [])
+        dt, stride = cfg.get("run", "dt"), cfg.get("run", "extras_stride")
+        steps = 2 * _TABLE_STEPS + 7
+        model, controller, traj, dist = build_experiment(cfg)
+        rows, misses = _SignalVector._rows, []
+
+        def spy(self, t, lo, hi):
+            out = rows(self, t, lo, hi)
+            if self._grid_times is not None and t not in self._table[(lo, hi)]:
+                misses.append(t)
+            return out
+
+        monkeypatch.setattr(_SignalVector, "_rows", spy)
+        samples = []
+        t, q, qdot, div_time = integrate(
+            model, controller, dist, np.zeros(2), np.zeros(2), dt, steps, stride,
+            lambda k, t, q, qdot, ev, ts: samples.append(
+                (k, t, q.copy(), qdot.copy(), ev.tau, ev.xdot, ts)
+            ),
+        )
+        assert div_time is None and misses == []  # every stage time is tabulated
+        monkeypatch.undo()
+        twin_model, twin_controller, twin_traj, twin_dist = build_experiment(cfg)
+        plant, want = reference_records(twin_model, twin_controller, twin_dist, dt, steps, stride)
+        assert twin_traj._grid_times is None and twin_dist._grid_times is None
+        assert_same_bits(list(zip(t, q, qdot)), plant)
+        assert_same_bits(samples, want)
+
+    def test_no_table_outlives_a_run(self):
+        for overrides in ([("run", "duration", "1.2")],  # returns after two blocks
+                          [("run", "dt", "1")]):  # diverges
+            cfg = load_config(CONFIGS / "order_sweep.ini", overrides)
+            model, controller, traj, dist = build_experiment(cfg)
+            dt = cfg.get("run", "dt")
+            steps = int(round(cfg.get("run", "duration") / dt))
+            *_, div_time = integrate(model, controller, dist, np.zeros(2), np.zeros(2),
+                                     dt, steps, 5, lambda *sample: None)
+            assert (div_time is not None) == (dt == 1)
+            for signal in (traj, dist):
+                assert signal._grid_times is None and signal._table == {}
+            twin_traj, twin_dist = build_experiment(cfg)[2:]
+            assert traj.derivs(0.1234, 2).tobytes() == twin_traj.derivs(0.1234, 2).tobytes()
+            assert dist.eval(0.1234).tobytes() == twin_dist.eval(0.1234).tobytes()
+
+    def test_no_table_outlives_a_raising_run(self):
+        model, controller, traj, dist = build_experiment(load_config(CONFIGS / "order_sweep.ini", []))
+
+        def sample(k, *rest):
+            if k == 300:
+                raise KeyError("stop")
+
+        with pytest.raises(KeyError):
+            integrate(model, controller, dist, np.zeros(2), np.zeros(2), 0.002, 600, 5, sample)
+        assert traj._grid_times is None and dist._grid_times is None
 
 
 class TestConfig:
@@ -269,6 +370,11 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             sweep(cfg_with(BASE), "mystery", [1.0])
+
+    @pytest.mark.parametrize("axis", ["mystery", "gain:nosuch", "gain:", "gains:k"])
+    def test_axis_checked_before_any_value(self, axis):
+        with pytest.raises(ConfigError, match="axis"):
+            sweep(cfg_with(BASE), axis, [])
 
     def test_gain_axis_runs(self):
         ov = BASE + [("run", "duration", "1")]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refcascade.harness import _TABLE_STEPS
 from refcascade.numerics import poly_mul
 from refcascade.signals import (
     DisturbanceSpec,
@@ -99,6 +100,67 @@ class TestDerivs:
             v = spec.eval(0.7)
             v[:] = 99.0
             assert np.array_equal(spec.eval(0.7), want[0])
+
+
+def _table_specs():
+    """One factory per signal kind, so a test can build untabulated twins."""
+    return [
+        lambda: TrajectorySpec.constant([0.3, -0.2]),
+        lambda: TrajectorySpec.polynomial(
+            [[0.3, 0.2, -0.05, 0.01, 0.002, -3e-4, 1e-5], [-0.1, 0.0, 0.02]], offsets=[0.1, 0.0]
+        ),
+        lambda: TrajectorySpec.multisine([[(0.5, 0.5, 0.0)], [(0.5, 0.5, 0.3)]]),
+        lambda: TrajectorySpec.multisine(
+            [[(0.3, 0.5, 0.0), (0.2, 1.7, -0.4)], [(0.1, 2.3, 1.0), (0.4, 0.9, 0.0), (0.2, 3.1, 0.2)]],
+            offsets=[0.1, -0.2],
+        ),
+        lambda: TrajectorySpec([
+            JointSignal(poly=(0.4, 0.25, -0.1), tones=(Tone(0.2, 1.1, 0.3), Tone(0.1, 2.3, -1.0))),
+            JointSignal(tones=(Tone(0.5, 0.7, 2.0),)),
+        ]),
+        lambda: DisturbanceSpec.tones([[(2.0, 1.3, 0.4), (2.0, 2.1, 0.0)], [(0.5, 2.0, 1.2)]],
+                                      bias=[0.5, -0.3]),
+        lambda: DisturbanceSpec.zero(2),
+    ]
+
+
+class TestTables:
+    # the order ranges the controllers and the harness read: eval(t, 0),
+    # eval(t, 1) and derivs(t, 0..2), plus single higher orders
+    RANGES = ((0, 0), (1, 1), (0, 1), (0, 2), (2, 2), (3, 3))
+
+    @pytest.mark.parametrize("dt", [0.002, 0.004])
+    @pytest.mark.parametrize("make", _table_specs())
+    def test_table_rows_equal_rows_bitwise(self, make, dt):
+        # integrate's blocks and stage-time expressions, over two blocks and
+        # part of a third; tobytes() also tells -0.0 from 0.0
+        steps = 2 * _TABLE_STEPS + 10
+        spec, twin = make(), make()
+        for k in range(steps):
+            if k % _TABLE_STEPS == 0:
+                starts = np.arange(k, min(k + _TABLE_STEPS, steps + 1)) * dt
+                spec.tabulate(np.concatenate([starts, starts + 0.5 * dt, starts + dt]))
+            t = k * dt
+            for tt in (t, t + 0.5 * dt, t + dt):
+                for lo, hi in self.RANGES:
+                    got = spec._rows(tt, lo, hi)
+                    assert tt in spec._table[(lo, hi)]
+                    assert got.tobytes() == twin._rows(tt, lo, hi).tobytes()
+
+    def test_rows_are_copies_of_the_table(self):
+        spec = _table_specs()[3]()
+        spec.tabulate([0.5, 1.0])
+        first = spec.derivs(0.5, 2)
+        first[:] = 99.0
+        assert not np.any(spec.derivs(0.5, 2) == 99.0)
+
+    def test_off_grid_and_dropped_tables_compute(self):
+        spec, twin = _table_specs()[5](), _table_specs()[5]()
+        spec.tabulate([0.0, 0.25, 0.5])
+        assert spec.eval(0.3).tobytes() == twin.eval(0.3).tobytes()
+        spec.tabulate(None)
+        assert spec._table == {}
+        assert spec.derivs(0.25, 2).tobytes() == twin.derivs(0.25, 2).tobytes()
 
 
 class TestDisturbance:
