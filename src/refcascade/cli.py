@@ -125,22 +125,36 @@ def cmd_pid_compare(args) -> int:
 
 def cmd_plot_data(args) -> int:
     src = Path(args.log)
-    if not src.exists():
+    if not src.is_file():
         raise ConfigError(f"log file not found: {src}")
-    with open(src, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+    try:
+        with open(src, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"log file {src} is not UTF-8 text: {exc}") from None
     if not rows:
         raise ConfigError("log file is empty")
     cols = rows[0].keys()
-    out = _outdir(args)
 
     def series(prefix):
-        names = sorted(
+        return sorted(
             (c for c in cols if c.startswith(prefix) and c[len(prefix):].isdigit()),
             key=lambda c: int(c[len(prefix):]),
         )
-        return names
+
+    dq_cols = series("dq")
+    est_cols = series("thetahat") + series("freqhat")
+    missing = [c for c in ("t", "V", "Vaux") if c not in cols]
+    if missing:
+        raise ConfigError(f"log file {src} lacks the column(s) {', '.join(missing)}")
+    # every cell is checked before any file is written
+    for line, row in enumerate(rows, start=2):
+        for c in ["t", "V", "Vaux"] + dq_cols + est_cols:
+            try:
+                float(row[c])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{src}, line {line}: {c} = {row[c]!r} is not a number") from None
+    out = _outdir(args)
 
     def write(name, header, extract):
         path = out / name
@@ -150,7 +164,6 @@ def cmd_plot_data(args) -> int:
                 fh.write(",".join(extract(row)) + "\n")
         _say(args, f"wrote {path}")
 
-    dq_cols = series("dq")
     write(
         "tracking_error.csv",
         ["t", "norm_dq"] + dq_cols,
@@ -158,7 +171,6 @@ def cmd_plot_data(args) -> int:
         + [r[c] for c in dq_cols],
     )
     write("lyapunov.csv", ["t", "V", "Vaux"], lambda r: [r["t"], r["V"], r["Vaux"]])
-    est_cols = series("thetahat") + series("freqhat")
     if est_cols:
         write("estimates.csv", ["t"] + est_cols, lambda r: [r["t"]] + [r[c] for c in est_cols])
     return EXIT_OK

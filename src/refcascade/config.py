@@ -260,9 +260,12 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
     cfg = ExperimentConfig.defaults()
     if path is not None:
         # ';' separates per-joint lists, so only '#' marks inline comments
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
         parser.optionxform = str.lower
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is malformed: {exc}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():

@@ -70,8 +70,8 @@ def rk4_step(deriv, x, t, h, k1=None):
         evaluated the derivative at the step start (e.g. for logging)
 
     Returns a new state vector; ``x`` is not modified.  Raises
-    :class:`NonFiniteStateError` if the combined increment contains NaN/Inf,
-    naming the offending state indices.
+    :class:`NonFiniteStateError` if the new state contains NaN/Inf, naming
+    the offending state indices.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
@@ -81,11 +81,10 @@ def rk4_step(deriv, x, t, h, k1=None):
     k2 = deriv(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = deriv(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = deriv(t + h, x + h * k3)
-    incr = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    if not np.isfinite(incr).all():
-        bad = np.flatnonzero(~np.isfinite(incr))
-        raise NonFiniteStateError(bad, t)
-    return x + (h / 6.0) * incr
+    x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(x_new).all():
+        raise NonFiniteStateError(np.flatnonzero(~np.isfinite(x_new)), t)
+    return x_new
 
 
 def routh_hurwitz(poly) -> str:

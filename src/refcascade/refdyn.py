@@ -18,9 +18,9 @@ what is measured.  Each variant therefore ships as a degree-reduced cascade
 of ell first-order states whose right sides read only q, qdot, q_d (plus the
 declared q_d derivatives): every unmeasurable term is folded into a shifted
 cascade state, and the per-level shifts telescope so that the chain is
-exactly equivalent to the high-order ODE.  The ``reference_oracle`` below
+exactly equivalent to the high-order ODE.  ``oracle_realization_gaps`` below
 integrates the literal high-order ODE using exact analytic derivatives and is
-the test-side ground truth for that equivalence.
+the ground truth for that equivalence.
 
 Scaling the coefficients by alpha_k -> alpha_k / kappa^(ell+1-k) dilates the
 autonomous dynamics in time by kappa; critically damped sets (binomial
@@ -46,8 +46,6 @@ __all__ = [
     "scale_coeffs",
     "cascade_init",
     "cascade_rates",
-    "reference_oracle",
-    "realization_trajectory",
     "oracle_realization_gaps",
 ]
 
@@ -223,7 +221,7 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     return phi_dot, phi_dot[0]
 
 
-# -- high-order oracle (test-side ground truth) -------------------------------
+# -- high-order oracle, the ground truth of the realization -------------------
 
 
 def oracle_initial_state(config, q_traj, qd_traj, t0=0.0) -> np.ndarray:
@@ -276,11 +274,11 @@ def _half_grid(t_grid):
     return t_grid[0] + 0.5 * h * np.arange(2 * steps + 1), h
 
 
-def _rk4_grid(f, x0, n_steps, h, out_dim):
+def _rk4_grid(f, x0, n_steps, h):
     """Fixed-grid RK4 where f(j, x) reads precomputed stage-time data."""
-    out = np.empty((n_steps + 1, out_dim))
+    out = np.empty((n_steps + 1, x0.size))
     x = x0.copy()
-    out[0] = x[:out_dim]
+    out[0] = x
     for i in range(n_steps):
         j = 2 * i
         k1 = f(j, x)
@@ -288,7 +286,7 @@ def _rk4_grid(f, x0, n_steps, h, out_dim):
         k3 = f(j + 1, x + 0.5 * h * k2)
         k4 = f(j + 2, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x[:out_dim]
+        out[i + 1] = x
     return out
 
 
@@ -350,31 +348,15 @@ def _realization_system(config, q_traj, qd_traj, ts):
     return f, phi0
 
 
-def reference_oracle(config, q_traj, qd_traj, t_grid) -> np.ndarray:
-    """Integrate the literal high-order reference ODE; returns z over t_grid.
-
-    All trajectory derivatives are evaluated analytically on the RK4 stage
-    grid up front; the oracle never touches the degree-reduced cascade.
-    """
-    ts, h = _half_grid(t_grid)
-    f, Z0 = _oracle_system(config, q_traj, qd_traj, ts, t_grid[0])
-    return _rk4_grid(f, Z0, len(t_grid) - 1, h, q_traj.n)
-
-
-def realization_trajectory(config, q_traj, qd_traj, t_grid) -> np.ndarray:
-    """Integrate the degree-reduced cascade driven by the same signals."""
-    ts, h = _half_grid(t_grid)
-    f, phi0 = _realization_system(config, q_traj, qd_traj, ts)
-    return _rk4_grid(f, phi0, len(t_grid) - 1, h, q_traj.n)
-
-
 def oracle_realization_gaps(configs, q_traj, qd_traj, t_grid) -> list[float]:
-    """``max |reference_oracle - realization_trajectory|`` for each config.
+    """``max |z_oracle - z_realized|`` over ``t_grid``, for each config.
 
-    Every oracle and realization is integrated as one slice of a single
-    stacked state.  RK4 acts elementwise, so each slice follows exactly the
-    numbers of its separate integration, while the per-step cost of the
-    integrator is paid once instead of twice per config.
+    The oracle integrates the literal high-order ODE on trajectory derivatives
+    evaluated analytically up front; the realization integrates the
+    degree-reduced cascade on the same signals.  Each is one slice of a
+    single stacked state: RK4 acts elementwise, so each slice follows exactly
+    the numbers of its separate integration, while the integrator's per-step
+    cost is paid once instead of twice per config.
     """
     n = q_traj.n
     ts, h = _half_grid(t_grid)
@@ -389,6 +371,6 @@ def oracle_realization_gaps(configs, q_traj, qd_traj, t_grid) -> list[float]:
         return np.concatenate([fi(j, x[sl]) for fi, sl in parts])
 
     x0 = np.concatenate([x0 for _, x0 in systems])
-    out = _rk4_grid(f, x0, len(t_grid) - 1, h, x0.size)
+    out = _rk4_grid(f, x0, len(t_grid) - 1, h)
     z = [out[:, a : a + n] for a in starts[:-1]]
     return [float(np.max(np.abs(z_o - z_r))) for z_o, z_r in zip(z[0::2], z[1::2])]

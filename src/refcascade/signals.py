@@ -111,26 +111,13 @@ class _SignalVector:
             row = self._table[key].get(t)
             if row is not None:
                 return row.copy()
-        base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
-        out = base
-        tp = t
-        for col in cols:
-            out = out + col * tp
-            tp *= t
-        if tone_gain.size:
-            vals = tone_gain * np.sin(self._tone_w * t + tone_shift)
-            if self._tone_owner is not None:
-                vals = np.array(
-                    [np.bincount(self._tone_owner, weights=v, minlength=self.n) for v in vals]
-                )
-            out = out + vals
-        return out.copy()
+        return self._grid((t,), lo, hi)[0]
 
     def _grid(self, times, lo: int, hi: int) -> np.ndarray:
-        """``_rows(t, lo, hi)`` at every ``t`` of ``times``: ``(T, hi - lo + 1, n)``.
+        """Orders ``lo..hi`` at every ``t`` of ``times``: ``(T, hi - lo + 1, n)``.
 
-        The operations of :meth:`_rows` in the same order, so each row equals
-        it bitwise; times run along the last axis until the final transpose.
+        The one evaluator of the signal: times run along the last axis until
+        the final transpose, and a table row or a single time is a row of it.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
         key = (lo, hi)
@@ -143,7 +130,7 @@ class _SignalVector:
         if tone_gain.size:
             vals = tone_gain[..., None] * np.sin(self._tone_w[:, None] * t + tone_shift[..., None])
             if self._tone_owner is not None:
-                # bincount's order: each joint sums its tones from zero
+                # each joint sums its tones from zero, in tone order
                 summed = np.zeros_like(out)
                 np.add.at(summed, (slice(None), self._tone_owner), vals)
                 vals = summed

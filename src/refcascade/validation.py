@@ -55,11 +55,11 @@ def suite_inertia(model=None):
     )
 
 
-def suite_skew_symmetry(model=None, samples=1000, seed=1234):
+def suite_skew_symmetry(model=None):
     model = model or TwoLinkArm()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(1000):
         q = rng.uniform(-10.0, 10.0, 2)
         qdot = rng.uniform(-10.0, 10.0, 2)
         xv = rng.uniform(-10.0, 10.0, 2)
@@ -69,9 +69,9 @@ def suite_skew_symmetry(model=None, samples=1000, seed=1234):
     return _result("coriolis-skew-symmetry", ok, f"max |x'(dM/dt - 2C)x| = {worst:.3e}")
 
 
-def suite_inertia_rate(model=None, seed=99):
+def suite_inertia_rate(model=None):
     model = model or TwoLinkArm()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(99)
     worst = 0.0
     h = 1e-5
     for _ in range(50):
@@ -83,11 +83,11 @@ def suite_inertia_rate(model=None, seed=99):
     return _result("inertia-rate-consistency", ok, f"max |analytic - FD| = {worst:.3e}")
 
 
-def suite_regressor(model=None, samples=1000, seed=4321):
+def suite_regressor(model=None):
     model = model or TwoLinkArm()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(4321)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(1000):
         q, qdot, zeta, zetadot = (rng.uniform(-5.0, 5.0, 2) for _ in range(4))
         lhs = model.inertia(q) @ zetadot + model.coriolis(q, qdot) @ zeta + model.gravity(q)
         rhs = model.regressor(q, qdot, zeta, zetadot) @ model.theta
@@ -96,9 +96,9 @@ def suite_regressor(model=None, samples=1000, seed=4321):
     return _result("regressor-identity", ok, f"max residual = {worst:.3e}")
 
 
-def suite_gravity_gradient(model=None, seed=7):
+def suite_gravity_gradient(model=None):
     model = model or TwoLinkArm()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
     h = 1e-6
     for _ in range(100):
@@ -112,7 +112,7 @@ def suite_gravity_gradient(model=None, seed=7):
     return _result("gravity-gradient", ok, f"max |FD - analytic| = {worst:.3e}")
 
 
-def suite_cascade_equivalence(tol=1e-6, t_end=10.0, dt=1e-3):
+def suite_cascade_equivalence():
     qd = TrajectorySpec([
         JointSignal(poly=(0.3, 0.2, -0.05, 0.01)),
         JointSignal(poly=(-0.1, 0.15, 0.02, -0.004)),
@@ -121,7 +121,7 @@ def suite_cascade_equivalence(tol=1e-6, t_end=10.0, dt=1e-3):
         JointSignal(poly=(0.25, 0.18, -0.04, 0.01), tones=(Tone(0.1, 1.3, 0.4),)),
         JointSignal(poly=(-0.05, 0.1, 0.03, -0.004), tones=(Tone(0.08, 0.9, -0.2),)),
     ])
-    t = np.arange(0.0, t_end + dt / 2, dt)
+    t = np.arange(0.0, 10.0 + 5e-4, 1e-3)
     cases, configs = [], []
     for availability in ("position", "velocity", "full", "full_corrected"):
         for ell in (1, 2, 3):
@@ -135,7 +135,7 @@ def suite_cascade_equivalence(tol=1e-6, t_end=10.0, dt=1e-3):
         if err > worst:
             worst = err
             worst_case = case
-    ok = worst <= tol
+    ok = worst <= 1e-6
     return _result(
         "cascade-equivalence",
         ok,
@@ -199,10 +199,10 @@ def _tone_responses(pairs):
     return bank, gains
 
 
-def suite_filter_frequency_response(n_filters=20, seed=2024):
-    rng = np.random.default_rng(seed)
+def suite_filter_frequency_response():
+    rng = np.random.default_rng(2024)
     by_order = {}
-    for _ in range(n_filters):
+    for _ in range(20):
         num, den = _random_stable_filter(rng)
         by_order.setdefault(den.size - 1, []).extend(
             (num, den, omega) for omega in rng.uniform(0.5, 3.0, 5)
@@ -220,8 +220,8 @@ def suite_filter_frequency_response(n_filters=20, seed=2024):
     )
 
 
-def suite_tone_parameters(seed=3001):
-    rng = np.random.default_rng(seed)
+def suite_tone_parameters():
+    rng = np.random.default_rng(3001)
     worst = 0.0
     for _ in range(100):
         m = int(rng.integers(1, 5))
@@ -250,10 +250,10 @@ def suite_tone_parameters(seed=3001):
     )
 
 
-def suite_stability_criterion(samples=1000, seed=5150):
-    rng = np.random.default_rng(seed)
+def suite_stability_criterion():
+    rng = np.random.default_rng(5150)
     failures = 0
-    for _ in range(samples):
+    for _ in range(1000):
         n_factors = int(rng.integers(1, 5))
         poly = np.array([1.0])
         any_unstable = False
@@ -275,7 +275,7 @@ def suite_stability_criterion(samples=1000, seed=5150):
             failures += 1
     ok = failures == 0
     return _result(
-        "stability-criterion", ok, f"{failures} disagreements out of {samples} polynomials"
+        "stability-criterion", ok, f"{failures} disagreements out of 1000 polynomials"
     )
 
 

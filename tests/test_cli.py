@@ -52,6 +52,20 @@ class TestRunCommand:
         code = main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        b"[run]\ndt = 0.002\ndt = 0.004\n",  # duplicate key
+        b"[run]\ndt = 0.002\n[run]\nduration = 2\n",  # duplicate section
+        b"[run]\ndt = 0.002\nduration\n",  # key with no '='
+        b"dt = 0.002\n",  # no section header
+        b"[run]\nduration = 5%\n",  # '%', which interpolation would read
+        b"[run]\n# caf\xe9\ndt = 0.002\n",  # not UTF-8
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_bad_override_exit_2(self, run_config, tmp_path):
         code = main([
             "run", "--config", str(run_config), "--out", str(tmp_path / "o"),
@@ -267,6 +281,27 @@ class TestPlotData:
     def test_missing_log_exit_2(self, tmp_path):
         code = main(["plot-data", "--log", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        b"q1,dq1,V,Vaux\n0.1,0.1,1,0\n",  # no t
+        b"t,dq1,Vaux\n0,0.1,0\n",  # no V
+        b"t,dq1,V\n0,0.1,1\n",  # no Vaux
+        b"t,dq1,V,Vaux\n0,0.1,1,0\n0.1,abc,1,0\n",  # a non-numeric dq cell
+        b"t,dq1,V,Vaux\n0,0.1,1,0\n0.1,0.2,1,\n",  # an empty cell
+        b"t,dq1,V,Vaux\n0,0.1,1,0\n0.1,0.2,1\n",  # a short row
+        b"t,dq1,V,Vaux\n0,0.1,1,\xe9\n",  # not UTF-8
+    ])
+    def test_malformed_log_exit_2_before_writing(self, tmp_path, text):
+        log = tmp_path / "log.csv"
+        log.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["plot-data", "--log", str(log), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+
+    def test_directory_as_log_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["plot-data", "--log", str(tmp_path), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
 
 
 class TestHelp:

@@ -3,6 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
+from refcascade import harness
 from refcascade.config import ExperimentConfig, load_config, parse_overrides
 from refcascade.controllers import ConfigError
 from refcascade.harness import (
@@ -18,7 +21,7 @@ from refcascade.harness import (
     write_sweep_csv,
 )
 from refcascade.numerics import rk4_step
-from refcascade.signals import _SignalVector
+from refcascade.signals import DisturbanceSpec, TrajectorySpec, _SignalVector
 
 
 def cfg_with(overrides):
@@ -218,6 +221,21 @@ class TestIntegrateTables:
             assert traj.derivs(0.1234, 2).tobytes() == twin_traj.derivs(0.1234, 2).tobytes()
             assert dist.eval(0.1234).tobytes() == twin_dist.eval(0.1234).tobytes()
 
+    def test_overflowing_step_ends_the_run(self):
+        # a coasting joint whose position overflows on the step from t = 2:
+        # every stage rate is finite, only the new state is not
+        coast = SimpleNamespace(
+            n=1, traj=TrajectorySpec.constant([0.0]),
+            initial_state=lambda q, qdot, t: np.zeros(0),
+            evaluate=lambda t, q, qdot, x: (np.zeros(1), np.zeros(0)),
+            observe=lambda t, q, qdot, x: SimpleNamespace(tau=np.zeros(1), xdot=np.zeros(0)),
+            forward_dynamics=lambda q, qdot, tau, ts: np.zeros(1),
+        )
+        t, q, qdot, div_time = integrate(coast, coast, DisturbanceSpec.zero(1), np.array([1.5e308]),
+                                         np.array([0.1e308]), 1.0, 10, 1, lambda *sample: None)
+        assert div_time == 2.0 and np.array_equal(t, [0.0, 1.0, 2.0])
+        assert np.isfinite(q).all()
+
     def test_no_table_outlives_a_raising_run(self):
         model, controller, traj, dist = build_experiment(load_config(CONFIGS / "order_sweep.ini", []))
 
@@ -375,6 +393,15 @@ class TestSweep:
     def test_axis_checked_before_any_value(self, axis):
         with pytest.raises(ConfigError, match="axis"):
             sweep(cfg_with(BASE), axis, [])
+
+    @pytest.mark.parametrize("axis, values", [("ell", [1, 2.5]), ("ell", [1, 2, 9]),
+                                              ("gain:k", [20, -5]), ("kappa", [1, 0.5])])
+    def test_every_value_checked_before_any_run(self, axis, values, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", runs.append)
+        with pytest.raises(ConfigError):
+            sweep(cfg_with(BASE), axis, values)
+        assert runs == []
 
     def test_gain_axis_runs(self):
         ov = BASE + [("run", "duration", "1")]

@@ -55,6 +55,15 @@ class TestRk4:
             rk4_step(bad, np.zeros(4), 0.0, 0.1)
         assert 2 in exc.value.indices
 
+    def test_overflowing_new_state_names_index(self):
+        # every stage rate and the increment are finite; only x + h/6 incr
+        # overflows, in entry 1
+        c = np.array([0.0, 0.18e308])
+        rates = iter([c, c, 0.0 * c, c])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
+            rk4_step(lambda t, x: next(rates), np.array([1.0, 1.7e308]), 0.0, 1.0)
+        assert exc.value.indices == [1]
+
     def test_deterministic(self):
         def f(t, x):
             return np.sin(x) + t * x

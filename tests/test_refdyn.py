@@ -10,12 +10,13 @@ from refcascade.numerics import poly_from_roots
 from refcascade.refdyn import (
     HurwitzCoeffs,
     ReferenceConfig,
+    _half_grid,
+    _realization_system,
+    _rk4_grid,
     cascade_init,
     cascade_rates,
     critically_damped_coeffs,
     oracle_realization_gaps,
-    realization_trajectory,
-    reference_oracle,
     scale_coeffs,
 )
 from refcascade.signals import JointSignal, Tone, TrajectorySpec
@@ -238,15 +239,15 @@ class TestRealizationEquivalence:
         # distinct real poles at -1, -2, -3
         cfg = ReferenceConfig(HurwitzCoeffs(2, np.array([6.0, 11.0, 6.0])), "full")
         t = np.arange(0.0, 10.0 + 5e-4, 1e-3)
-        assert np.max(np.abs(
-            reference_oracle(cfg, q, qd, t) - realization_trajectory(cfg, q, qd, t)
-        )) <= 1e-6
+        assert oracle_realization_gaps([cfg], q, qd, t)[0] <= 1e-6
 
     def test_perfect_tracking_converges_to_desired_velocity(self, driven_signals):
         _, qd = driven_signals
         cfg = ReferenceConfig(critically_damped_coeffs(4.0, 2), "full")
         t = np.arange(0.0, 10.0 + 5e-4, 1e-3)
-        z = realization_trajectory(cfg, qd, qd, t)
+        ts, h = _half_grid(t)
+        f, phi0 = _realization_system(cfg, qd, qd, ts)
+        z = _rk4_grid(f, phi0, t.size - 1, h)[:, : qd.n]
         qd_dot_end = qd.eval(t[-1], 1)
         assert np.max(np.abs(z[-1] - qd_dot_end)) <= 1e-8
 
@@ -289,10 +290,7 @@ class TestCascadeDrive:
         q, qd = driven_signals
         t = np.arange(0.0, 0.5 + 5e-4, 1e-3)
         configs = [_config(*case) for case in AVAILABILITIES_AND_ORDERS]
-        want = [
-            float(np.max(np.abs(reference_oracle(c, q, qd, t) - realization_trajectory(c, q, qd, t))))
-            for c in configs
-        ]
+        want = [oracle_realization_gaps([c], q, qd, t)[0] for c in configs]
         assert oracle_realization_gaps(configs, q, qd, t) == want
 
 

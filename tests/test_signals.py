@@ -155,12 +155,19 @@ class TestTables:
         assert not np.any(spec.derivs(0.5, 2) == 99.0)
 
     def test_off_grid_and_dropped_tables_compute(self):
-        spec, twin = _table_specs()[5](), _table_specs()[5]()
-        spec.tabulate([0.0, 0.25, 0.5])
-        assert spec.eval(0.3).tobytes() == twin.eval(0.3).tobytes()
-        spec.tabulate(None)
-        assert spec._table == {}
-        assert spec.derivs(0.25, 2).tobytes() == twin.derivs(0.25, 2).tobytes()
+        # for every signal kind, an off-table time is the matching row of a
+        # many-time grid
+        for make in _table_specs():
+            spec, twin = make(), make()
+            spec.tabulate([0.0, 0.25, 0.5])
+            for lo, hi in self.RANGES:
+                grid = twin._grid([0.1, 0.3, 41.7], lo, hi)
+                for t, row in zip((0.1, 0.3, 41.7), grid):
+                    assert spec._rows(t, lo, hi).tobytes() == row.tobytes()
+            assert spec.eval(0.3).tobytes() == twin.eval(0.3).tobytes()
+            spec.tabulate(None)
+            assert spec._table == {}
+            assert spec.derivs(0.25, 2).tobytes() == twin.derivs(0.25, 2).tobytes()
 
 
 class TestDisturbance:
