@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p):
         p.add_argument("--config", default=None, required=False,
                        help="experiment config file (INI sections)")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",

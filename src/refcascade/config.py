@@ -18,9 +18,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .controllers import VARIANTS, ConfigError, GainSet
+from .controllers import VARIANTS, ConfigError, per_channel
 from .signals import DisturbanceSpec, TrajectorySpec
 
 __all__ = ["SCHEMA", "ExperimentConfig", "load_config", "parse_overrides", "schema_help"]
@@ -186,7 +184,7 @@ class ExperimentConfig:
 
     def build_trajectory(self, n) -> TrajectorySpec:
         kind = self.get("trajectory", "kind")
-        offset = _pad_vector(self.get("trajectory", "offset"), n)
+        offset = per_channel(self.get("trajectory", "offset"), n, "trajectory.offset")
         if kind == "constant":
             return TrajectorySpec.constant(offset)
         if kind == "polynomial":
@@ -198,42 +196,9 @@ class ExperimentConfig:
         raise ConfigError(f"unknown trajectory kind '{kind}'")
 
     def build_disturbance(self, n) -> DisturbanceSpec:
-        bias = _pad_vector(self.get("disturbance", "bias"), n)
+        bias = per_channel(self.get("disturbance", "bias"), n, "disturbance.bias")
         tones = _pad_joints(self.get("disturbance", "tones"), n, ())
         return _signal("disturbance", DisturbanceSpec.tones, tones, bias)
-
-    def build_gains(self) -> GainSet:
-        g = self.values["gains"]
-
-        def squeeze(v):
-            return v[0] if isinstance(v, tuple) and len(v) == 1 else v
-
-        return GainSet(
-            K=np.asarray(squeeze(g["k"])),
-            Gamma=np.asarray(squeeze(g["gamma"])),
-            lambda_D=g["lambda_d"],
-            lam=g["lambda"],
-            alpha_star=g["alpha_star"],
-            lambda_D_star=g["lambda_d_star"],
-            alpha_star_star=g["alpha_star_star"],
-            kappa_star=g["kappa_star"],
-            gamma_freq=squeeze(g["gamma_freq"]),
-            K_D=np.asarray(squeeze(g["kd"])),
-            K_P=np.asarray(squeeze(g["kp"])),
-            K_I=np.asarray(squeeze(g["ki"])),
-            Lambda=np.asarray(squeeze(g["lam_corr"])),
-            hstar_rate=g["hstar_rate"],
-            hstar_den=g["hstar_den"] or None,
-        )
-
-
-def _pad_vector(vec, n):
-    vec = tuple(vec)
-    if len(vec) == 1:
-        return vec * n
-    if len(vec) != n:
-        raise ConfigError(f"expected {n} entries, got {len(vec)}")
-    return vec
 
 
 def _pad_joints(joints, n, empty):

@@ -10,9 +10,10 @@ laws) may read the true plant model.
 from __future__ import annotations
 
 import inspect
+from typing import Mapping
 
 from ..manipulator import ArmShape
-from .base import ConfigError, ControlEval, ControllerBase, GainSet, TrajectoryView
+from .base import ConfigError, ControlEval, ControllerBase, TrajectoryView, per_channel
 from .basic import (
     AdaptiveCascadeController,
     KnownParamsController,
@@ -30,8 +31,8 @@ __all__ = [
     "ConfigError",
     "ControlEval",
     "ControllerBase",
-    "GainSet",
     "TrajectoryView",
+    "per_channel",
     "AdaptiveCascadeController",
     "PlainCascadeController",
     "PidReformulatedController",
@@ -77,13 +78,15 @@ def variant_options(variant: str) -> frozenset:
     return _BY_VARIANT[variant][1]
 
 
-def build_controller(variant: str, shape: ArmShape, gains: GainSet, traj, coeffs=None,
+def build_controller(variant: str, shape: ArmShape, gains: Mapping, traj, coeffs=None,
                      **options) -> ControllerBase:
     """Construct a controller variant; raises :class:`ConfigError` on misuse.
 
-    Each variant's constructor takes the options it names, with its own
-    defaults; the others are not passed to it.  An option that no variant
-    takes is an error.
+    ``gains`` is the parsed ``[gains]`` config section, keyed by its config
+    keys; a variant reads the gains its law uses and names the key of any
+    it refuses.  Each variant's constructor takes the options it names,
+    with its own defaults; the others are not passed to it.  An option that
+    no variant takes is an error.
     """
     taken = variant_options(variant)
     unknown = sorted(set(options) - _OPTIONS)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..filters import FilterBank, LinearBlock, regressor_loop_channel
 from ..refdyn import ReferenceConfig, cascade_rates
-from .base import ControllerBase, FilteredDamping, GainSet, second_order_pair
+from .base import ControllerBase, FilteredDamping, nonnegative, positive, second_order_pair
 
 __all__ = ["FilteredAdaptiveController"]
 
@@ -47,14 +47,14 @@ class ProxyController(FilteredDamping, ControllerBase):
 
     availability = "full_corrected"
 
-    def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0):
-        super().__init__(shape, gains, traj)
-        self.K = self._positive_k()
-        self.Lam = gains.lambda_diag(self.n)
-        self.gamma = gains.gamma_diag(self.p_dim)
-        self.lambda_D = gains.lambda_D
-        self.lam = gains.lam
-        self.lambda_D_star = gains.lambda_D_star
+    def __init__(self, shape, gains, traj, coeffs, theta_hat0):
+        super().__init__(shape, traj)
+        self.K = positive(gains, "k", self.n)
+        self.Lam = positive(gains, "lam_corr", self.n)
+        self.gamma = nonnegative(gains, "gamma", self.p_dim)
+        self.lambda_D = positive(gains, "lambda_d")
+        self.lam = positive(gains, "lambda")
+        self.lambda_D_star = positive(gains, "lambda_d_star")
         self.refcfg = ReferenceConfig(coeffs, self.availability, self.Lam)
         self.theta_hat0 = self._estimate0(theta_hat0)
 
@@ -82,11 +82,10 @@ class ProxyController(FilteredDamping, ControllerBase):
 class FilteredAdaptiveController(ProxyController):
     variant = "filtered_adaptive"
 
-    def __init__(self, shape, gains: GainSet, traj, coeffs, theta_hat0=None):
-        gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
+    def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
-        self.alpha_star = gains.alpha_star
-        self.a0s, self.a1s = second_order_pair(gains.alpha_star)
+        self.alpha_star = positive(gains, "alpha_star")
+        self.a0s, self.a1s = second_order_pair(self.alpha_star)
 
         # the loop operator per joint: strictly proper, relative degree one
         loops = [regressor_loop_channel(coeffs.alphas, self.a0s, self.a1s, lam_r, k_r)

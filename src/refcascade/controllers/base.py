@@ -19,6 +19,7 @@ declared derivative order of the desired trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,7 +30,6 @@ from ..refdyn import QD_ROWS
 
 __all__ = [
     "ConfigError",
-    "GainSet",
     "second_order_pair",
     "TrajectoryView",
     "Layout",
@@ -37,7 +37,9 @@ __all__ = [
     "ControllerBase",
     "SIdentity",
     "FilteredDamping",
-    "diag_entries",
+    "per_channel",
+    "positive",
+    "nonnegative",
 ]
 
 
@@ -45,26 +47,28 @@ class ConfigError(ValueError):
     """Invalid experiment or controller configuration."""
 
 
-def diag_entries(value, n, name) -> np.ndarray:
-    """Coerce a gain to diagonal entries of length n.
+def per_channel(value, n, name) -> np.ndarray:
+    """The ``n`` channel entries of ``value``, a per-channel config value.
 
-    Scalars broadcast; vectors pass through; square matrices must be exactly
-    diagonal (the control laws rely on channelwise decoupling).  Every entry
-    must be finite.
+    A scalar or a single entry serves every channel; ``n`` entries pass
+    through; an ``n`` x ``n`` matrix must be exactly diagonal (the control
+    laws rely on channelwise decoupling).  Every entry must be finite.
+    ``name`` is the config key an error names.
     """
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name}: entries must be finite")
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    elif arr.ndim == 2:
+    if arr.ndim == 2:
         if arr.shape != (n, n):
             raise ConfigError(f"{name}: expected shape ({n},{n})")
         if np.any(arr != np.diag(np.diag(arr))):
             raise ConfigError(f"{name}: non-diagonal gain matrices are rejected")
-        arr = np.diag(arr).copy()
+        return np.diag(arr).copy()
+    if arr.size == 1:
+        return np.full(n, float(arr.flat[0]))
     if arr.shape != (n,):
-        raise ConfigError(f"{name}: expected {n} diagonal entries")
+        raise ConfigError(f"{name}: expected {'1 entry' if n == 1 else f'1 or {n} entries'},"
+                          f" got {arr.size}")
     return arr
 
 
@@ -73,73 +77,27 @@ def second_order_pair(rate):
     return rate * rate, 2.0 * rate
 
 
-@dataclass(frozen=True)
-class GainSet:
-    """Gains for all controller variants; unused entries are ignored.
+def _gain(gains, key, n, zero_ok):
+    value = gains[key] if n is None else per_channel(gains[key], n, f"gains.{key}")
+    # plain float comparisons: a NaN fails both, and a few entries cost less
+    # this way than as numpy operations
+    for v in [value] if n is None else value.tolist():
+        if not ((v >= 0.0 if zero_ok else v > 0.0) and v < math.inf):
+            raise ConfigError(f"gains.{key} must be {'nonnegative' if zero_ok else 'positive'}"
+                              " and finite")
+    return value
 
-    All scalars must be positive and all matrix-valued gains diagonal
-    positive definite (supplied as scalars or per-channel vectors).  The
-    second-order target-error pairs are derived from their rates
-    ``alpha_star``, ``alpha_star_star`` and ``kappa_star`` by
-    :func:`second_order_pair`.
-    """
 
-    K: float | np.ndarray = 20.0
-    Gamma: float | np.ndarray = 1.0
-    lambda_D: float = 1.0
-    lam: float = 10.0
-    alpha_star: float = 2.0
-    lambda_D_star: float = 1.0
-    alpha_star_star: float = 2.0
-    kappa_star: float = 2.0
-    gamma_freq: float | tuple = 1.0
-    K_D: float | np.ndarray = 20.0
-    K_P: float | np.ndarray = 100.0
-    K_I: float | np.ndarray = 50.0
-    Lambda: float | np.ndarray = 2.0
-    hstar_rate: float = 2.0
-    hstar_den: tuple | None = None  # explicit tone-layer denominator tail
+def positive(gains, key, n=None):
+    """Gain ``key`` of a ``[gains]`` mapping, refused unless positive and
+    finite: a float, or with ``n`` its ``n`` channel entries."""
+    return _gain(gains, key, n, zero_ok=False)
 
-    def k_diag(self, n):
-        k = diag_entries(self.K, n, "K")
-        if np.any(k < 0.0):
-            raise ConfigError("K entries must be nonnegative")
-        return k
 
-    def lambda_diag(self, n):
-        lam = diag_entries(self.Lambda, n, "Lambda")
-        if np.any(lam <= 0.0):
-            raise ConfigError("Lambda entries must be positive")
-        return lam
-
-    def gamma_diag(self, p):
-        g = diag_entries(self.Gamma, p, "Gamma")
-        if np.any(g < 0.0):
-            raise ConfigError("Gamma entries must be nonnegative")
-        return g
-
-    def pid_diags(self, n):
-        kd = diag_entries(self.K_D, n, "K_D")
-        kp = diag_entries(self.K_P, n, "K_P")
-        ki = diag_entries(self.K_I, n, "K_I")
-        if np.any(kd <= 0.0) or np.any(kp <= 0.0) or np.any(ki <= 0.0):
-            raise ConfigError("PID gains must be positive")
-        return kd, kp, ki
-
-    def freq_gains(self, n_star):
-        g = np.asarray(self.gamma_freq, dtype=float)
-        if g.ndim == 0:
-            g = np.full(n_star, float(g))
-        if g.shape != (n_star,):
-            raise ConfigError(f"expected {n_star} tone adaptation gain(s)")
-        if not (np.isfinite(g) & (g > 0.0)).all():
-            raise ConfigError("tone adaptation gains must be positive and finite")
-        return g
-
-    def validate_positive(self, names):
-        for name in names:
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"gain '{name}' must be positive and finite")
+def nonnegative(gains, key, n=None):
+    """Gain ``key`` of a ``[gains]`` mapping, refused unless nonnegative and
+    finite: a float, or with ``n`` its ``n`` channel entries."""
+    return _gain(gains, key, n, zero_ok=True)
 
 
 class TrajectoryView:
@@ -214,11 +172,12 @@ class ControlEval:
 
 
 class ControllerBase:
-    """Common plumbing: shape, gains, trajectory view and state layout.
+    """Common plumbing: shape, trajectory view and state layout.
 
     A subclass defines one variant: its name, its availability (the
     reference-cascade variant, which also caps the desired-trajectory
-    derivatives the law may read), its torque law and its diagnostics.  A
+    derivatives the law may read), its torque law and its diagnostics; its
+    constructor reads the gains the law uses from the ``[gains]`` mapping.  A
     variant runs on a cascade coefficient set when its constructor takes
     ``coeffs``.  The diagnostics may read the true plant model, which the
     law itself never sees; a variant without one returns NaN.
@@ -227,11 +186,10 @@ class ControllerBase:
     variant: str = ""
     availability: str
 
-    def __init__(self, shape: ArmShape, gains: GainSet, traj):
+    def __init__(self, shape: ArmShape, traj):
         self.shape = shape
         self.n = shape.n
         self.p_dim = shape.p_dim
-        self.gains = gains
         self.traj = TrajectoryView(traj, self.availability)
         self.layout = Layout()
 
@@ -266,12 +224,6 @@ class ControllerBase:
         """The initial (or fixed) parameter estimate; zero by default."""
         return np.zeros(self.p_dim) if theta_hat0 is None else np.asarray(theta_hat0, float)
 
-    def _positive_k(self):
-        k = self.gains.k_diag(self.n)
-        if np.any(k <= 0.0):
-            raise ConfigError(f"{self.variant} needs strictly positive K entries")
-        return k
-
 
 class SIdentity:
     """Diagnostics of a law acting on the input-side error s = qdot - z.
@@ -305,11 +257,10 @@ class FilteredDamping(SIdentity):
     """
 
     def _damping(self, Y, s, extras):
-        return self.gains.lambda_D * (Y @ extras["xi"])
+        return self.lambda_D * (Y @ extras["xi"])
 
     def energy(self, model, q, qdot, extras):
         s, xi = extras["s"], extras["xi"]
         quad = 0.5 * s @ model.inertia(q) @ s
-        g = self.gains
-        return (quad + (g.lambda_D / (2.0 * g.lam)) * xi @ xi,
-                quad + (g.lambda_D / (4.0 * g.lam)) * xi @ xi)
+        return (quad + (self.lambda_D / (2.0 * self.lam)) * xi @ xi,
+                quad + (self.lambda_D / (4.0 * self.lam)) * xi @ xi)

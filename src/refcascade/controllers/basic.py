@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..refdyn import QD_ROWS, ReferenceConfig, cascade_init, cascade_rates
-from .base import ConfigError, ControllerBase, FilteredDamping, GainSet, SIdentity
+from .base import ConfigError, ControllerBase, FilteredDamping, SIdentity, nonnegative, positive
 
 __all__ = [
     "compile_cascade",
@@ -49,11 +49,11 @@ class _CascadeController(ControllerBase):
     """Base for variants whose layout leads with one reference cascade block
     ``phi``, of the variant's availability."""
 
-    def __init__(self, shape, gains: GainSet, traj, coeffs):
-        super().__init__(shape, gains, traj)
-        lam = gains.lambda_diag(self.n) if self.availability == "full_corrected" else None
+    def __init__(self, shape, gains, traj, coeffs):
+        super().__init__(shape, traj)
+        lam = positive(gains, "lam_corr", self.n) if self.availability == "full_corrected" else None
         self.refcfg = ReferenceConfig(coeffs, self.availability, lam)
-        self.K = gains.k_diag(self.n)
+        self.K = nonnegative(gains, "k", self.n)
         self.layout.add("phi", self.refcfg.ell, self.n)
         self.M = compile_cascade(self.refcfg, self.n)
         self._m = self.layout.size
@@ -94,7 +94,7 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
-        self.gamma = gains.gamma_diag(self.p_dim)
+        self.gamma = nonnegative(gains, "gamma", self.p_dim)
         self.theta_hat0 = self._estimate0(theta_hat0)
         self.layout.add("theta_hat", self.p_dim)
 
@@ -148,8 +148,8 @@ class PidReformulatedController(ControllerBase):
     availability = "full"
 
     def __init__(self, shape, gains, traj, matched_init=True):
-        super().__init__(shape, gains, traj)
-        self.kd, self.kp, self.ki = gains.pid_diags(self.n)
+        super().__init__(shape, traj)
+        self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
         self.matched_init = bool(matched_init)
         self.layout.add("z", self.n)
 
@@ -184,8 +184,8 @@ class PidTextbookController(ControllerBase):
     availability = "full"
 
     def __init__(self, shape, gains, traj):
-        super().__init__(shape, gains, traj)
-        self.kd, self.kp, self.ki = gains.pid_diags(self.n)
+        super().__init__(shape, traj)
+        self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
         self.layout.add("integral", self.n)
 
     def evaluate(self, t, q, qdot, x, extras=None):
@@ -241,9 +241,7 @@ class NonlinearDampingController(SIdentity, _CascadeController):
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
         self.theta_hat = self._estimate0(theta_hat0)
-        if not 0.0 <= gains.lambda_D < np.inf:  # zero turns the damping off
-            raise ConfigError("gain 'lambda_D' must be nonnegative and finite")
-        self.lambda_D = gains.lambda_D
+        self.lambda_D = nonnegative(gains, "lambda_d")  # zero turns the damping off
 
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
@@ -270,9 +268,8 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
         self.theta_hat = self._estimate0(theta_hat0)
-        self.lambda_D = gains.lambda_D
-        self.lam = gains.lam
-        gains.validate_positive(("lambda_D", "lam"))
+        self.lambda_D = positive(gains, "lambda_d")
+        self.lam = positive(gains, "lambda")
         self.layout.add("xi", self.p_dim)
 
     def evaluate(self, t, q, qdot, x, extras=None):

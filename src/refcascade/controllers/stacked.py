@@ -40,54 +40,41 @@ from ..filters import (
 from ..numerics import poly_mul, routh_hurwitz
 from ..refdyn import HurwitzCoeffs, cascade_rates
 from .augmented import ProxyController
-from .base import ConfigError, GainSet, second_order_pair
+from .base import ConfigError, per_channel, positive, second_order_pair
 
 __all__ = ["StackedSingleController", "StackedMultiController", "hstar_denominator"]
 
 
-def _initial_tones(freq_hat0, n_star):
-    """Initial tone-parameter estimates: one value for every tone (zero by
-    default) or one per tone."""
-    fh = np.array(0.0 if freq_hat0 is None else freq_hat0, dtype=float, ndmin=1)
-    if fh.size == 1:
-        fh = np.repeat(fh, n_star)
-    if fh.shape != (n_star,):
-        raise ConfigError(f"freq_hat0 must have one entry or one per tone ({n_star})")
-    return fh
-
-
-def hstar_denominator(gains: GainSet, n_star: int) -> np.ndarray:
+def hstar_denominator(gains, n_star: int) -> np.ndarray:
     """Tone-layer denominator tail (2 n_star coefficients, leading 1 implied).
 
-    Defaults to the binomial expansion of (p + hstar_rate)^(2 n_star);
-    an explicit ``hstar_den`` in the gain set overrides it.
+    Defaults to the binomial expansion of (p + hstar_rate)^(2 n_star); an
+    explicit ``hstar_den`` in the ``[gains]`` mapping (empty when unset)
+    overrides it.
     """
-    if gains.hstar_den is not None:
-        den = np.asarray(gains.hstar_den, dtype=float)
-        if den.size != 2 * n_star:
-            raise ConfigError("tone-layer denominator needs 2 n_star coefficients")
-        full = np.append(den, 1.0)
+    if len(gains["hstar_den"]):
+        full = np.append(np.asarray(gains["hstar_den"], dtype=float), 1.0)
+        if full.size != 2 * n_star + 1:
+            raise ConfigError("gains.hstar_den needs 2 n_star coefficients")
         if routh_hurwitz(full) != "stable":
-            raise ConfigError("tone-layer denominator is not Hurwitz-stable")
+            raise ConfigError("gains.hstar_den is not Hurwitz-stable")
         return full[:-1]
     # every root is -hstar_rate, so the default is Hurwitz once the rate is positive
-    gains.validate_positive(("hstar_rate",))
-    return poly_mul(*([[gains.hstar_rate, 1.0]] * (2 * n_star)))[:-1]
+    return poly_mul(*([[positive(gains, "hstar_rate"), 1.0]] * (2 * n_star)))[:-1]
 
 
 class StackedSingleController(ProxyController):
     variant = "stacked_single"
 
-    def __init__(self, shape, gains: GainSet, traj, coeffs: HurwitzCoeffs,
-                 theta_hat0=None, freq_hat0=None, freeze_freq=False):
+    def __init__(self, shape, gains, traj, coeffs: HurwitzCoeffs,
+                 theta_hat0=None, freq_hat0=0.0, freeze_freq=False):
         if coeffs.ell < 2:
             raise ConfigError("stacked structures need cascade order >= 2")
-        gains.validate_positive(("lambda_D", "lam", "alpha_star", "lambda_D_star"))
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
-        self.gamma_f = gains.freq_gains(1)[0]
-        self.alpha_star = gains.alpha_star
-        self.a0s, self.a1s = second_order_pair(gains.alpha_star)
-        self.freq_hat0 = _initial_tones(freq_hat0, 1)
+        self.gamma_f = positive(gains, "gamma_freq", 1)[0]
+        self.alpha_star = positive(gains, "alpha_star")
+        self.a0s, self.a1s = second_order_pair(self.alpha_star)
+        self.freq_hat0 = per_channel(freq_hat0, 1, "controller.freq_hat0")
         self.freeze_freq = bool(freeze_freq)
 
         alphas = coeffs.alphas
@@ -193,24 +180,21 @@ class StackedSingleController(ProxyController):
 class StackedMultiController(ProxyController):
     variant = "stacked_multi"
 
-    def __init__(self, shape, gains: GainSet, traj, coeffs: HurwitzCoeffs,
-                 n_star=1, theta_hat0=None, freq_hat0=None, freeze_freq=False):
+    def __init__(self, shape, gains, traj, coeffs: HurwitzCoeffs,
+                 n_star=1, theta_hat0=None, freq_hat0=0.0, freeze_freq=False):
         n_star = int(n_star)
         if n_star < 1:
             raise ConfigError("stacked_multi needs at least one tone (n_star >= 1)")
         if coeffs.ell < 2:
             raise ConfigError("stacked structures need cascade order >= 2")
-        gains.validate_positive(
-            ("lambda_D", "lam", "alpha_star_star", "kappa_star", "lambda_D_star")
-        )
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.n_star = n_star
-        self.gamma_f = gains.freq_gains(n_star)
-        self.ass = gains.alpha_star_star
+        self.gamma_f = positive(gains, "gamma_freq", n_star)
+        self.ass = positive(gains, "alpha_star_star")
         self.a0ss, self.a1ss = second_order_pair(self.ass)
-        self.k0s, self.k1s = second_order_pair(gains.kappa_star)
-        self.kappa_s = gains.kappa_star
-        self.freq_hat0 = _initial_tones(freq_hat0, n_star)
+        self.kappa_s = positive(gains, "kappa_star")
+        self.k0s, self.k1s = second_order_pair(self.kappa_s)
+        self.freq_hat0 = per_channel(freq_hat0, n_star, "controller.freq_hat0")
         self.freeze_freq = bool(freeze_freq)
 
         hden_tail = hstar_denominator(gains, n_star)  # length 2 n_star

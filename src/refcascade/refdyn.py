@@ -56,49 +56,29 @@ QD_ROWS = {"position": 1, "velocity": 2, "full": 3, "full_corrected": 3}
 
 @dataclass(frozen=True)
 class HurwitzCoeffs:
-    """Coefficients alpha_0..alpha_ell of a stable cascade polynomial.
-
-    ``kappa`` records the time-scale claim attached to the set: construction
-    verifies that both the polynomial itself and its kappa-downscaled version
-    pass the Routh test, so a scaled design is admissible whenever the
-    original is.
-    """
+    """Coefficients alpha_0..alpha_ell of a stable cascade polynomial,
+    verified by the Routh test at construction."""
 
     ell: int
     alphas: np.ndarray
-    kappa: float = 1.0
 
-    def __init__(self, ell, alphas, kappa=1.0):
+    def __init__(self, ell, alphas):
         alphas = np.asarray(alphas, dtype=float)
         ell = int(ell)
         if ell < 1:
             raise ValueError("cascade order parameter must be at least 1")
         if alphas.size != ell + 1:
             raise ValueError(f"expected {ell + 1} coefficients, got {alphas.size}")
-        if kappa < 1.0:
-            raise ValueError("time scale kappa must be >= 1")
-        poly = np.append(alphas, 1.0)
-        if routh_hurwitz(poly) != "stable":
+        if routh_hurwitz(np.append(alphas, 1.0)) != "stable":
             raise ValueError("cascade polynomial is not Hurwitz-stable")
-        # at kappa = 1 the scaled polynomial is the polynomial itself
-        scaled = _scaled_alphas(alphas, kappa)
-        if kappa != 1.0 and routh_hurwitz(np.append(scaled, 1.0)) != "stable":
-            raise ValueError("kappa-scaled cascade polynomial is not Hurwitz-stable")
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "kappa", float(kappa))
 
     def polynomial(self) -> np.ndarray:
         return np.append(self.alphas, 1.0)
 
 
-def _scaled_alphas(alphas, kappa) -> np.ndarray:
-    ell = alphas.size - 1
-    powers = np.array([kappa ** (ell + 1 - k) for k in range(ell + 1)])
-    return alphas / powers
-
-
-def critically_damped_coeffs(alpha: float, ell: int, kappa: float = 1.0) -> HurwitzCoeffs:
+def critically_damped_coeffs(alpha: float, ell: int) -> HurwitzCoeffs:
     """Binomial expansion of (w + alpha)^(ell+1): repeated real poles at -alpha.
 
     In particular alpha_0 = alpha^(ell+1) and alpha_ell = (ell+1) alpha.
@@ -110,7 +90,7 @@ def critically_damped_coeffs(alpha: float, ell: int, kappa: float = 1.0) -> Hurw
     alphas = np.array(
         [math.comb(ell + 1, k) * alpha ** (ell + 1 - k) for k in range(ell + 1)]
     )
-    return HurwitzCoeffs(ell, alphas, kappa)
+    return HurwitzCoeffs(ell, alphas)
 
 
 def scale_coeffs(coeffs: HurwitzCoeffs, kappa: float) -> HurwitzCoeffs:
@@ -121,7 +101,9 @@ def scale_coeffs(coeffs: HurwitzCoeffs, kappa: float) -> HurwitzCoeffs:
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    return HurwitzCoeffs(coeffs.ell, _scaled_alphas(coeffs.alphas, kappa), 1.0)
+    ell = coeffs.ell
+    powers = np.array([kappa ** (ell + 1 - k) for k in range(ell + 1)])
+    return HurwitzCoeffs(ell, coeffs.alphas / powers)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import csv
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from refcascade import validation
 from refcascade.cli import main
-from refcascade.manipulator import TwoLinkArm
+from refcascade.manipulator import ArmParams, TwoLinkArm
 from refcascade.validation import suite_skew_symmetry
 
 RAMP_CFG = Path(__file__).resolve().parent.parent / "configs" / "ramp_adaptive.ini"
@@ -110,12 +113,54 @@ class TestRunCommand:
         ["controller.variant=stacked_multi", "gains.hstar_rate=nan"],
         ["controller.variant=filtered_adaptive", "gains.alpha_star=nan"],
         ["controller.variant=nldamp", "gains.lambda_d=-5"],
+        ["gains.k=-1"],
+        ["controller.variant=passive", "gains.lam_corr=-1"],
+        ["controller.variant=filtered_adaptive", "gains.k=0"],
+        ["controller.variant=pid", "gains.kd=0"],
+        ["controller.variant=stacked_multi", "gains.hstar_rate=-2"],
     ], ids=lambda overrides: overrides[-1])
-    def test_non_finite_or_negative_gain_exit_2(self, run_config, tmp_path, overrides):
+    def test_non_finite_or_negative_gain_exit_2(self, run_config, tmp_path, capsys, overrides):
         args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet"]
         for pair in overrides:
             args += ["--set", pair]
         assert main(args) == 2
+        # the refusal names the key the user typed
+        key = overrides[-1].split("=")[0]
+        assert re.search(rf"\b{re.escape(key)}\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("entries, code", [("2", 0), ("2 3", 0), ("2 3 4", 2)],
+                             ids=["one", "n", "wrong count"])
+    @pytest.mark.parametrize("key, setting", [
+        ("gains.k", []),
+        ("gains.gamma_freq", ["controller.variant=stacked_multi", "controller.n_star=2"]),
+        ("controller.freq_hat0", ["controller.variant=stacked_multi", "controller.n_star=2"]),
+        ("trajectory.offset", []),
+        ("disturbance.bias", []),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_one_entry_serves_every_channel(self, run_config, tmp_path, capsys, key, setting,
+                                            entries, code):
+        # n = 2 joints, or n_star = 2 tones
+        args = ["run", "--config", str(run_config), "--out", str(tmp_path / "o"), "--quiet",
+                "--set", "run.duration=0.1"]
+        for pair in setting + [f"{key}={entries}"]:
+            args += ["--set", pair]
+        assert main(args) == code
+        if code:
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", ["model.l1=1e200"]),  # l1**2 overflows
+        ("run", ["model.m2=1e300", "model.l1=1e10"]),  # m2 l1^2 is infinite
+        ("validate", ["model.l1=1e200"]),
+        ("validate", ["model.m2=1e300", "model.l1=1e10"]),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_overflowing_model_exit_2(self, tmp_path, capsys, command, overrides):
+        args = [command, "--config", str(RAMP_CFG), "--out", str(tmp_path / "o"),
+                "--set", "run.duration=0.1"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+        assert "lumped parameters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         ["controller.freeze_freq=true"],
@@ -337,3 +382,16 @@ class TestValidateCommand:
 
         assert not suite_skew_symmetry(FlippedArm()).passed
         assert suite_skew_symmetry(TwoLinkArm()).passed
+
+    def test_non_finite_measurements_fail(self, monkeypatch):
+        # a NaN residual compares false against every tolerance, so taking
+        # the worst case must keep it rather than drop it
+        model = TwoLinkArm(ArmParams(m2=float("nan")))
+        monkeypatch.setattr(validation, "oracle_realization_gaps",
+                            lambda configs, *args: [float("nan")] * len(configs))
+        with np.errstate(invalid="ignore", over="ignore"):
+            results = [suite(model) for suite in validation._MODEL_SUITES]
+            results.append(validation.suite_cascade_equivalence())
+        assert len(results) == 6
+        for result in results:
+            assert not result.passed, result

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refcascade.controllers import VARIANTS, GainSet, basic, build_controller
+from refcascade.config import load_config
+from refcascade.controllers import VARIANTS, basic, build_controller
 from refcascade.harness import integrate
 from refcascade.manipulator import TwoLinkArm
 from refcascade.numerics import poly_from_roots
@@ -75,7 +76,7 @@ CASCADE_VARIANTS = ("adaptive", "plain", "known", "nldamp", "passive")
 def _build(variant, model):
     traj = TrajectorySpec.multisine([[(0.4, 0.6, 0.0)], [(0.3, 0.6, 0.9)]])
     return build_controller(
-        variant, model.shape(), GainSet(), traj, COEFFS,
+        variant, model.shape(), load_config().values["gains"], traj, COEFFS,
         theta_hat0=0.5 * model.theta, feedforward_theta=model.theta, n_star=2,
     )
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from refcascade.config import load_config
 from refcascade.controllers import (
     VARIANTS,
     ConfigError,
-    GainSet,
     TrajectoryView,
     build_controller,
     closed_loop_residual,
@@ -19,10 +19,11 @@ from refcascade.signals import DisturbanceSpec, TrajectorySpec
 
 
 COEFFS = critically_damped_coeffs(4.0, 2)
+GAINS = load_config().values["gains"]
 
 
 def make(variant, model, traj, gains=None, coeffs=COEFFS, **kw):
-    return build_controller(variant, model.shape(), gains or GainSet(), traj, coeffs, **kw)
+    return build_controller(variant, model.shape(), gains or GAINS, traj, coeffs, **kw)
 
 
 class TestTrivialTorques:
@@ -64,7 +65,7 @@ class TestTrivialTorques:
     def test_nldamp_reduces_to_known_when_damping_off(self, model):
         traj = TrajectorySpec.constant([0.2, 0.1])
         th = 0.8 * model.theta
-        gains = GainSet(lambda_D=0.0)
+        gains = {**GAINS, "lambda_d": 0.0}
         a = make("nldamp", model, traj, gains=gains, theta_hat0=th)
         b = make("known", model, traj, feedforward_theta=th)
         q = np.array([0.5, -0.3])
@@ -117,7 +118,7 @@ class TestPidEquivalence:
         dist = DisturbanceSpec.tones([[], []], bias=bias)
         taus = {}
         for variant in ("pid", "pid_textbook"):
-            ctrl = build_controller(variant, model.shape(), GainSet(), traj)
+            ctrl = build_controller(variant, model.shape(), GAINS, traj)
             out = []
             integrate(model, ctrl, dist, q0, qdot0, dt, int(round(duration / dt)), 1,
                       lambda k, t, q, qdot, ev, ts: out.append(ev.tau))
@@ -141,7 +142,7 @@ class TestPidEquivalence:
         # regulation under constant disturbance: tracking error dies out
         traj = TrajectorySpec.constant([0.3, -0.1])
         dist = DisturbanceSpec.tones([[], []], bias=[1.0, -0.5])
-        ctrl = build_controller("pid", model.shape(), GainSet(), traj)
+        ctrl = build_controller("pid", model.shape(), GAINS, traj)
         q0 = np.array([0.3, -0.1])
         _, q, _, _ = integrate(model, ctrl, dist, q0, np.zeros(2), 1e-3, 15000, 15000,
                                lambda *sample: None)
@@ -262,7 +263,7 @@ class TestAdaptationLaws:
     def test_frozen_estimate_keeps_swap_term_zero(self, model, loop_runner):
         traj = TrajectorySpec.multisine([[(0.4, 0.7, 0.0)], [(0.3, 0.7, 1.0)]])
         dist = DisturbanceSpec.tones([[(0.4, 1.1, 0.0)], [(0.4, 1.1, 0.5)]])
-        gains = GainSet(Gamma=0.0)  # freezes the parameter estimate
+        gains = {**GAINS, "gamma": 0.0}  # freezes the parameter estimate
         ctrl = make("filtered_adaptive", model, traj, gains=gains, theta_hat0=0.6 * model.theta)
         records = loop_runner(model, ctrl, dist, duration=6.0)
         worst = max(np.max(np.abs(ev.extras["h"])) for _, _, _, ev in records)
@@ -389,17 +390,17 @@ class TestGainValidation:
         traj = TrajectorySpec.constant([0.0, 0.0])
         bad = np.array([[20.0, 1.0], [0.0, 20.0]])
         with pytest.raises(ConfigError):
-            make("plain", model, traj, gains=GainSet(K=bad))
+            make("plain", model, traj, gains={**GAINS, "k": bad})
 
     def test_negative_scalar_rejected(self, model):
         traj = TrajectorySpec.constant([0.0, 0.0])
         with pytest.raises(ConfigError):
-            make("passive", model, traj, gains=GainSet(lam=-1.0), theta_hat0=np.zeros(5))
+            make("passive", model, traj, gains={**GAINS, "lambda": -1.0}, theta_hat0=np.zeros(5))
 
     def test_unknown_variant(self, model):
         traj = TrajectorySpec.constant([0.0, 0.0])
         with pytest.raises(ConfigError):
-            build_controller("mystery", model.shape(), GainSet(), traj, COEFFS)
+            build_controller("mystery", model.shape(), GAINS, traj, COEFFS)
 
     def test_option_no_variant_takes(self, model):
         traj = TrajectorySpec.constant([0.0, 0.0])

@@ -75,14 +75,15 @@ class TestPassiveFilter:
     def test_fast_filter_recovers_raw_damping(self, model, loop_runner):
         # large filter rate: xi tracks Y' s, recovering the unfiltered
         # damping injection in steady state
-        from refcascade.controllers import GainSet, build_controller
+        from refcascade.config import load_config
+        from refcascade.controllers import build_controller
         from refcascade.refdyn import critically_damped_coeffs
         from refcascade.signals import DisturbanceSpec, TrajectorySpec
 
         traj = TrajectorySpec.constant([0.3, -0.2])
         dist = DisturbanceSpec.tones([[(0.5, 0.7, 0.0)], [(0.5, 0.7, 0.4)]])
         ctrl = build_controller(
-            "passive", model.shape(), GainSet(lam=200.0), traj,
+            "passive", model.shape(), {**load_config().values["gains"], "lambda": 200.0}, traj,
             coeffs=critically_damped_coeffs(4.0, 2),
             theta_hat0=0.8 * model.theta,
         )

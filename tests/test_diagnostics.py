@@ -11,9 +11,9 @@ the filtered-damping energies, the torque-side identity of ``plain`` and
 import numpy as np
 import pytest
 
+from refcascade.config import load_config
 from refcascade.controllers import (
     VARIANTS,
-    GainSet,
     build_controller,
     closed_loop_residual,
     lyapunov_diag,
@@ -22,6 +22,7 @@ from refcascade.refdyn import critically_damped_coeffs
 from refcascade.signals import DisturbanceSpec, TrajectorySpec
 
 NAN = float("nan")
+GAINS = load_config().values["gains"]
 
 # variant -> which of (V, V_aux, residual) are defined
 DEFINED = {
@@ -49,9 +50,8 @@ def reference_energy(variant, ctrl, model, q, extras):
         return quad + 0.5 * dth @ (dth / ctrl.gamma), NAN
     if variant in FILTERED_DAMPING:
         xi = extras["xi"]
-        g = ctrl.gains
-        return (quad + (g.lambda_D / (2.0 * g.lam)) * xi @ xi,
-                quad + (g.lambda_D / (4.0 * g.lam)) * xi @ xi)
+        return (quad + (GAINS["lambda_d"] / (2.0 * GAINS["lambda"])) * xi @ xi,
+                quad + (GAINS["lambda_d"] / (4.0 * GAINS["lambda"])) * xi @ xi)
     return NAN, NAN
 
 
@@ -62,19 +62,19 @@ def reference_residual(variant, ctrl, model, q, qdot, tau, tau_star, extras):
     M = model.inertia(q)
     C = model.coriolis(q, qdot)
     if variant in TORQUE_SIDE:
-        gain = ctrl.gains.pid_diags(ctrl.n)[0] if variant == "pid" else ctrl.gains.k_diag(ctrl.n)
+        gain = np.asarray(GAINS["kd" if variant == "pid" else "k"])
         res = M @ qdd + C @ qdot + model.gravity(q) - tau_star + gain * extras["s"]
         return float(np.max(np.abs(res)))
     s = extras["s"]
     sdot = qdd - extras["ref_acc"]
-    res = M @ sdot + C @ s + ctrl.gains.k_diag(ctrl.n) * s - tau_star
+    res = M @ sdot + C @ s + np.asarray(GAINS["k"]) * s - tau_star
     Y = model.regressor(q, qdot, extras["ref_vel"], extras["ref_acc"])
     if variant != "known":
         res = res - Y @ (extras["theta_hat"] - model.theta)
     if variant == "nldamp":
-        res = res + ctrl.gains.lambda_D * (Y @ (Y.T @ s))
+        res = res + GAINS["lambda_d"] * (Y @ (Y.T @ s))
     elif variant in FILTERED_DAMPING:
-        res = res + ctrl.gains.lambda_D * (Y @ extras["xi"])
+        res = res + GAINS["lambda_d"] * (Y @ extras["xi"])
     return float(np.max(np.abs(res)))
 
 
@@ -91,7 +91,7 @@ def test_diagnostics_match_their_definitions(variant, model, loop_runner):
     traj = TrajectorySpec.multisine([[(0.4, 0.6, 0.0)], [(0.3, 0.6, 0.9)]])
     dist = DisturbanceSpec.tones([[(0.3, 0.8, 0.2)], [(0.2, 0.8, 0.0)]])
     ctrl = build_controller(
-        variant, model.shape(), GainSet(), traj, critically_damped_coeffs(4.0, 2),
+        variant, model.shape(), GAINS, traj, critically_damped_coeffs(4.0, 2),
         theta_hat0=0.5 * model.theta, feedforward_theta=model.theta, n_star=2,
         freq_hat0=np.array([0.5, 1.5]) if variant == "stacked_multi" else 0.5,
     )

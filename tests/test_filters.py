@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from refcascade.controllers import GainSet, hstar_denominator
+from refcascade.config import load_config
+from refcascade.controllers import hstar_denominator
 from refcascade.filters import (
     FilterBank,
     cascade_poly,
@@ -107,11 +108,11 @@ class TestOperators:
 
     def test_tone_layer_structure(self):
         # one tone: the tone-layer denominator has degree 2
-        assert hstar_denominator(GainSet(), 1).size == 2
+        assert hstar_denominator(load_config().values["gains"], 1).size == 2
 
     def test_tone_layer_rejects_odd_degree(self):
         with pytest.raises(ValueError):
-            hstar_denominator(GainSet(hstar_den=(1.0, 3.0, 3.0)), 1)
+            hstar_denominator({**load_config().values["gains"], "hstar_den": (1.0, 3.0, 3.0)}, 1)
 
     def test_stacked_operators_need_order_two(self):
         coeffs = critically_damped_coeffs(2.0, 1)

@@ -293,7 +293,7 @@ def synthetic_log(dq, tau=None, V=None):
         tau_star=np.zeros_like(tau), ref_vel=np.zeros_like(tau), s=np.zeros_like(tau),
         V=V, V_aux=V.copy(), theta_hat=None, freq_hat=None,
         residual_t=np.array([]), residual=np.array([]),
-        meta={"csv_decimate": 1},
+        csv_decimate=1,
     )
 
 
@@ -346,7 +346,7 @@ class TestCsvText:
             V_aux=np.array([NAN, 8.0, 0.0]),
             theta_hat=np.array([[1.0, -0.0], [8.0, 8.0], [0.1, 1e300]]),
             freq_hat=column(2.0, 8.0, 5e-324),
-            residual_t=np.array([]), residual=np.array([]), meta={"csv_decimate": 4},
+            residual_t=np.array([]), residual=np.array([]), csv_decimate=4,
         )
         path = tmp_path / "log.csv"
         write_log_csv(log, path)

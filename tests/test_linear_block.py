@@ -14,7 +14,8 @@ import gc
 import numpy as np
 import pytest
 
-from refcascade.controllers import GainSet, build_controller
+from refcascade.config import load_config
+from refcascade.controllers import build_controller
 from refcascade.controllers.base import Layout
 from refcascade.filters import FilterBank, LinearBlock
 from refcascade.manipulator import TwoLinkArm
@@ -45,7 +46,8 @@ FILTER_BLOCKS = {
 
 def _controller(variant, kw, traj=None):
     model = TwoLinkArm()
-    gains = GainSet(K=np.array([20.0, 30.0]), Lambda=np.array([2.0, 3.5]), gamma_freq=3.0)
+    gains = {**load_config().values["gains"], "k": (20.0, 30.0), "lam_corr": (2.0, 3.5),
+             "gamma_freq": 3.0}
     traj = traj or TrajectorySpec.constant([0.3, -0.2])
     return build_controller(variant, model.shape(), gains, traj,
                             critically_damped_coeffs(4.0, 3), theta_hat0=np.zeros(5), **kw)

@@ -120,14 +120,6 @@ class TestHurwitzCoeffs:
         with pytest.raises(ValueError):
             HurwitzCoeffs(2, np.array([1.0, 2.0]))
 
-    def test_rejects_kappa_below_one(self):
-        with pytest.raises(ValueError):
-            HurwitzCoeffs(1, np.array([1.0, 2.0]), kappa=0.5)
-
-    def test_kappa_scaled_check_runs(self):
-        c = HurwitzCoeffs(2, critically_damped_coeffs(4.0, 2).alphas, kappa=4.0)
-        assert c.kappa == 4.0
-
 
 class TestInitialization:
     def test_position_only_zero(self):
