@@ -54,20 +54,14 @@ def cmd_run(args) -> int:
     log = run_experiment(cfg)
     out = _outdir(args)
     write_log_csv(log, out / "log.csv")
-    try:
-        report = compute_metrics(log)
-    except ValueError:
-        report = None  # run truncated before the metrics windows existed
-    if report is not None:
-        write_metrics_json(report, out / "metrics.json")
-        _say(args, f"wrote {out / 'log.csv'} and {out / 'metrics.json'}")
-        _say(
-            args,
-            f"rms |dq| first/last 20%: {report.rms_dq_first:.6g} / {report.rms_dq_last:.6g}"
-            f"  max |tau|: {report.max_torque:.6g}",
-        )
-    else:
-        _say(args, f"wrote {out / 'log.csv'} (too short for windowed metrics)")
+    report = compute_metrics(log)
+    write_metrics_json(report, out / "metrics.json")
+    _say(args, f"wrote {out / 'log.csv'} and {out / 'metrics.json'}")
+    _say(
+        args,
+        f"rms |dq| first/last 20%: {report.rms_dq_first:.6g} / {report.rms_dq_last:.6g}"
+        f"  max |tau|: {report.max_torque:.6g}",
+    )
     if log.diverged:
         _say(args, f"run diverged at t = {log.divergence_time:.6g} s (truncated log)")
         return EXIT_DIVERGED

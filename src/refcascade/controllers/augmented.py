@@ -84,8 +84,7 @@ class FilteredAdaptiveController(ProxyController):
 
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
-        self.alpha_star = positive(gains, "alpha_star")
-        self.a0s, self.a1s = second_order_pair(self.alpha_star)
+        self.alpha_star, self.a0s, self.a1s = second_order_pair(gains, "alpha_star")
 
         # the loop operator per joint: strictly proper, relative degree one
         loops = [regressor_loop_channel(coeffs.alphas, self.a0s, self.a1s, lam_r, k_r)
@@ -144,6 +143,5 @@ class FilteredAdaptiveController(ProxyController):
         xdot, (tau,) = self.block.late(v, rates)
 
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd[0], theta_hat=th, xi=xi,
-                          W=W, h=h, qd_aux=aux0)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, W=W, h=h, qd_aux=aux0)
         return tau, xdot

@@ -51,19 +51,12 @@ def per_channel(value, n, name) -> np.ndarray:
     """The ``n`` channel entries of ``value``, a per-channel config value.
 
     A scalar or a single entry serves every channel; ``n`` entries pass
-    through; an ``n`` x ``n`` matrix must be exactly diagonal (the control
-    laws rely on channelwise decoupling).  Every entry must be finite.
-    ``name`` is the config key an error names.
+    through (the control laws are channelwise, so a gain is its diagonal).
+    Every entry must be finite.  ``name`` is the config key an error names.
     """
     arr = np.asarray(value, dtype=float)
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name}: entries must be finite")
-    if arr.ndim == 2:
-        if arr.shape != (n, n):
-            raise ConfigError(f"{name}: expected shape ({n},{n})")
-        if np.any(arr != np.diag(np.diag(arr))):
-            raise ConfigError(f"{name}: non-diagonal gain matrices are rejected")
-        return np.diag(arr).copy()
     if arr.size == 1:
         return np.full(n, float(arr.flat[0]))
     if arr.shape != (n,):
@@ -72,9 +65,13 @@ def per_channel(value, n, name) -> np.ndarray:
     return arr
 
 
-def second_order_pair(rate):
-    """``(a0, a1)`` of the critically damped ``p^2 + a1 p + a0 = (p + rate)^2``."""
-    return rate * rate, 2.0 * rate
+def second_order_pair(gains, key):
+    """The rate ``gains[key]``, refused unless positive and finite, and the
+    ``(a0, a1)`` of the critically damped ``p^2 + a1 p + a0 = (p + rate)^2``."""
+    rate = positive(gains, key)
+    if rate * rate == math.inf:
+        raise ConfigError(f"gains.{key}: its square, a coefficient of the law, overflows")
+    return rate, rate * rate, 2.0 * rate
 
 
 def _gain(gains, key, n, zero_ok):
@@ -105,8 +102,6 @@ class TrajectoryView:
     availability declares: the rows ``q_d, q_d', ...`` it reads."""
 
     def __init__(self, traj, availability: str):
-        if availability not in QD_ROWS:
-            raise ConfigError(f"unknown availability '{availability}'")
         self._traj = traj
         self.availability = availability
         self.max_order = QD_ROWS[availability] - 1

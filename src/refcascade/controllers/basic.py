@@ -60,17 +60,15 @@ class _CascadeController(ControllerBase):
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
-        qd_dot0 = None
-        if self.availability != "position":
-            qd_dot0 = self.traj.eval(t0, 1)
+        qd_dot0 = self.traj.eval(t0, 1) if self.traj.max_order else None  # position reads none
         self.layout.view(x, "phi")[:] = cascade_init(self.refcfg, self.n, qd_dot0)
         return x
 
     def _cascade(self, t, q, qdot, x):
-        """``(z, z', s, phi', q_d)`` against the true desired trajectory."""
+        """``(z, z', s, phi')`` against the true desired trajectory."""
         qd = self.traj.derivs(t, self.traj.max_order)  # the rows M reads
         r = self.M @ np.concatenate((x[: self._m], q, qdot, qd.ravel()))
-        return x[: self.n], r[: self.n], r[self._m :], r[: self._m], qd[0]
+        return x[: self.n], r[: self.n], r[self._m :], r[: self._m]
 
 
 def _torque_residual(model, q, qdot, tau, tau_star, gain, s):
@@ -104,13 +102,13 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
         return x
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         th = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ th
         xdot = np.concatenate((phi_dot, -self.gamma * (Y.T @ s)))
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy(), qd=qd)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy())
         return tau, xdot
 
     def energy(self, model, q, qdot, extras):
@@ -126,10 +124,10 @@ class PlainCascadeController(_CascadeController):
     availability = "full"
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         tau = -self.K * s
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s)
         return tau, phi_dot  # phi is the whole controller state
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
@@ -170,7 +168,7 @@ class PidReformulatedController(ControllerBase):
         s = qdot - x  # z is the whole controller state
         tau = -self.kd * s
         if extras is not None:
-            extras.update(ref_vel=x.copy(), ref_acc=zdot, s=s, qd=qd)
+            extras.update(ref_vel=x.copy(), ref_acc=zdot, s=s)
         return tau, zdot
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
@@ -194,7 +192,7 @@ class PidTextbookController(ControllerBase):
         dqdot = qdot - qd_dot
         tau = -self.kd * dqdot - self.kp * dq - self.ki * x  # x is the integral
         if extras is not None:
-            extras.update(qd=qd, s=dqdot)
+            extras["s"] = dqdot
         return tau, dq
 
 
@@ -218,11 +216,11 @@ class KnownParamsController(SIdentity, _CascadeController):
             raise ConfigError("feedforward_theta has the wrong dimension")
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_ff
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s)
         return tau, phi_dot  # phi is the whole controller state
 
     def _estimate_error(self, Y, model, extras):
@@ -244,11 +242,11 @@ class NonlinearDampingController(SIdentity, _CascadeController):
         self.lambda_D = nonnegative(gains, "lambda_d")  # zero turns the damping off
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ (Y.T @ s))
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd, theta_hat=self.theta_hat)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=self.theta_hat)
         return tau, phi_dot  # phi is the whole controller state
 
     def _damping(self, Y, s, extras):
@@ -273,12 +271,11 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
         self.layout.add("xi", self.p_dim)
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot, qd = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         xi = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ xi)
         xdot = np.concatenate((phi_dot, -self.lam * xi + self.lam * (Y.T @ s)))
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd, xi=xi.copy(),
-                          theta_hat=self.theta_hat)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, xi=xi.copy(), theta_hat=self.theta_hat)
         return tau, xdot

@@ -60,7 +60,10 @@ def hstar_denominator(gains, n_star: int) -> np.ndarray:
             raise ConfigError("gains.hstar_den is not Hurwitz-stable")
         return full[:-1]
     # every root is -hstar_rate, so the default is Hurwitz once the rate is positive
-    return poly_mul(*([[positive(gains, "hstar_rate"), 1.0]] * (2 * n_star)))[:-1]
+    tail = poly_mul(*([[positive(gains, "hstar_rate"), 1.0]] * (2 * n_star)))[:-1]
+    if not np.isfinite(tail).all():
+        raise ConfigError(f"gains.hstar_rate: (p + hstar_rate)^{2 * n_star} overflows")
+    return tail
 
 
 class StackedSingleController(ProxyController):
@@ -72,8 +75,7 @@ class StackedSingleController(ProxyController):
             raise ConfigError("stacked structures need cascade order >= 2")
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.gamma_f = positive(gains, "gamma_freq", 1)[0]
-        self.alpha_star = positive(gains, "alpha_star")
-        self.a0s, self.a1s = second_order_pair(self.alpha_star)
+        self.alpha_star, self.a0s, self.a1s = second_order_pair(gains, "alpha_star")
         self.freq_hat0 = per_channel(freq_hat0, 1, "controller.freq_hat0")
         self.freeze_freq = bool(freeze_freq)
 
@@ -172,7 +174,7 @@ class StackedSingleController(ProxyController):
         xdot, (tau,) = self.block.late(v, rates)
 
         if extras is not None:
-            extras.update(ref_vel=chidot_aux, ref_acc=chidd_aux, s=s_aux, qd=qd[0], z=z, zdot=zdot,
+            extras.update(ref_vel=chidot_aux, ref_acc=chidd_aux, s=s_aux, z=z, zdot=zdot,
                           theta_hat=th, xi=xi, freq_hat=thf, psi=psi, psidot=psidot, h=h, W1=W1)
         return tau, xdot
 
@@ -190,10 +192,8 @@ class StackedMultiController(ProxyController):
         super().__init__(shape, gains, traj, coeffs, theta_hat0)
         self.n_star = n_star
         self.gamma_f = positive(gains, "gamma_freq", n_star)
-        self.ass = positive(gains, "alpha_star_star")
-        self.a0ss, self.a1ss = second_order_pair(self.ass)
-        self.kappa_s = positive(gains, "kappa_star")
-        self.k0s, self.k1s = second_order_pair(self.kappa_s)
+        self.ass, self.a0ss, self.a1ss = second_order_pair(gains, "alpha_star_star")
+        self.kappa_s, self.k0s, self.k1s = second_order_pair(gains, "kappa_star")
         self.freq_hat0 = per_channel(freq_hat0, n_star, "controller.freq_hat0")
         self.freeze_freq = bool(freeze_freq)
 
@@ -346,6 +346,6 @@ class StackedMultiController(ProxyController):
         xdot, (tau,) = self.block.late(v, rates)
 
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, qd=qd[0], theta_hat=th, xi=xi,
-                          freq_hat=thf, psi1=psi1, psi2=psi2, chi2=chi2, h=h)
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, freq_hat=thf,
+                          psi1=psi1, psi2=psi2, chi2=chi2, h=h)
         return tau, xdot

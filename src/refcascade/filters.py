@@ -238,8 +238,8 @@ class LinearBlock:
     reference cascade) is evaluated on signals with that axis moved to the
     front.  :meth:`compile` places the signals into the matrices ``C``,
     ``early_map`` and ``late_map``, whose first ``n_early`` and ``n_late``
-    rows are the state rates, and checks that each stage reads only the
-    columns it is given.
+    rows are the state rates, and checks that each stage's map is finite
+    (else ``OverflowError``) and reads only the columns it is given.
     """
 
     def __init__(self, layout, n, early, late):
@@ -344,6 +344,8 @@ class LinearBlock:
         flat = [s.reshape(-1, W) for s in signals]
         M = np.concatenate([rate.reshape(-1, W) for rate in rates.values()] + flat)
         width = self._widths[stage]
+        if not np.isfinite(M).all():  # an overflowing gain product, not a structural error
+            raise OverflowError("the compiled law's coefficients overflow")
         if M[:, width:].any():
             raise ValueError("a signal reads columns its stage is not given")
         spec = []

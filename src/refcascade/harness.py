@@ -120,6 +120,7 @@ def _resolve_theta(spec: str, model, name):
     return vals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned about
 def build_experiment(cfg: ExperimentConfig):
     """Instantiate (model, controller, trajectory, disturbance) from a config."""
     model = build_model(cfg)
@@ -138,7 +139,7 @@ def build_experiment(cfg: ExperimentConfig):
     try:
         coeffs = critically_damped_coeffs(rate, ell)
     except ValueError as exc:
-        raise ConfigError(f"cascade coefficients rejected: {exc}") from exc
+        raise ConfigError(f"gains.alpha, gains.kappa: cascade coefficients rejected: {exc}") from exc
 
     # every other key of the section is a constructor option; an option the
     # variant does not take may only keep its default
@@ -152,7 +153,10 @@ def build_experiment(cfg: ExperimentConfig):
         if key in ("theta_hat0", "feedforward_theta"):
             value = _resolve_theta(value, model, key)
         options[key] = value
-    controller = build_controller(c["variant"], model.shape(), gains, traj, coeffs, **options)
+    try:
+        controller = build_controller(c["variant"], model.shape(), gains, traj, coeffs, **options)
+    except OverflowError as exc:  # a product of finite gains, refused by the compiled maps
+        raise ConfigError(f"gains: {exc}") from None
     return model, controller, traj, dist
 
 
@@ -293,11 +297,9 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
 
 
 def compute_metrics(log: TimeSeriesLog) -> MetricsReport:
-    """Windowed RMS tracking statistics and terminal values."""
-    n_samples = log.t.size
-    if n_samples < 10:
-        raise ValueError("log too short for windowed metrics (need >= 10 samples)")
-    w = max(1, n_samples // 5)
+    """Windowed RMS tracking statistics and terminal values; a log of any
+    length has both windows, of at least one sample each."""
+    w = max(1, log.t.size // 5)
     norms2 = np.sum(log.dq**2, axis=1)
 
     def rms(seg):

@@ -49,9 +49,10 @@ __all__ = [
     "oracle_realization_gaps",
 ]
 
-AVAILABILITIES = ("position", "velocity", "full", "full_corrected")
-# desired-trajectory rows q_d, q_d', ... that each variant reads
+# desired-trajectory rows q_d, q_d', ... that each variant reads: the one
+# statement of what a cascade may read
 QD_ROWS = {"position": 1, "velocity": 2, "full": 3, "full_corrected": 3}
+AVAILABILITIES = tuple(QD_ROWS)
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,6 @@ class HurwitzCoeffs:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "alphas", alphas)
 
-    def polynomial(self) -> np.ndarray:
-        return np.append(self.alphas, 1.0)
-
 
 def critically_damped_coeffs(alpha: float, ell: int) -> HurwitzCoeffs:
     """Binomial expansion of (w + alpha)^(ell+1): repeated real poles at -alpha.
@@ -85,11 +83,12 @@ def critically_damped_coeffs(alpha: float, ell: int) -> HurwitzCoeffs:
     """
     if alpha <= 0.0:
         raise ValueError("rate must be positive")
-    if ell < 1:
-        raise ValueError("cascade order parameter must be at least 1")
-    alphas = np.array(
-        [math.comb(ell + 1, k) * alpha ** (ell + 1 - k) for k in range(ell + 1)]
-    )
+    try:
+        alphas = np.array([math.comb(ell + 1, k) * alpha ** (ell + 1 - k) for k in range(ell + 1)])
+    except OverflowError:  # a finite power out of range; an infinite rate gives inf
+        alphas = np.array([math.inf])
+    if not np.isfinite(alphas).all():
+        raise ValueError(f"rate {alpha:g} overflows the order-{ell} coefficients")
     return HurwitzCoeffs(ell, alphas)
 
 
@@ -130,20 +129,6 @@ class ReferenceConfig:
         return self.coeffs.ell
 
 
-def _check_inputs(availability, qd_dot, qd_ddot):
-    if availability == "position":
-        if qd_dot is not None or qd_ddot is not None:
-            raise ValueError("position-only variant must not receive desired-velocity data")
-    elif availability == "velocity":
-        if qd_dot is None:
-            raise ValueError("velocity variant needs the desired velocity")
-        if qd_ddot is not None:
-            raise ValueError("velocity variant must not receive desired acceleration")
-    else:
-        if qd_dot is None or qd_ddot is None:
-            raise ValueError(f"{availability} variant needs desired velocity and acceleration")
-
-
 def cascade_init(config: ReferenceConfig, n: int, qd_dot0=None) -> np.ndarray:
     """Initial cascade states: all zero except z(0) = qdot_d(0) when available."""
     phi = np.zeros((config.ell, n))
@@ -158,8 +143,8 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     """Time derivatives of the cascade states, and the reference acceleration.
 
     ``phi`` has shape (ell, n) with phi[0] = z.  Returns ``(phi_dot, zdot)``
-    where ``phi_dot[0] == zdot``.  Only the measured quantities q, qdot and
-    the declared q_d derivatives are read.
+    where ``phi_dot[0] == zdot``.  Only q, qdot and the ``QD_ROWS[av]`` rows
+    of q_d are read, and exactly those q_d rows must be passed.
 
     The rates are linear in ``phi`` and the inputs, with no constant term,
     and every argument may carry leading axes (``phi`` after its level
@@ -168,7 +153,8 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     checked against the oracle below, compiles its cascade that way.
     """
     av = config.availability
-    _check_inputs(av, qd_dot, qd_ddot)
+    if (qd_dot is not None, qd_ddot is not None) != (QD_ROWS[av] > 1, QD_ROWS[av] > 2):
+        raise ValueError(f"the {av} cascade reads exactly {QD_ROWS[av]} desired-trajectory rows")
     alphas = config.coeffs.alphas
     ell = config.ell
     dq = q - qd

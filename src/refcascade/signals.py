@@ -49,7 +49,8 @@ class JointSignal:
 
 
 class _SignalVector:
-    """Common base for per-joint signal collections."""
+    """Common base for per-joint signal collections; tone frequencies must be
+    positive."""
 
     def __init__(self, joints):
         self.joints = tuple(joints)
@@ -57,6 +58,8 @@ class _SignalVector:
         amps, omegas, phases, owner = [], [], [], []
         for j, joint in enumerate(self.joints):
             for tone in joint.tones:
+                if tone.omega <= 0.0:
+                    raise ValueError("tone frequencies must be positive")
                 amps.append(tone.amp)
                 omegas.append(tone.omega)
                 phases.append(tone.phase)
@@ -162,7 +165,7 @@ class _SignalVector:
 class TrajectorySpec(_SignalVector):
     """Desired position q_d(t), one :class:`JointSignal` per joint.
 
-    Polynomial degree is capped at 6; tone frequencies must be positive.
+    Polynomial degree is capped at 6.
     """
 
     MAX_POLY_DEGREE = 6
@@ -172,9 +175,6 @@ class TrajectorySpec(_SignalVector):
         for j in self.joints:
             if len(j.poly) > self.MAX_POLY_DEGREE + 1:
                 raise ValueError("polynomial degree above 6 is not supported")
-            for tone in j.tones:
-                if tone.omega <= 0.0:
-                    raise ValueError("tone frequencies must be positive")
 
     @classmethod
     def polynomial(cls, coeffs_per_joint, offsets=None):
@@ -201,16 +201,8 @@ class TrajectorySpec(_SignalVector):
 class DisturbanceSpec(_SignalVector):
     """Reference torque input tau_star(t): per-joint bias plus tones.
 
-    Tone frequencies must be positive and, across the whole spec, the set of
-    distinct frequencies defines ``n_star``.
+    Across the whole spec, the set of distinct frequencies defines ``n_star``.
     """
-
-    def __init__(self, joints):
-        super().__init__(joints)
-        for j in self.joints:
-            for tone in j.tones:
-                if tone.omega <= 0.0:
-                    raise ValueError("tone frequencies must be positive")
 
     @classmethod
     def zero(cls, n):

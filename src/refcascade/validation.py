@@ -275,32 +275,21 @@ def suite_stability_criterion():
     )
 
 
-SUITES = (
+# the suites that take the model, then the rest, in report order
+_MODEL_SUITES = (
     suite_inertia,
     suite_skew_symmetry,
     suite_inertia_rate,
     suite_regressor,
     suite_gravity_gradient,
+)
+SUITES = _MODEL_SUITES + (
     suite_cascade_equivalence,
     suite_filter_frequency_response,
     suite_tone_parameters,
     suite_stability_criterion,
 )
 
-_MODEL_SUITES = {
-    suite_inertia,
-    suite_skew_symmetry,
-    suite_inertia_rate,
-    suite_regressor,
-    suite_gravity_gradient,
-}
-
 
 def run_all_suites(model=None):
-    results = []
-    for suite in SUITES:
-        if suite in _MODEL_SUITES:
-            results.append(suite(model))
-        else:
-            results.append(suite())
-    return results
+    return [suite(model) if suite in _MODEL_SUITES else suite() for suite in SUITES]

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 from pathlib import Path
 
@@ -162,6 +163,30 @@ class TestRunCommand:
         assert main(args) == 2
         assert "lumped parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, overrides, named", [
+        ("tone_two", ["gains.hstar_rate=1e200"], "gains.hstar_rate"),
+        ("tone_two", ["gains.hstar_rate=1e80"], "gains.hstar_rate"),  # ran on an inf coefficient
+        ("tone_two", ["gains.alpha_star_star=1e200"], "gains.alpha_star_star"),
+        ("tone_two", ["gains.kappa_star=1e200"], "gains.kappa_star"),
+        ("tone_single", ["gains.alpha_star=1e200"], "gains.alpha_star"),
+        ("tone_single", ["controller.variant=filtered_adaptive", "gains.alpha_star=1e200"],
+         "gains.alpha_star"),
+        ("tone_two", ["gains.alpha=1e100"], "gains.alpha, gains.kappa"),
+        ("ramp_adaptive", ["gains.alpha=1e150"], "gains.alpha, gains.kappa"),
+        ("ramp_adaptive", ["gains.alpha=1e200", "gains.kappa=1e200"], "gains.alpha, gains.kappa"),
+        # finite derived coefficients whose product overflows in the compiled maps
+        ("tone_single", ["gains.lam_corr=1e10", "gains.alpha_star=1e150"], "coefficients overflow"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_overflowing_gain_exit_2(self, tmp_path, capsys, config, overrides, named):
+        # refused when built, naming the gains, and without a numpy warning,
+        # which tier-1 turns into an error (exit 4)
+        args = ["run", "--config", str(RAMP_CFG.parent / f"{config}.ini"),
+                "--out", str(tmp_path / "o"), "--quiet", "--set", "run.duration=0.1"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides", [
         ["controller.freeze_freq=true"],
         ["controller.freq_hat0=1 2 3"],
@@ -241,6 +266,11 @@ class TestRunCommand:
         ])
         assert code == 3
         assert (tmp_path / "o" / "log.csv").exists()
+        # a run that diverges within 9 steps still gets its metrics report
+        out = tmp_path / "short"
+        assert main(["run", "--config", str(RAMP_CFG), "--out", str(out), "--quiet",
+                     "--set", "run.dt=0.5", "--set", "gains.k=1e9"]) == 3
+        assert json.loads((out / "metrics.json").read_text())["diverged"] is True
 
 
 class TestSweepCommand:
@@ -254,6 +284,16 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.DictReader(open(out / "sweep.csv")))
         assert [r["axis_value"] for r in rows] == ["1", "2"]
+
+    def test_diverging_value_is_a_row(self, tmp_path):
+        out = tmp_path / "sw"
+        code = main([
+            "sweep", "--config", str(RAMP_CFG.parent / "order_sweep.ini"), "--out", str(out),
+            "--quiet", "--set", "run.duration=1", "--axis", "gain:k", "--values", "20,1e12",
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "sweep.csv")))
+        assert [r["diverged"] for r in rows] == ["0", "1"]
 
     def test_non_numeric_value_exit_2(self, run_config, tmp_path):
         code = main([

@@ -387,10 +387,11 @@ class TestStackedStructure:
 
 class TestGainValidation:
     def test_non_diagonal_rejected(self, model):
+        # a gain is one entry or n; a matrix, even a diagonal one, is refused
         traj = TrajectorySpec.constant([0.0, 0.0])
-        bad = np.array([[20.0, 1.0], [0.0, 20.0]])
-        with pytest.raises(ConfigError):
-            make("plain", model, traj, gains={**GAINS, "k": bad})
+        for bad in ([[20.0, 1.0], [0.0, 20.0]], [[20.0, 0.0], [0.0, 20.0]]):
+            with pytest.raises(ConfigError):
+                make("plain", model, traj, gains={**GAINS, "k": np.array(bad)})
 
     def test_negative_scalar_rejected(self, model):
         traj = TrajectorySpec.constant([0.0, 0.0])

@@ -75,7 +75,7 @@ class TestScaleCoeffs:
         # scaling by kappa divides every root by kappa
         c = HurwitzCoeffs(2, np.array([6.0, 11.0, 6.0]))  # roots -1, -2, -3
         s = scale_coeffs(c, 2.0)
-        roots = np.sort(np.roots(s.polynomial()[::-1]))
+        roots = np.sort(np.roots(np.append(s.alphas, 1.0)[::-1]))
         assert np.allclose(roots, [-1.5, -1.0, -0.5], atol=1e-10)
 
     def test_autonomous_response_time_dilates(self):
@@ -167,6 +167,8 @@ class TestCascadeRates:
         q = qd = np.zeros(2)
         with pytest.raises(ValueError):
             cascade_rates(cfg, phi, q, q, qd, qd_dot=np.zeros(2))
+        with pytest.raises(ValueError):
+            cascade_rates(cfg, phi, q, q, qd, qd_ddot=np.zeros(2))
         cfg_v = ReferenceConfig(critically_damped_coeffs(4.0, 2), "velocity")
         with pytest.raises(ValueError):
             cascade_rates(cfg_v, phi, q, q, qd)  # missing qd_dot

@@ -1,0 +1,70 @@
+"""Every ``configs/*.ini`` run, one simulated second long, against its
+committed ``log.csv`` and ``metrics.json``.
+
+``tests/reference/<config>/`` holds the output of
+
+    refcascade run --config configs/<config>.ini --set run.duration=1 --out tests/reference/<config>
+
+run from the repository root.  Each config is rerun in-process, and every
+number of both files must match within 1e-12 absolute, with NaN equal to
+NaN; a failure names the worst column.  A change that moves a log on
+purpose regenerates its reference with the command above and says why.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from refcascade.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "tests" / "reference"
+CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.ini"))
+TOL = 1e-12
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def _read_metrics(path):
+    # one flat entry per number; None (no divergence time) reads as NaN
+    report = json.loads(path.read_text())
+    names, values = [], []
+    for key in sorted(report):
+        entries = np.array(report[key], dtype=float).reshape(-1)
+        names += [key] * entries.size
+        values.append(entries)
+    return names, np.concatenate(values)[None]
+
+
+def _worst(names, want, got):
+    """Largest absolute gap and the column it is in; equal infinities and
+    NaN against NaN count as no gap."""
+    with np.errstate(invalid="ignore"):
+        gap = np.where((want == got) | np.isnan(want) & np.isnan(got), 0.0, np.abs(want - got))
+    gap = np.nan_to_num(gap, nan=np.inf).max(axis=0)
+    j = int(np.argmax(gap))
+    return float(gap[j]), names[j]
+
+
+def test_every_config_has_a_reference():
+    assert CONFIGS == sorted(p.name for p in REFERENCE.iterdir())
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_log_matches_reference(tmp_path, config):
+    out = tmp_path / config
+    assert main(["run", "--config", str(ROOT / "configs" / f"{config}.ini"),
+                 "--set", "run.duration=1", "--out", str(out), "--quiet"]) == 0
+    for name, read in (("log.csv", _read_csv), ("metrics.json", _read_metrics)):
+        names, want = read(REFERENCE / config / name)
+        got_names, got = read(out / name)
+        assert got_names == names and got.shape == want.shape, f"{name}: layout changed"
+        gap, column = _worst(names, want, got)
+        assert gap <= TOL, f"{name}: column {column} moved by {gap:.3e}"
