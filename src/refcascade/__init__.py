@@ -8,12 +8,7 @@ to unknown disturbance tone frequencies.
 
 from .manipulator import ArmParams, ArmShape, TwoLinkArm
 from .numerics import NonFiniteStateError, rk4_step, routh_hurwitz
-from .refdyn import (
-    HurwitzCoeffs,
-    ReferenceConfig,
-    critically_damped_coeffs,
-    scale_coeffs,
-)
+from .refdyn import HurwitzCoeffs, ReferenceConfig, critically_damped_coeffs
 from .signals import DisturbanceSpec, JointSignal, Tone, TrajectorySpec, vieta_theta
 
 __version__ = "0.1.0"
@@ -28,7 +23,6 @@ __all__ = [
     "HurwitzCoeffs",
     "ReferenceConfig",
     "critically_damped_coeffs",
-    "scale_coeffs",
     "DisturbanceSpec",
     "JointSignal",
     "Tone",

@@ -136,9 +136,11 @@ def cmd_plot_data(args) -> int:
             key=lambda c: int(c[len(prefix):]),
         )
 
-    dq_cols = series("dq")
+    # one tracking-error column per joint: dq1 up to the highest joint index
+    joints = max([1] + [int(c[len(p):]) for p in ("q", "dq") for c in series(p)])
+    dq_cols = [f"dq{i}" for i in range(1, joints + 1)]
     est_cols = series("thetahat") + series("freqhat")
-    missing = [c for c in ("t", "V", "Vaux") if c not in cols]
+    missing = [c for c in ["t", "V", "Vaux"] + dq_cols if c not in cols]
     if missing:
         raise ConfigError(f"log file {src} lacks the column(s) {', '.join(missing)}")
     # every cell is checked before any file is written

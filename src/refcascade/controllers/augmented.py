@@ -117,16 +117,18 @@ class FilteredAdaptiveController(ProxyController):
         )
         z = phi[0]
         s = qdot - z
+        # a bank's rate comes back with the chain axis last
+        xw, xh = block.chains("wbank", self.wbank), block.chains("hbank", self.hbank)
         block.compile(
             # filtered regressor (n, p), filtered Y th, then the plain signals
-            outputs=(block.tap("wbank", self.wbank), block.tap("hbank", self.hbank),
+            outputs=(self.wbank.output(xw), self.hbank.output(xh),
                      e, sig("theta_hat"), xi, z, s, aux[0]),
             early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux))},
                    (zdot.T,)),
             late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
-                   "wbank": block.chain("wbank", self.wbank, sig("Y")),
-                   "hbank": block.chain("hbank", self.hbank, sig("Y_th"))},
+                   "wbank": self.wbank.deriv(xw, sig("Y")).swapaxes(-1, -2),
+                   "hbank": self.hbank.deriv(xh, sig("Y_th")).swapaxes(-1, -2)},
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 

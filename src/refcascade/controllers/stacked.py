@@ -126,13 +126,16 @@ class StackedSingleController(ProxyController):
         chidot_aux = chi[1] - self.alpha_star * psi
         s_aux = qdot - chidot_aux
         chidd_aux = chidd - self.alpha_star * psidot
-        D = self.b_psi.D[0][:, None]
-        every = slice(None)
+        b_psi, b_y, b_v = self.b_psi, self.b_y, self.b_v
+        # a bank's rate comes back with the chain axis last
+        x_psi, x_psith, x_y, x_v = (block.chains(name, bank) for name, bank in (
+            ("b_psi", b_psi), ("b_psith", b_psi), ("b_y", b_y), ("b_v", b_v)))
         block.compile(
             outputs=(
-                block.tap("b_psi", self.b_psi) + D * psi,   # biproper
-                block.tap("b_psith", self.b_psi),           # D psith is added per evaluation
-                block.tap("b_y", self.b_y, "C", every), block.tap("b_v", self.b_v, "C", every),
+                b_psi.output(x_psi, psi),                   # biproper
+                b_psi.state_output(x_psith),                # D psith is added per evaluation
+                np.array([b_y.output(x_y, k=k) for k in (0, 1)]),
+                np.array([b_v.output(x_v, k=k) for k in (0, 1)]),
                 e, sig("theta_hat"), sig("freq_hat"), xi, psi, psidot, chidot_aux, s_aux, phi[0],
             ),
             early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
@@ -141,10 +144,10 @@ class StackedSingleController(ProxyController):
             late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f) * sig("W1_e"),
-                   "b_psi": block.chain("b_psi", self.b_psi, psi),
-                   "b_psith": block.chain("b_psith", self.b_psi, sig("psith")),
-                   "b_y": block.chain("b_y", self.b_y, sig("Y")),
-                   "b_v": block.chain("b_v", self.b_v, sig("Y_th"))},
+                   "b_psi": b_psi.deriv(x_psi, psi).swapaxes(-1, -2),
+                   "b_psith": b_psi.deriv(x_psith, sig("psith")).swapaxes(-1, -2),
+                   "b_y": b_y.deriv(x_y, sig("Y")).swapaxes(-1, -2),
+                   "b_v": b_v.deriv(x_v, sig("Y_th")).swapaxes(-1, -2)},
                   (-self.K[:, None] * s_aux + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
@@ -258,42 +261,40 @@ class StackedMultiController(ProxyController):
         sig = block.signal
         phi, aux, chi1, xi = sig("phi"), sig("qd_aux"), sig("chi1"), sig("xi")
         q, qdot = sig("q"), sig("qdot")
-        every = slice(None)
 
         e, qdd_aux = self._proxy(sig, self.ass, self.a0ss, self.a1ss)
         r1 = qdd_aux - self.a1ss * (qdot - aux[1]) - self.a0ss * (q - aux[0])
 
         psi1 = q - chi1[0]
         psi1dot = qdot - chi1[1]
-        f_e, f_u = self.f_e, self.f_u
-        CB, CAB = f_e.CB[0][:, None], f_e.CAB[0][:, None]
-        ev, evd, evdd = block.tap("f_e", f_e, ("C", "CA", "CA2"))
-        evd = evd + CB * psi1
-        evdd = evdd + CAB * psi1 + CB * psi1dot
-
-        # f_u has relative degree 2 (CB = 0): chi2u' is a pure state map
-        chi2u, chi2ud, chi2udd = block.tap("f_u", f_u, ("C", "CA", "CA2"))
-        chi2 = chi1[0] - ev + chi2u
-        chi2d = chi1[1] - evd + chi2ud
-        chi2dd = r1 - evdd + chi2udd + f_u.CAB[0][:, None] * sig("m_drive")
+        f_e, f_u, f_w = self.f_e, self.f_u, self.f_w
+        # a bank's rate comes back with the chain axis last
+        x_e, x_u, x_w, x_y, x_v, x_ow, x_oh = (block.chains(name, bank) for name, bank in (
+            ("f_e", f_e), ("f_u", f_u), ("f_w", f_w), ("b_y", self.b_y), ("b_v", self.b_v),
+            ("outer_w", self.f_outer_w), ("outer_h", self.f_outer_h)))
+        # f_u has relative degree 2 (CB = 0), so it never reads its drive's rate
+        m_drive = sig("m_drive")
+        chi2 = chi1[0] - f_e.output(x_e) + f_u.output(x_u)
+        chi2d = chi1[1] - f_e.output_dot(x_e, psi1) + f_u.output_dot(x_u, m_drive)
+        chi2dd = r1 - f_e.output_ddot(x_e, psi1, psi1dot) + f_u.output_ddot(x_u, m_drive)
         psi2 = q - chi2
-
         # only the last tone regressor is biproper
-        W_i = block.tap("f_w", self.f_w, "C", every)
-        W_i[-1] += self.f_w.D[-1][:, None] * psi2
+        W_i = np.array([f_w.output(x_w, psi2, k) for k in range(self.n_star)])
 
         # the cascade takes the signals' column axis as a leading axis
         phi_dot, zdot = cascade_rates(
             self.refcfg, phi.swapaxes(1, 2), q.T, qdot.T, chi2.T, chi2d.T, chi2dd.T
         )
         s = qdot - phi[0]
+        paths = range(self.n_star + 1)
         block.compile(
             # the path outputs and tone regressors carry their tone index
             # last, so one product with the estimates combines them
             outputs=(
-                block.tap("b_y", self.b_y, "C", every).transpose(1, 2, 0, 3),
-                block.tap("b_v", self.b_v, "C", every).transpose(1, 0, 2),
-                block.tap("outer_w", self.f_outer_w), block.tap("outer_h", self.f_outer_h),
+                np.array([self.b_y.output(x_y, k=k) for k in paths]).transpose(1, 2, 0, 3),
+                np.array([self.b_v.output(x_v, k=k) for k in paths]).transpose(1, 0, 2),
+                # D mW and D mh are added per evaluation
+                self.f_outer_w.state_output(x_ow), self.f_outer_h.state_output(x_oh),
                 W_i.transpose(1, 0, 2),
                 e, sig("theta_hat"), sig("freq_hat"), xi, phi[0], s,
                 psi1dot + self.kappa_s * psi1, psi1, psi2, chi2,
@@ -301,16 +302,16 @@ class StackedMultiController(ProxyController):
             early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
                     "chi1": np.array((chi1[1], r1))},
                    (zdot.T,)),
-            late=({"f_e": block.chain("f_e", f_e, psi1),
-                   "f_u": block.chain("f_u", f_u, sig("m_drive")),
-                   "f_w": block.chain("f_w", self.f_w, psi2),
+            late=({"f_e": f_e.deriv(x_e, psi1).swapaxes(-1, -2),
+                   "f_u": f_u.deriv(x_u, m_drive).swapaxes(-1, -2),
+                   "f_w": f_w.deriv(x_w, psi2).swapaxes(-1, -2),
                    "xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f[:, None]) * sig("W_err"),
-                   "b_y": block.chain("b_y", self.b_y, sig("Y")),
-                   "b_v": block.chain("b_v", self.b_v, sig("Y_th")),
-                   "outer_w": block.chain("outer_w", self.f_outer_w, sig("mW")),
-                   "outer_h": block.chain("outer_h", self.f_outer_h, sig("mh"))},
+                   "b_y": self.b_y.deriv(x_y, sig("Y")).swapaxes(-1, -2),
+                   "b_v": self.b_v.deriv(x_v, sig("Y_th")).swapaxes(-1, -2),
+                   "outer_w": self.f_outer_w.deriv(x_ow, sig("mW")).swapaxes(-1, -2),
+                   "outer_h": self.f_outer_h.deriv(x_oh, sig("mh")).swapaxes(-1, -2)},
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 

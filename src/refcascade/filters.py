@@ -25,7 +25,9 @@ term ``W W^T e`` and ``W^T e``, and the products with the tone estimates.
 A :class:`LinearBlock` compiles the rest, once, into one affine map:
 ``y = C [x; w]`` for every linear signal the law reads, and the state rate
 ``xdot = A x + B [w; u]``, where ``u`` holds only those products.  The
-banks remain the source of every filter coefficient.
+banks state every filter once: a block's filter outputs and rates are the
+bank's own :meth:`FilterBank.output`, ``output_dot``, ``output_ddot`` and
+``deriv``, evaluated on the block's unit signal.
 """
 
 from __future__ import annotations
@@ -170,12 +172,14 @@ class FilterBank:
     def _feed(self, dvec, u):
         if u is None:
             return 0.0
-        if np.ndim(u) == 2:
-            return dvec[:, None] * u
-        return dvec * u
+        return dvec.reshape((-1,) + (1,) * (np.ndim(u) - 1)) * u
+
+    def state_output(self, x, k=0):
+        """The state part ``C x`` of output ``k``, without ``D u``."""
+        return self._mix(self.C[k], x)
 
     def output(self, x, u=None, k=0):
-        y = self._mix(self.C[k], x)
+        y = self.state_output(x, k)
         if self._has_D[k]:
             if u is None:
                 raise ValueError("biproper output requires the current input")
@@ -190,9 +194,12 @@ class FilterBank:
             y = y + self._feed(self.D[k], udot)
         return y
 
-    def output_ddot(self, x, u, udot, k=0):
+    def output_ddot(self, x, u, udot=None, k=0):
+        """``udot`` may be omitted where ``CB`` is zero (relative degree >= 2)."""
         if self._has_D[k]:
             raise ValueError("second output derivative implemented for strictly proper channels")
+        if udot is None and self.CB[k].any():
+            raise ValueError("second output derivative requires udot")
         return (
             self._mix(self.CA2[k], x)
             + self._feed(self.CAB[k], u)
@@ -232,14 +239,14 @@ class LinearBlock:
     axis runs over the columns of ``v``, so a signal ``S`` takes the value
     ``S @ v``.  :meth:`signal` gives the unit signal of a state block, of
     ``q``, ``qdot``, ``qd`` (the three trajectory rows) or of a nonlinear
-    input, and :meth:`tap` a filter bank's output from the bank's own
-    coefficients, and :meth:`chain` the rate of a bank's chains under a
-    drive signal; any other linear function that accepts leading axes (the
-    reference cascade) is evaluated on signals with that axis moved to the
-    front.  :meth:`compile` places the signals into the matrices ``C``,
-    ``early_map`` and ``late_map``, whose first ``n_early`` and ``n_late``
-    rows are the state rates, and checks that each stage's map is finite
-    (else ``OverflowError``) and reads only the columns it is given.
+    input.  Any linear function that accepts leading axes is evaluated on
+    signals with that axis moved to the front: the reference cascade, and a
+    filter bank's maps on :meth:`chains`, the unit signal of its block with
+    the column axis before the chain axis.  :meth:`compile` places the
+    signals into the matrices ``C``, ``early_map`` and ``late_map``, whose
+    first ``n_early`` and ``n_late`` rows are the state rates, and checks
+    that each stage's map is finite (else ``OverflowError``) and reads only
+    the columns it is given.
     """
 
     def __init__(self, layout, n, early, late):
@@ -262,61 +269,22 @@ class LinearBlock:
     # -- construction ---------------------------------------------------------
 
     def signal(self, name):
-        """Unit signal of a state block, ``q``, ``qdot``, ``qd`` or an input."""
+        """Unit signal of a state block, ``q``, ``qdot``, ``qd`` or an input:
+        a read-only view of the identity's rows."""
         start, shape = self._cols[name]
-        size = math.prod(shape)
-        out = np.zeros((size, self.width))
-        # entry k reads column start + k: flat positions start + k (width + 1)
-        out.reshape(-1)[start : start + size * (self.width + 1) : self.width + 1] = 1.0
-        return out if len(shape) == 1 else out.reshape(shape + (self.width,))
+        rows = _identity(self.width)[start : start + math.prod(shape)]
+        return rows.reshape(shape + (self.width,))
 
-    def tap(self, name, bank, kind="C", k=0):
-        """State part of output ``k`` of the chains in block ``name``.
+    def chains(self, name, bank):
+        """Unit signal of block ``name`` as ``bank``'s state argument.
 
-        ``kind`` is ``"C"``, ``"CA"`` or ``"CA2"``: the output or its first
-        or second time derivative, without the current-input terms (``D u``,
-        ``CB u``, ``CAB u``), which the caller adds; a tuple of kinds stacks
-        them on a leading axis.  ``k`` may be a slice, which stacks those
-        outputs on a leading axis.
+        The column axis comes before the chain axis, so the bank's outputs
+        are signals, and its ``deriv`` is a rate signal once the last two
+        axes are swapped back.
         """
-        start, shape = self._chain(name, bank)
-        if isinstance(kind, str):
-            maps = getattr(bank, kind)[k]
-        else:
-            maps = np.array([getattr(bank, kd)[k] for kd in kind])
-        # output (..., r, [c]) reads maps[..., r, :] on chain (r, [c]),
-        # whose states are the columns start + m (r [* cols + c]) + (0..m-1)
-        lead = maps.shape[:-2]
-        m, g = bank.order, bank.state_size // bank.order
-        out = np.zeros(lead + (g, self.width))
-        diag = np.einsum("...ggj->...gj", out[..., start : start + g * m].reshape(lead + (g, g, m)))
-        diag[...] = maps.repeat(bank.cols, axis=-2)
-        return out.reshape(lead + shape[:-1] + (self.width,))
-
-    def chain(self, name, bank, drive):
-        """Rate signal of the chains in block ``name`` driven by ``drive``.
-
-        Each state's rate is the next state; the last one's is the drive
-        minus the denominator tail.
-        """
-        start, shape = self._chain(name, bank)
-        m, size, W = bank.order, bank.state_size, self.width
-        rows = np.zeros((size, W))
-        # the superdiagonal of the chains' own columns, cut at each chain's end
-        rows.reshape(-1)[start + 1 : start + 1 + (size - 1) * (W + 1) : W + 1] = 1.0
-        own = rows[:, start : start + size]
-        own[m - 1 :: m] = 0.0
-        diag = np.einsum("gigj->gij", own.reshape(size // m, m, size // m, m))
-        diag[:, -1] = -bank.a.repeat(bank.cols, axis=0)
-        rows[m - 1 :: m] += drive.reshape(-1, W)
-        return rows.reshape(shape + (W,))
-
-    def _chain(self, name, bank):
-        """First column and shape of block ``name``, checked against ``bank``."""
-        start, shape = self._cols[name]
-        if shape != bank.state_shape():
+        if self._cols[name][1] != bank.state_shape():
             raise ValueError(f"block '{name}' does not match its bank's state shape")
-        return start, shape
+        return self.signal(name).swapaxes(-1, -2)
 
     def compile(self, outputs, early, late):
         """Place the signals of the three stages into their matrices.
@@ -372,6 +340,18 @@ class LinearBlock:
         r = self.late_map @ v
         xdot = np.concatenate((early_rates[: self.n_early], r[: self.n_late]))
         return xdot, _unpack(r, self._late)
+
+
+@functools.lru_cache(maxsize=4)
+def _identity(width):
+    """The unit signals of all ``width`` columns.
+
+    Shared by every block of that width, so never written to: a fresh
+    identity per block would pay its page faults on every build.
+    """
+    eye = np.eye(width)
+    eye.flags.writeable = False
+    return eye
 
 
 def _unpack(y, spec):

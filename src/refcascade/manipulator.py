@@ -124,9 +124,6 @@ class TwoLinkArm:
         _, _, _, b1, b2 = self.theta
         return b1 * np.sin(q[0]) + b2 * np.sin(q[0] + q[1])
 
-    def energy(self, q, qdot) -> float:
-        return 0.5 * qdot @ self.inertia(q) @ qdot + self.potential(q)
-
     # -- regressor ---------------------------------------------------------
 
     @staticmethod

@@ -8,6 +8,8 @@ Polynomials are stored as coefficient arrays in increasing-power order,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -96,6 +98,11 @@ def routh_hurwitz(poly) -> str:
     reported, never repaired with epsilon rows, so callers must reject
     marginal coefficient sets themselves.
 
+    The array is formed in the variable ``s = w / 2**e``, the power of two
+    that brings the constant and leading coefficients to one magnitude, so
+    the verdict does not depend on the frequency scale of the roots; a
+    power of two rescales exactly, and the first column keeps its signs.
+
     Accepts an increasing-power coefficient sequence.  Raises
     ``ValueError`` for degree < 1 or a zero leading coefficient.
     """
@@ -108,23 +115,24 @@ def routh_hurwitz(poly) -> str:
     if degree < 1:
         raise ValueError("degree must be at least 1")
 
-    # high-to-low order, normalized to a positive leading coefficient
-    a = c[::-1].copy()
-    if a[0] < 0.0:
-        a = -a
-    scale = np.max(np.abs(a))
-    tol = 1e-12 * scale
+    # high-to-low order, normalized to a positive leading coefficient near 1
+    a = (-c if c[-1] < 0.0 else c)[::-1].tolist()
+    lead = math.frexp(a[0])[1]
+    e = 0 if a[-1] == 0.0 else round((math.frexp(a[-1])[1] - lead) / degree)
+    try:
+        a = [math.ldexp(x, -i * e - lead) for i, x in enumerate(a)]
+    except OverflowError:  # roots too far apart to share one scale
+        pass
+    tol = 1e-12 * max(map(abs, a))
 
     # Hurwitz polynomials have strictly positive coefficients; a strictly
     # negative one certifies a root with positive real part.
-    if np.any(a < -tol):
+    if any(x < -tol for x in a):
         return "unstable"
 
     width = (degree // 2) + 1
-    row0 = np.zeros(width)
-    row1 = np.zeros(width)
-    row0[: a[0::2].size] = a[0::2]
-    row1[: a[1::2].size] = a[1::2]
+    row0 = a[0::2] + [0.0] * (width - len(a[0::2]))
+    row1 = a[1::2] + [0.0] * (width - len(a[1::2]))
 
     first_column = [row0[0]]
     for _ in range(degree):
@@ -132,11 +140,9 @@ def routh_hurwitz(poly) -> str:
         if abs(pivot) <= tol:
             return "marginal"
         first_column.append(pivot)
-        nxt = np.zeros(width)
-        nxt[:-1] = (pivot * row0[1:] - row0[0] * row1[1:]) / pivot
-        row0, row1 = row1, nxt
+        nxt = [(pivot * x0 - row0[0] * x1) / pivot for x0, x1 in zip(row0[1:], row1[1:])]
+        row0, row1 = row1, nxt + [0.0]
 
-    fc = np.array(first_column)
-    if np.any(np.abs(fc) <= tol):
+    if any(abs(x) <= tol for x in first_column):
         return "marginal"
-    return "stable" if np.all(fc > 0.0) else "unstable"
+    return "stable" if all(x > 0.0 for x in first_column) else "unstable"

@@ -383,6 +383,19 @@ class TestPlotData:
         assert main(["plot-data", "--log", str(log), "--out", str(out), "--quiet"]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,names", [
+        (b"t,V,Vaux\n0,1,0\n", "dq1"),  # no tracking error at all
+        (b"t,q1,q2,dq1,V,Vaux\n0,0,0,0.1,1,0\n", "dq2"),  # one joint's missing
+        (b"t,dq1,dq3,V,Vaux\n0,0.1,0.1,1,0\n", "dq2"),  # a gap
+    ])
+    def test_missing_dq_columns_exit_2(self, tmp_path, capsys, text, names):
+        log = tmp_path / "log.csv"
+        log.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["plot-data", "--log", str(log), "--out", str(out), "--quiet"]) == 2
+        assert names in capsys.readouterr().err
+        assert not out.exists()
+
     def test_directory_as_log_exit_2(self, tmp_path):
         out = tmp_path / "out"
         assert main(["plot-data", "--log", str(tmp_path), "--out", str(out), "--quiet"]) == 2

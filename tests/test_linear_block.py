@@ -13,12 +13,15 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refcascade.config import load_config
 from refcascade.controllers import build_controller
 from refcascade.controllers.base import Layout
 from refcascade.filters import FilterBank, LinearBlock
 from refcascade.manipulator import TwoLinkArm
+from refcascade.numerics import poly_from_roots
 from refcascade.refdyn import cascade_rates, critically_damped_coeffs
 from refcascade.signals import TrajectorySpec
 
@@ -253,9 +256,57 @@ def test_block_rejects_a_layout_that_does_not_match_its_bank():
     bank = FilterBank([[2.0, 3.0, 1.0]] * 2, [[[1.0], [1.0]]])
     block = LinearBlock(ctrl.layout, ctrl.n, (), ())
     with pytest.raises(ValueError, match="state shape"):
-        block.tap("hbank", bank)
-    with pytest.raises(ValueError, match="state shape"):
-        block.chain("hbank", bank, block.signal("q"))
+        block.chains("hbank", bank)
+
+
+@st.composite
+def banks(draw):
+    """A stable bank: rows of one order, strictly proper or biproper outputs."""
+    rows, order = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    dens = [draw(st.floats(0.5, 2.0)) * poly_from_roots([-draw(st.floats(0.25, 4.0))
+                                                         for _ in range(order)])
+            for _ in range(rows)]
+    nums = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = order + draw(st.integers(0, 1))  # order + 1 coefficients: biproper
+        nums.append([[draw(st.floats(-3.0, 3.0)) for _ in range(length)] for _ in range(rows)])
+    return FilterBank(dens, nums, cols=draw(st.sampled_from((1, 3))))
+
+
+@settings(max_examples=60)
+@given(bank=banks(), seed=st.integers(0, 2**32 - 1))
+def test_block_from_the_bank_maps_matches_the_bank(bank, seed):
+    # a block compiled from the bank's own maps on its unit signal, against
+    # the same maps at a random state and input
+    layout = Layout()
+    layout.add("f", *bank.state_shape())
+    shape = bank.state_shape()[:-1]
+    block = LinearBlock(layout, 1, early=(("u", shape), ("udot", shape)), late=())
+    x, u, udot = block.chains("f", bank), block.signal("u"), block.signal("udot")
+    ks = range(len(bank.C))
+
+    def laws(x, u, udot):
+        outputs = [bank.output(x, u, k) for k in ks]
+        outputs += [bank.output_dot(x, u, udot, k) for k in ks]
+        outputs += [bank.output_ddot(x, u, udot, k) for k in ks if not bank.D[k].any()]
+        return [bank.state_output(x, k) for k in ks], outputs, bank.deriv(x, u)
+
+    states, outputs, rate = laws(x, u, udot)
+    block.compile(states, ({}, outputs), ({"f": rate.swapaxes(-1, -2)}, ()))
+
+    rng = np.random.default_rng(seed)
+    xv = rng.uniform(-1.0, 1.0, bank.state_shape())
+    uv, udotv = rng.uniform(-1.0, 1.0, (2,) + shape)
+    v = np.concatenate((xv.ravel(), np.zeros(5), uv.ravel(), udotv.ravel()))
+    got_states = block.outputs(v[: bank.state_size + 5])
+    early, got = block.early(v)
+    xdot, _ = block.late(v, early)
+    want_states, want, want_rate = laws(xv, uv, udotv)
+    # the product sums the maps' terms in another order
+    scale = max(1.0, *(np.max(np.abs(m)) for m in (bank.a, bank.C, bank.D, bank.CA, bank.CA2)))
+    for g, w in zip([*got_states, *got, xdot], [*want_states, *want, want_rate.ravel()]):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * scale
 
 
 def test_compile_rejects_a_signal_read_too_early():

@@ -154,11 +154,14 @@ class TestForwardDynamics:
             qdd = arm.forward_dynamics(q, qdot, torque(t), np.zeros(2))
             return np.concatenate([qdot, qdd, [qdot @ torque(t)]])
 
+        def energy(q, qdot):  # kinetic plus potential
+            return 0.5 * qdot @ arm.inertia(q) @ qdot + arm.potential(q)
+
         x = np.array([0.2, -0.1, 0.3, 0.1, 0.0])
-        e0 = arm.energy(x[:2], x[2:4])
+        e0 = energy(x[:2], x[2:4])
         t = 0.0
         for _ in range(2000):
             x = rk4_step(deriv, x, t, 1e-3)
             t += 1e-3
-        e1 = arm.energy(x[:2], x[2:4])
+        e1 = energy(x[:2], x[2:4])
         assert abs((e1 - e0) - x[4]) < 1e-8

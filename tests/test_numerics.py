@@ -101,6 +101,22 @@ class TestRouthHurwitz:
         assert np.all(poly > 0.0)
         assert routh_hurwitz(poly) == "unstable"
 
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6])
+    def test_critically_damped_sets_stable_at_every_rate(self, ell):
+        # (w + a)^(ell+1) from a = 2^-10 up to the largest a whose
+        # coefficients are finite: the verdict must not depend on the scale
+        a = 2.0**-10
+        while True:
+            try:
+                coeffs = [math.comb(ell + 1, k) * a ** (ell + 1 - k) for k in range(ell + 2)]
+            except OverflowError:
+                break
+            if not all(map(math.isfinite, coeffs)):
+                break
+            assert routh_hurwitz(coeffs) == "stable", a
+            a *= 1.5
+        assert (ell + 1) * math.log10(a) > 300  # the sweep went up to the overflow
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             routh_hurwitz([1.0])
