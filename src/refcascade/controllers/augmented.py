@@ -29,7 +29,8 @@ import numpy as np
 
 from ..filters import FilterBank, LinearBlock, regressor_loop_channel
 from ..refdyn import ReferenceConfig, cascade_rates
-from .base import ControllerBase, FilteredDamping, nonnegative, positive, second_order_pair
+from .base import (ControlEval, ControllerBase, FilteredDamping, nonnegative, positive,
+                   second_order_pair)
 
 __all__ = ["FilteredAdaptiveController"]
 
@@ -43,6 +44,9 @@ class ProxyController(FilteredDamping, ControllerBase):
     torque is the filtered-damping law.  The layout starts with ``phi`` and
     ``qd_aux`` and holds ``theta_hat``; a compiled block reads the
     nonlinear inputs ``h`` and ``damping``.
+
+    ``evaluate`` writes into the block's work array and returns views of
+    it, valid until the next call; ``observe`` returns copies.
     """
 
     availability = "full_corrected"
@@ -69,6 +73,20 @@ class ProxyController(FilteredDamping, ControllerBase):
             - self.lambda_D_star * sig("damping")
         )
         return e, qdd_aux
+
+    def observe(self, t, q, qdot, x):
+        ev = super().observe(t, q, qdot, x)
+        return ControlEval(ev.tau.copy(), ev.xdot.copy(),
+                           {name: a.copy() for name, a in ev.extras.items()})
+
+    def _load(self, t, q, qdot, x):
+        """Write ``[x; w]`` into the block's ``v``; returns its input slots."""
+        slots = self.block.slots
+        slots["x"][:] = x
+        slots["q"][:] = q
+        slots["qdot"][:] = qdot
+        slots["qd"][:] = self.traj.derivs(t, 2)
+        return slots
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
@@ -133,16 +151,20 @@ class FilteredAdaptiveController(ProxyController):
         )
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        qd = self.traj.derivs(t, 2)
-        v = np.concatenate((x, q, qdot, qd.ravel()))
-        W, hv, e, th, xi, z, s, aux0 = self.block.outputs(v)
-        h = W @ th - hv                      # swap term, (n,)
-        Wt_e = W.T @ e
-        v = np.concatenate((v, h, W @ Wt_e))
-        rates, (zdot,) = self.block.early(v)
+        u = self._load(t, q, qdot, x)
+        W, hv, e, th, xi, z, s, aux0 = self.block.outputs()
+        h, Wt_e = u["h"], u["Wt_e"]
+        np.matmul(W, th, out=h)
+        h -= hv                              # swap term, (n,)
+        np.matmul(W.T, e, out=Wt_e)
+        np.matmul(W, Wt_e, out=u["damping"])
+        (zdot,) = self.block.early()
         Y = self.shape.regressor(q, qdot, z, zdot)
-        v = np.concatenate((v, Y.ravel(), Y @ th, Y.T @ s, Wt_e, Y @ xi))
-        xdot, (tau,) = self.block.late(v, rates)
+        u["Y"][:] = Y
+        np.matmul(Y, th, out=u["Y_th"])
+        np.matmul(Y.T, s, out=u["Yt_s"])
+        np.matmul(Y, xi, out=u["Y_xi"])
+        xdot, (tau,) = self.block.late()
 
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, W=W, h=h, qd_aux=aux0)

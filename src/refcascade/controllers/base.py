@@ -5,7 +5,9 @@ state block, an initializer, and a pure ``evaluate``, its one statement of
 the law, mapping measurements and internal state to the commanded torque and
 the state-block time derivative on every RK4 stage.  ``observe`` runs the
 same law at a sampled step and also returns the derived views a log records,
-which the stages never build.  Each reference cascade runs as precomputed
+which the stages never build.  ``evaluate``'s arrays may be overwritten by
+the next call (the filtering laws return views of their work arrays);
+``observe``'s belong to the caller.  Each reference cascade runs as precomputed
 matrix rows: one product with ``[phi; q; qdot; q_d rows]`` in the
 single-layer laws, the filtering laws' compiled block otherwise.  The
 experiment loop concatenates plant and controller states and integrates them

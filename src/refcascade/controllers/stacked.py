@@ -158,23 +158,27 @@ class StackedSingleController(ProxyController):
         return x
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        qd = self.traj.derivs(t, 2)
-        v = np.concatenate((x, q, qdot, qd.ravel()))
+        u = self._load(t, q, qdot, x)
         W1, g1_psith, (WG2, WG3), (vG2, vG3), e, th, thf, xi, psi, psidot, chidot_aux, s_aux, z = (
-            self.block.outputs(v)
+            self.block.outputs()
         )
-        psith = psi * thf
-        g1_psith = g1_psith + self.b_psi.D[0] * psith
+        psith, h, Wt_e = u["psith"], u["h"], u["Wt_e"]
+        np.multiply(psi, thf, out=psith)
+        g1_psith += self.b_psi.D[0] * psith
 
         Wst = thf * WG2 + WG3                          # (n, p)
-        h = W1 * thf - g1_psith + thf * (WG2 @ th - vG2) + WG3 @ th - vG3
-        Wt_e = Wst.T @ e
-        v = np.concatenate((v, h, Wst @ Wt_e, psith))
-        rates, (zdot, chidd_aux) = self.block.early(v)
+        np.subtract(W1 * thf - g1_psith + thf * (WG2 @ th - vG2) + WG3 @ th, vG3, out=h)
+        np.matmul(Wst.T, e, out=Wt_e)
+        np.matmul(Wst, Wt_e, out=u["damping"])
+        zdot, chidd_aux = self.block.early()
 
         Y = self.shape.regressor(q, qdot, chidot_aux, chidd_aux)
-        v = np.concatenate((v, Y.ravel(), Y @ th, Y.T @ s_aux, Wt_e, W1 @ e[:, None], Y @ xi))
-        xdot, (tau,) = self.block.late(v, rates)
+        u["Y"][:] = Y
+        np.matmul(Y, th, out=u["Y_th"])
+        np.matmul(Y.T, s_aux, out=u["Yt_s"])
+        np.matmul(W1, e[:, None], out=u["W1_e"])
+        np.matmul(Y, xi, out=u["Y_xi"])
+        xdot, (tau,) = self.block.late()
 
         if extras is not None:
             extras.update(ref_vel=chidot_aux, ref_acc=chidd_aux, s=s_aux, z=z, zdot=zdot,
@@ -256,6 +260,7 @@ class StackedMultiController(ProxyController):
                   ("Wt_e", p), ("W_err", n_star), ("Y_xi", n)),
         )
         self._compile(self.block)
+        self._weights = np.ones(n_star + 1)  # (thf, 1), refilled per evaluation
 
     def _compile(self, block):
         sig = block.signal
@@ -323,28 +328,32 @@ class StackedMultiController(ProxyController):
         return x
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        qd = self.traj.derivs(t, 2)
-        v = np.concatenate((x, q, qdot, qd.ravel()))
+        u = self._load(t, q, qdot, x)
         by, bv, Wst, oh, W_i, e, th, thf, xi, z, s, layer_err, psi1, psi2, chi2 = (
-            self.block.outputs(v)
+            self.block.outputs()
         )
 
         # dynamics-regressor machinery: the path outputs weighted by (thf, 1)
-        weights = np.append(thf, 1.0)
-        mW = by @ weights
-        mh = bv @ weights
-        Wst = Wst + self.f_outer_w.D[0][:, None] * mW   # biproper p^2/kpoly
-        oh = oh + self.f_outer_h.D[0] * mh
-        h = Wst @ th - oh
-        Wt_e = Wst.T @ e
-        v = np.concatenate((v, h, Wst @ Wt_e, W_i @ thf))
-        rates, (zdot,) = self.block.early(v)
+        weights, mW, mh, h, Wt_e = self._weights, u["mW"], u["mh"], u["h"], u["Wt_e"]
+        weights[:-1] = thf
+        np.matmul(by, weights, out=mW)
+        np.matmul(bv, weights, out=mh)
+        Wst += self.f_outer_w.D[0][:, None] * mW      # biproper p^2/kpoly
+        oh += self.f_outer_h.D[0] * mh
+        np.matmul(Wst, th, out=h)
+        h -= oh
+        np.matmul(Wst.T, e, out=Wt_e)
+        np.matmul(Wst, Wt_e, out=u["damping"])
+        np.matmul(W_i, thf, out=u["m_drive"])
+        (zdot,) = self.block.early()
 
         Y = self.shape.regressor(q, qdot, z, zdot)
-        v = np.concatenate(
-            (v, Y.ravel(), Y @ th, mW.ravel(), mh, Y.T @ s, Wt_e, layer_err @ W_i, Y @ xi)
-        )
-        xdot, (tau,) = self.block.late(v, rates)
+        u["Y"][:] = Y
+        np.matmul(Y, th, out=u["Y_th"])
+        np.matmul(Y.T, s, out=u["Yt_s"])
+        np.matmul(layer_err, W_i, out=u["W_err"])
+        np.matmul(Y, xi, out=u["Y_xi"])
+        xdot, (tau,) = self.block.late()
 
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, freq_hat=thf,

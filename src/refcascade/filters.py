@@ -228,9 +228,9 @@ class LinearBlock:
     * :meth:`outputs` reads ``[x; w]`` and returns every linear signal the
       law reads (filter outputs, errors, estimates);
     * :meth:`early` also reads the ``early`` inputs, the products formed
-      from those outputs, and returns the rates of the leading state blocks
-      (the cascade and the layers before the regressor) with the signals
-      the regressor needs;
+      from those outputs, and returns the signals the regressor needs,
+      keeping the rates of the leading state blocks (the cascade and the
+      layers before the regressor) for :meth:`late`;
     * :meth:`late` reads all of ``v``, the ``late`` inputs being the
       products with the regressor, and returns the full ``xdot`` with the
       remaining signals (the torque).
@@ -247,6 +247,14 @@ class LinearBlock:
     first ``n_early`` and ``n_late`` rows are the state rates, and checks
     that each stage's map is finite (else ``OverflowError``) and reads only
     the columns it is given.
+
+    An evaluation allocates nothing: the block owns one work array,
+    ``work`` (``v``, ``xdot``, each stage's product), and fixed views into
+    it.  ``slots`` names the views of ``v`` a law writes: ``x``, ``q``,
+    ``qdot``, ``qd`` and each nonlinear input.  A stage returns the same
+    views of its product on every call, so what an evaluation returns is
+    valid only until the next one.  Nothing writable is shared between
+    blocks; the unit signals they share are read-only.
     """
 
     def __init__(self, layout, n, early, late):
@@ -299,10 +307,15 @@ class LinearBlock:
             raise ValueError("early and late rates must cover the state blocks in layout order")
         self.n_early = sum(math.prod(self._cols[name][1]) for name in early_rates)
         self.n_late = self._x - self.n_early
-        self.C, self._out = self._stage(0, {}, outputs)
-        self.early_map, self._early = self._stage(1, early_rates, early_out)
-        self.late_map, self._late = self._stage(2, late_rates, late_out)
-        # construction-time state; a compiled block holds only its maps
+        maps, self._specs = zip(self._stage(0, {}, outputs),
+                                self._stage(1, early_rates, early_out),
+                                self._stage(2, late_rates, late_out))
+        self.C, self.early_map, self.late_map = self._maps = maps
+        # the places in v a law writes: x, q, qdot, qd and the inputs
+        self._inputs = {"x": (0, (self._x,))}
+        self._inputs.update((name, place) for name, place in self._cols.items()
+                            if name not in self._names)
+        # construction-time state; a compiled block holds its maps and places
         del self._names, self._cols
 
     def _stage(self, stage, rates, signals):
@@ -325,21 +338,63 @@ class LinearBlock:
         return M[:, :width], spec
 
     # -- evaluation -----------------------------------------------------------
+    #
+    # The work array and its views are made on first use, so that set-up
+    # does not pay for them.
 
-    def outputs(self, v):
-        """The output signals at ``v = [x; w]``, in compile order."""
-        return _unpack(self.C @ v, self._out)
+    @functools.cached_property
+    def work(self):
+        """``v``, ``xdot``, then each stage's product, in one array."""
+        return np.empty(self.width + self._x + sum(map(len, self._maps)))
 
-    def early(self, v):
-        """Early rates (opaque, for :meth:`late`) and the early signals."""
-        r = self.early_map @ v
-        return r, _unpack(r, self._early)
+    @functools.cached_property
+    def v(self):
+        return self.work[: self.width]
 
-    def late(self, v, early_rates):
+    @functools.cached_property
+    def xdot(self):
+        return self.work[self.width : self.width + self._x]
+
+    @functools.cached_property
+    def slots(self):
+        """Name -> view of ``v`` for ``x``, ``q``, ``qdot``, ``qd`` and each input."""
+        return {name: self.v[start : start + math.prod(shape)].reshape(shape)
+                for name, (start, shape) in self._inputs.items()}
+
+    @functools.cached_property
+    def _stages(self):
+        """Per stage: its map, the part of ``v`` it reads, its product and
+        the views of its signals."""
+        stages, off = [], self.width + self._x
+        for M, spec, width in zip(self._maps, self._specs, self._widths):
+            r = self.work[off : off + len(M)]
+            off += len(M)
+            views = [r[s] if shape is None else r[s].reshape(shape) for s, shape in spec]
+            stages.append((M, self.v[:width], r, views))
+        return stages
+
+    @functools.cached_property
+    def _rates(self):
+        return self._stages[1][2][: self.n_early], self._stages[2][2][: self.n_late]
+
+    def outputs(self):
+        """The output signals at ``v``'s ``[x; w]``, in compile order."""
+        M, v, r, signals = self._stages[0]
+        np.matmul(M, v, out=r)
+        return signals
+
+    def early(self):
+        """The early signals, once ``v`` holds the early inputs."""
+        M, v, r, signals = self._stages[1]
+        np.matmul(M, v, out=r)
+        return signals
+
+    def late(self):
         """``xdot`` and the late signals, at the full ``v``."""
-        r = self.late_map @ v
-        xdot = np.concatenate((early_rates[: self.n_early], r[: self.n_late]))
-        return xdot, _unpack(r, self._late)
+        M, v, r, signals = self._stages[2]
+        np.matmul(M, v, out=r)
+        np.concatenate(self._rates, out=self.xdot)
+        return self.xdot, signals
 
 
 @functools.lru_cache(maxsize=4)
@@ -352,10 +407,6 @@ def _identity(width):
     eye = np.eye(width)
     eye.flags.writeable = False
     return eye
-
-
-def _unpack(y, spec):
-    return [y[s] if shape is None else y[s].reshape(shape) for s, shape in spec]
 
 
 # -- named operators of the torque laws --------------------------------------

@@ -90,7 +90,8 @@ def test_evaluate_equals_observe_bitwise(variant):
         t = rng.uniform(0.0, 5.0)
         q, qdot = rng.uniform(-1.0, 1.0, (2, ctrl.n))
         x = rng.uniform(-1.0, 1.0, ctrl.state_size)
-        tau, xdot = ctrl.evaluate(t, q, qdot, x)
+        # evaluate's arrays may be views the next call overwrites
+        tau, xdot = (a.copy() for a in ctrl.evaluate(t, q, qdot, x))
         ev = ctrl.observe(t, q, qdot, x)
         assert np.array_equal(tau, ev.tau)
         assert np.array_equal(xdot, ev.xdot)

@@ -245,10 +245,10 @@ def test_every_output_the_laws_read_is_tapped():
     # outer filters, the tone regressors and its plain signals from one
     # product with [x; w]
     ctrl = _controller("stacked_multi", {"n_star": 2})
-    v = np.zeros(ctrl.state_size + 5 * ctrl.n)
-    shapes = [y.shape for y in ctrl.block.outputs(v)]
+    shapes = [y.shape for y in ctrl.block.outputs()]
     assert shapes == [(2, 5, 3), (2, 3), (2, 5), (2,), (2, 2), (2,), (5,), (2,), (5,)] + [(2,)] * 6
-    assert ctrl.block.C.shape == (30 + 6 + 10 + 2 + 4 + 2 + 5 + 2 + 5 + 12, v.size)
+    assert ctrl.block.C.shape == (30 + 6 + 10 + 2 + 4 + 2 + 5 + 2 + 5 + 12,
+                                  ctrl.state_size + 5 * ctrl.n)
 
 
 def test_block_rejects_a_layout_that_does_not_match_its_bank():
@@ -297,10 +297,9 @@ def test_block_from_the_bank_maps_matches_the_bank(bank, seed):
     rng = np.random.default_rng(seed)
     xv = rng.uniform(-1.0, 1.0, bank.state_shape())
     uv, udotv = rng.uniform(-1.0, 1.0, (2,) + shape)
-    v = np.concatenate((xv.ravel(), np.zeros(5), uv.ravel(), udotv.ravel()))
-    got_states = block.outputs(v[: bank.state_size + 5])
-    early, got = block.early(v)
-    xdot, _ = block.late(v, early)
+    block.v[:] = np.concatenate((xv.ravel(), np.zeros(5), uv.ravel(), udotv.ravel()))
+    got_states, got = block.outputs(), block.early()
+    xdot, _ = block.late()
     want_states, want, want_rate = laws(xv, uv, udotv)
     # the product sums the maps' terms in another order
     scale = max(1.0, *(np.max(np.abs(m)) for m in (bank.a, bank.C, bank.D, bank.CA, bank.CA2)))
@@ -316,6 +315,35 @@ def test_compile_rejects_a_signal_read_too_early():
     # the outputs are formed before any nonlinear input exists
     with pytest.raises(ValueError, match="not given"):
         block.compile([block.signal("h")], ({"z": block.signal("z")}, ()), ({}, ()))
+
+
+def _bits(ev):
+    return [ev.tau.tobytes(), ev.xdot.tobytes()] + [(k, a.tobytes()) for k, a in ev.extras.items()]
+
+
+@pytest.mark.parametrize("variant,kw", CASES)
+def test_an_observation_outlives_the_next_evaluation(variant, kw):
+    # evaluate returns views of the block's work array, observe copies them
+    ctrl = _moving(variant, kw)
+    (t1, q1, qdot1, x1), (t2, q2, qdot2, x2) = _samples(ctrl, 14, count=2)
+    ev = ctrl.observe(t1, q1, qdot1, x1)
+    kept = _bits(ev)
+    ctrl.evaluate(t2, q2, qdot2, x2)
+    assert _bits(ev) == kept
+    # and no evaluation reads what the one before it left in the buffers
+    first = [a.tobytes() for a in ctrl.evaluate(t1, q1, qdot1, x1)]
+    assert [a.tobytes() for a in ctrl.evaluate(t1, q1, qdot1, x1)] == first
+    assert first == kept[:2]
+
+
+@pytest.mark.parametrize("variant,kw", CASES)
+def test_every_slot_a_map_reads_is_rewritten(variant, kw):
+    # a NaN left anywhere in v or a stage's product would reach the result
+    ctrl = _moving(variant, kw)
+    t, q, qdot, x = next(_samples(ctrl, 15))
+    clean = _bits(ctrl.observe(t, q, qdot, x))
+    ctrl.block.work.fill(np.nan)
+    assert _bits(ctrl.observe(t, q, qdot, x)) == clean
 
 
 @pytest.mark.parametrize("variant,kw", CASES)

@@ -1,14 +1,17 @@
 """Every ``configs/*.ini`` run, one simulated second long, against its
-committed ``log.csv`` and ``metrics.json``.
+committed ``log.csv`` and ``metrics.json``, and likewise the runs in
+``VARIANTS``: a config run as a variant no config names.
 
 ``tests/reference/<config>/`` holds the output of
 
     refcascade run --config configs/<config>.ini --set run.duration=1 --out tests/reference/<config>
 
-run from the repository root.  Each config is rerun in-process, and every
-number of both files must match within 1e-12 absolute, with NaN equal to
-NaN; a failure names the worst column.  A change that moves a log on
-purpose regenerates its reference with the command above and says why.
+run from the repository root, and ``tests/reference/<config>-<variant>/``
+the same run with ``--set controller.variant=<variant>`` added.  Each case
+is rerun in-process, and every number of both files must match within
+1e-12 absolute, with NaN equal to NaN; a failure names the worst column.  A
+change that moves a log on purpose regenerates its reference with the
+command above and says why.
 """
 
 import csv
@@ -23,6 +26,9 @@ from refcascade.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference"
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.ini"))
+# (config, variant) runs of the laws no config runs
+VARIANTS = [("tone_single", "filtered_adaptive")]
+CASES = CONFIGS + [f"{config}-{variant}" for config, variant in VARIANTS]
 TOL = 1e-12
 
 
@@ -54,16 +60,18 @@ def _worst(names, want, got):
 
 
 def test_every_config_has_a_reference():
-    assert CONFIGS == sorted(p.name for p in REFERENCE.iterdir())
+    assert sorted(CASES) == sorted(p.name for p in REFERENCE.iterdir())
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_log_matches_reference(tmp_path, config):
-    out = tmp_path / config
+@pytest.mark.parametrize("case", CASES)
+def test_log_matches_reference(tmp_path, case):
+    config, _, variant = case.partition("-")
+    out = tmp_path / case
     assert main(["run", "--config", str(ROOT / "configs" / f"{config}.ini"),
-                 "--set", "run.duration=1", "--out", str(out), "--quiet"]) == 0
+                 "--set", "run.duration=1", "--out", str(out), "--quiet",
+                 *(["--set", f"controller.variant={variant}"] if variant else [])]) == 0
     for name, read in (("log.csv", _read_csv), ("metrics.json", _read_metrics)):
-        names, want = read(REFERENCE / config / name)
+        names, want = read(REFERENCE / case / name)
         got_names, got = read(out / name)
         assert got_names == names and got.shape == want.shape, f"{name}: layout changed"
         gap, column = _worst(names, want, got)
