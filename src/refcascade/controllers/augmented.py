@@ -154,16 +154,16 @@ class FilteredAdaptiveController(ProxyController):
         u = self._load(t, q, qdot, x)
         W, hv, e, th, xi, z, s, aux0 = self.block.outputs()
         h, Wt_e = u["h"], u["Wt_e"]
-        np.matmul(W, th, out=h)
+        W.dot(th, h)
         h -= hv                              # swap term, (n,)
-        np.matmul(W.T, e, out=Wt_e)
-        np.matmul(W, Wt_e, out=u["damping"])
+        W.T.dot(e, Wt_e)
+        W.dot(Wt_e, u["damping"])
         (zdot,) = self.block.early()
         Y = self.shape.regressor(q, qdot, z, zdot)
         u["Y"][:] = Y
-        np.matmul(Y, th, out=u["Y_th"])
-        np.matmul(Y.T, s, out=u["Yt_s"])
-        np.matmul(Y, xi, out=u["Y_xi"])
+        Y.dot(th, u["Y_th"])
+        Y.T.dot(s, u["Yt_s"])
+        Y.dot(xi, u["Y_xi"])
         xdot, (tau,) = self.block.late()
 
         if extras is not None:

@@ -13,6 +13,16 @@ single-layer laws, the filtering laws' compiled block otherwise.  The
 experiment loop concatenates plant and controller states and integrates them
 jointly, so no controller ever integrates anything privately.
 
+On every RHS a law forms its 2-D products (a matrix against a vector) with
+``ndarray.dot``, as ``a.dot(b)`` or ``a.dot(b, out)`` into a work-array
+slot: it dispatches in about half the time of ``np.matmul`` and gives the
+same bits (``tests/test_host_rounding.py``).  Three products stay
+``np.matmul``: ``stacked_multi``'s 3-D path outputs against the weights
+``(thf, 1)``, which ``dot`` sums in another order, so the logs would move;
+``stacked_single``'s one-entry ``W1 @ e[:, None]``; and ``LinearBlock``'s
+stage products, whose maps are row-strided views that ``dot`` would copy on
+every call.  The diagnostics, which run only on sampled steps, keep ``@``.
+
 Information discipline is structural: controllers receive an
 :class:`~refcascade.manipulator.ArmShape` (dimensions plus regressor map,
 never the true parameters) and a :class:`TrajectoryView` capped at the

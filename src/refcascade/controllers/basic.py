@@ -67,7 +67,7 @@ class _CascadeController(ControllerBase):
     def _cascade(self, t, q, qdot, x):
         """``(z, z', s, phi')`` against the true desired trajectory."""
         qd = self.traj.derivs(t, self.traj.max_order)  # the rows M reads
-        r = self.M @ np.concatenate((x[: self._m], q, qdot, qd.ravel()))
+        r = self.M.dot(np.concatenate((x[: self._m], q, qdot, qd.ravel())))
         return x[: self.n], r[: self.n], r[self._m :], r[: self._m]
 
 
@@ -105,8 +105,8 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         th = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y @ th
-        xdot = np.concatenate((phi_dot, -self.gamma * (Y.T @ s)))
+        tau = -self.K * s + Y.dot(th)
+        xdot = np.concatenate((phi_dot, -self.gamma * Y.T.dot(s)))
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy())
         return tau, xdot
@@ -218,7 +218,7 @@ class KnownParamsController(SIdentity, _CascadeController):
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y @ self.theta_ff
+        tau = -self.K * s + Y.dot(self.theta_ff)
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
         return tau, phi_dot  # phi is the whole controller state
@@ -244,7 +244,7 @@ class NonlinearDampingController(SIdentity, _CascadeController):
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ (Y.T @ s))
+        tau = -self.K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(Y.T.dot(s))
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=self.theta_hat)
         return tau, phi_dot  # phi is the whole controller state
@@ -274,8 +274,8 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         xi = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y @ self.theta_hat - self.lambda_D * (Y @ xi)
-        xdot = np.concatenate((phi_dot, -self.lam * xi + self.lam * (Y.T @ s)))
+        tau = -self.K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(xi)
+        xdot = np.concatenate((phi_dot, -self.lam * xi + self.lam * Y.T.dot(s)))
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, xi=xi.copy(), theta_hat=self.theta_hat)
         return tau, xdot

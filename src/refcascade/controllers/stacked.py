@@ -167,17 +167,17 @@ class StackedSingleController(ProxyController):
         g1_psith += self.b_psi.D[0] * psith
 
         Wst = thf * WG2 + WG3                          # (n, p)
-        np.subtract(W1 * thf - g1_psith + thf * (WG2 @ th - vG2) + WG3 @ th, vG3, out=h)
-        np.matmul(Wst.T, e, out=Wt_e)
-        np.matmul(Wst, Wt_e, out=u["damping"])
+        np.subtract(W1 * thf - g1_psith + thf * (WG2.dot(th) - vG2) + WG3.dot(th), vG3, out=h)
+        Wst.T.dot(e, Wt_e)
+        Wst.dot(Wt_e, u["damping"])
         zdot, chidd_aux = self.block.early()
 
         Y = self.shape.regressor(q, qdot, chidot_aux, chidd_aux)
         u["Y"][:] = Y
-        np.matmul(Y, th, out=u["Y_th"])
-        np.matmul(Y.T, s_aux, out=u["Yt_s"])
+        Y.dot(th, u["Y_th"])
+        Y.T.dot(s_aux, u["Yt_s"])
         np.matmul(W1, e[:, None], out=u["W1_e"])
-        np.matmul(Y, xi, out=u["Y_xi"])
+        Y.dot(xi, u["Y_xi"])
         xdot, (tau,) = self.block.late()
 
         if extras is not None:
@@ -337,22 +337,22 @@ class StackedMultiController(ProxyController):
         weights, mW, mh, h, Wt_e = self._weights, u["mW"], u["mh"], u["h"], u["Wt_e"]
         weights[:-1] = thf
         np.matmul(by, weights, out=mW)
-        np.matmul(bv, weights, out=mh)
+        bv.dot(weights, mh)
         Wst += self.f_outer_w.D[0][:, None] * mW      # biproper p^2/kpoly
         oh += self.f_outer_h.D[0] * mh
-        np.matmul(Wst, th, out=h)
+        Wst.dot(th, h)
         h -= oh
-        np.matmul(Wst.T, e, out=Wt_e)
-        np.matmul(Wst, Wt_e, out=u["damping"])
-        np.matmul(W_i, thf, out=u["m_drive"])
+        Wst.T.dot(e, Wt_e)
+        Wst.dot(Wt_e, u["damping"])
+        W_i.dot(thf, u["m_drive"])
         (zdot,) = self.block.early()
 
         Y = self.shape.regressor(q, qdot, z, zdot)
         u["Y"][:] = Y
-        np.matmul(Y, th, out=u["Y_th"])
-        np.matmul(Y.T, s, out=u["Yt_s"])
-        np.matmul(layer_err, W_i, out=u["W_err"])
-        np.matmul(Y, xi, out=u["Y_xi"])
+        Y.dot(th, u["Y_th"])
+        Y.T.dot(s, u["Yt_s"])
+        layer_err.dot(W_i, u["W_err"])
+        Y.dot(xi, u["Y_xi"])
         xdot, (tau,) = self.block.late()
 
         if extras is not None:

@@ -21,6 +21,7 @@ parameters; only diagnostics receive the full model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,8 +82,27 @@ class ArmShape:
     regressor: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
+def _cos_sin(angle: float) -> tuple[float, float]:
+    """``(cos, sin)`` of a Python float angle.
+
+    ``math`` rounds like numpy's ufuncs and skips their dispatch; where it
+    raises, on an infinite angle, numpy gives the NaN (and the invalid-value
+    warning, subject to ``np.errstate``) that a diverging run expects.
+    """
+    try:
+        return math.cos(angle), math.sin(angle)
+    except ValueError:
+        return float(np.cos(angle)), float(np.sin(angle))
+
+
 class TwoLinkArm:
-    """Planar two-link arm dynamics, generic-interface instance for n = 2."""
+    """Planar two-link arm dynamics, generic-interface instance for n = 2.
+
+    Each term is stated once, over unpacked Python floats: scalar arithmetic
+    does the same IEEE operations as the elementwise array form, without its
+    per-element overhead.  The public methods wrap those entries in arrays,
+    and ``forward_dynamics`` reads them directly.
+    """
 
     n = 2
     p_dim = 5
@@ -91,55 +111,64 @@ class TwoLinkArm:
         self.params = params
         self.theta = params.lumped()
 
+    # -- dynamics terms, as entries ----------------------------------------
+
+    def _inertia(self, c2):
+        """``(m00, m01, m11)`` of M at ``c2 = cos(q1)``."""
+        a1, a2, a3, _, _ = self.theta.tolist()
+        return a1 + 2.0 * a2 * c2, a3 + a2 * c2, a3
+
+    def _coriolis(self, s2, v0, v1):
+        """Rows of the Christoffel-symbol C at ``s2 = sin(q1)``."""
+        h = self.theta.item(1) * s2
+        return [[-h * v1, -h * (v0 + v1)], [h * v0, 0.0]]
+
+    def _gravity(self, c1, c12):
+        """``(g0, g1)`` at ``c1 = cos(q0)``, ``c12 = cos(q0 + q1)``."""
+        _, _, _, b1, b2 = self.theta.tolist()
+        return b1 * c1 + b2 * c12, b2 * c12
+
     # -- dynamics terms ----------------------------------------------------
 
     def inertia(self, q) -> np.ndarray:
-        a1, a2, a3, _, _ = self.theta.tolist()
-        c2 = np.cos(q[1])
-        m12 = a3 + a2 * c2
-        return np.array([[a1 + 2.0 * a2 * c2, m12], [m12, a3]])
+        _, q1 = np.asarray(q).tolist()
+        m00, m01, m11 = self._inertia(_cos_sin(q1)[0])
+        return np.array([[m00, m01], [m01, m11]])
 
     def coriolis(self, q, qdot) -> np.ndarray:
         """Christoffel-symbol Coriolis/centrifugal matrix."""
-        a2 = self.theta[1]
-        s2 = np.sin(q[1])
-        h = a2 * s2
-        return np.array(
-            [[-h * qdot[1], -h * (qdot[0] + qdot[1])], [h * qdot[0], 0.0]]
-        )
+        _, q1 = np.asarray(q).tolist()
+        v0, v1 = np.asarray(qdot).tolist()
+        return np.array(self._coriolis(_cos_sin(q1)[1], v0, v1))
 
     def inertia_rate(self, q, qdot) -> np.ndarray:
         """Analytic dM/dt along (q, qdot)."""
-        a2 = self.theta[1]
-        d = -a2 * np.sin(q[1]) * qdot[1]
+        _, q1 = np.asarray(q).tolist()
+        _, v1 = np.asarray(qdot).tolist()
+        d = -self.theta.item(1) * _cos_sin(q1)[1] * v1
         return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity(self, q) -> np.ndarray:
-        _, _, _, b1, b2 = self.theta
-        c1 = np.cos(q[0])
-        c12 = np.cos(q[0] + q[1])
-        return np.array([b1 * c1 + b2 * c12, b2 * c12])
+        q0, q1 = np.asarray(q).tolist()
+        return np.array(self._gravity(_cos_sin(q0)[0], _cos_sin(q0 + q1)[0]))
 
     def potential(self, q) -> float:
-        _, _, _, b1, b2 = self.theta
-        return b1 * np.sin(q[0]) + b2 * np.sin(q[0] + q[1])
+        _, _, _, b1, b2 = self.theta.tolist()
+        q0, q1 = np.asarray(q).tolist()
+        return b1 * _cos_sin(q0)[1] + b2 * _cos_sin(q0 + q1)[1]
 
     # -- regressor ---------------------------------------------------------
 
     @staticmethod
     def regressor(q, qdot, zeta, zetadot) -> np.ndarray:
         """Y such that Y @ theta = M(q) zetadot + C(q, qdot) zeta + g(q)."""
-        # scalar arithmetic does the same IEEE operations as the elementwise
-        # array form, without its per-element overhead; the trigonometry
-        # stays in numpy, which maps inf to NaN where ``math`` would raise
         q0, q1 = np.asarray(q).tolist()
         v0, v1 = np.asarray(qdot).tolist()
         z0, z1 = np.asarray(zeta).tolist()
         zd0, zd1 = np.asarray(zetadot).tolist()
-        c1 = np.cos(q0)
-        c2 = np.cos(q1)
-        s2 = np.sin(q1)
-        c12 = np.cos(q0 + q1)
+        c1, _ = _cos_sin(q0)
+        c2, s2 = _cos_sin(q1)
+        c12, _ = _cos_sin(q0 + q1)
         return np.array([
             [zd0, c2 * (2.0 * zd0 + zd1) - s2 * (v1 * z0 + (v0 + v1) * z1), zd1, c1, c12],
             [0.0, c2 * zd0 + s2 * v0 * z0, zd0 + zd1, 0.0, c12],
@@ -152,23 +181,23 @@ class TwoLinkArm:
 
     def forward_dynamics(self, q, qdot, tau, tau_star) -> np.ndarray:
         """Joint accelerations from M qdd = tau + tau_star - C qd - g."""
-        # inertia(), coriolis() and gravity() inlined on scalars, with the
-        # same operations in the same order; only C qdot stays a matmul
-        a1, a2, a3, b1, b2 = self.theta.tolist()
         q0, q1 = np.asarray(q).tolist()
         v0, v1 = np.asarray(qdot).tolist()
-        c2 = np.cos(q1)
-        h = a2 * np.sin(q1)
-        cq0, cq1 = (np.array([[-h * v1, -h * (v0 + v1)], [h * v0, 0.0]]) @ qdot).tolist()
-        c12 = np.cos(q0 + q1)
-        g0 = b1 * np.cos(q0) + b2 * c12
-        g1 = b2 * c12
+        c1, _ = _cos_sin(q0)
+        c2, s2 = _cos_sin(q1)
+        c12, _ = _cos_sin(q0 + q1)
+        m00, m01, m11 = self._inertia(c2)
+        # C qdot stays a BLAS product: its row 0 rounds as one fused
+        # multiply-add, which no Python float expression reproduces
+        cq0, cq1 = np.array(self._coriolis(s2, v0, v1)).dot(qdot).tolist()
+        g0, g1 = self._gravity(c1, c12)
         tau0, tau1 = np.asarray(tau).tolist()
         ts0, ts1 = np.asarray(tau_star).tolist()
         r0 = tau0 + ts0 - cq0 - g0
         r1 = tau1 + ts1 - cq1 - g1
-        m00 = a1 + 2.0 * a2 * c2
-        m01 = a3 + a2 * c2
         # closed-form 2x2 solve; M is positive definite for valid parameters
-        det = m00 * a3 - m01 * m01
-        return np.array([(a3 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det])
+        det = m00 * m11 - m01 * m01
+        try:
+            return np.array([(m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det])
+        except ZeroDivisionError:  # a singular M: numpy's inf/NaN, so the run diverges
+            return np.array([m11 * r0 - m01 * r1, m00 * r1 - m01 * r0]) / det

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,104 @@ from refcascade.numerics import rk4_step
 @pytest.fixture
 def arm():
     return TwoLinkArm()
+
+
+def numpy_terms(theta, q, qdot, zeta, zetadot):
+    """Every plant term in the array form, with numpy's trigonometry: the
+    reference the scalar statements must match bitwise."""
+    a1, a2, a3, b1, b2 = theta
+    c1, c2, s2 = np.cos(q[0]), np.cos(q[1]), np.sin(q[1])
+    c12 = np.cos(q[0] + q[1])
+    h = a2 * s2
+    d = -a2 * s2 * qdot[1]
+    return {
+        "inertia": np.array([[a1 + 2.0 * a2 * c2, a3 + a2 * c2], [a3 + a2 * c2, a3]]),
+        "coriolis": np.array([[-h * qdot[1], -h * (qdot[0] + qdot[1])], [h * qdot[0], 0.0]]),
+        "inertia_rate": np.array([[2.0 * d, d], [d, 0.0]]),
+        "gravity": np.array([b1 * c1 + b2 * c12, b2 * c12]),
+        "potential": np.array(b1 * np.sin(q[0]) + b2 * np.sin(q[0] + q[1])),
+        "regressor": np.array([
+            [zetadot[0], c2 * (2.0 * zetadot[0] + zetadot[1])
+             - s2 * (qdot[1] * zeta[0] + (qdot[0] + qdot[1]) * zeta[1]),
+             zetadot[1], c1, c12],
+            [0.0, c2 * zetadot[0] + s2 * qdot[0] * zeta[0], zetadot[0] + zetadot[1], 0.0, c12],
+        ]),
+    }
+
+
+def arm_terms(arm, q, qdot, zeta, zetadot):
+    return {
+        "inertia": arm.inertia(q),
+        "coriolis": arm.coriolis(q, qdot),
+        "inertia_rate": arm.inertia_rate(q, qdot),
+        "gravity": arm.gravity(q),
+        "potential": np.array(arm.potential(q)),
+        "regressor": arm.regressor(q, qdot, zeta, zetadot),
+    }
+
+
+def numpy_forward_dynamics(theta, q, qdot, tau, tau_star):
+    terms = numpy_terms(theta, q, qdot, qdot, qdot)
+    M = terms["inertia"]
+    rhs = tau + tau_star - terms["coriolis"] @ qdot - terms["gravity"]
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return np.array([M[1, 1] * rhs[0] - M[0, 1] * rhs[1], M[0, 0] * rhs[1] - M[1, 0] * rhs[0]]) / det
+
+
+class TestScalarStatement:
+    """Each term is stated once over Python floats, with ``math``'s
+    trigonometry; it must round exactly like the numpy array form."""
+
+    def test_terms_match_the_numpy_form(self, arm):
+        rng = np.random.default_rng(16)
+        for _ in range(500):
+            q = rng.uniform(-50.0, 50.0, 2)
+            qdot, zeta, zetadot = rng.uniform(-10.0, 10.0, (3, 2))
+            want = numpy_terms(arm.theta, q, qdot, zeta, zetadot)
+            for name, got in arm_terms(arm, q, qdot, zeta, zetadot).items():
+                assert got.shape == want[name].shape, name
+                assert np.array_equal(got, want[name]), name
+
+    def test_forward_dynamics_matches_the_numpy_form(self, arm):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            q = rng.uniform(-50.0, 50.0, 2)
+            qdot = rng.uniform(-10.0, 10.0, 2)
+            tau, tau_star = rng.uniform(-10.0, 10.0, (2, 2))
+            want = numpy_forward_dynamics(arm.theta, q, qdot, tau, tau_star)
+            assert np.array_equal(arm.forward_dynamics(q, qdot, tau, tau_star), want)
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("joint", [0, 1])
+    def test_non_finite_angles_give_numpy_nans(self, arm, angle, joint):
+        # as integrate runs them: numpy's invalid-value warning silenced,
+        # every other warning an error
+        q = np.array([0.3, -0.7])
+        q[joint] = angle
+        qdot, zeta, zetadot = np.array([[0.5, -1.0], [0.2, 0.4], [-0.3, 0.6]])
+        tau, tau_star = np.array([[1.0, -2.0], [0.1, 0.2]])
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = numpy_terms(arm.theta, q, qdot, zeta, zetadot)
+            want["forward_dynamics"] = numpy_forward_dynamics(arm.theta, q, qdot, tau, tau_star)
+            got = arm_terms(arm, q, qdot, zeta, zetadot)
+            got["forward_dynamics"] = arm.forward_dynamics(q, qdot, tau, tau_star)
+        assert np.isnan(got["forward_dynamics"]).all()
+        for name, value in got.items():
+            assert np.array_equal(value, want[name], equal_nan=True), name
+
+    def test_singular_inertia_gives_numpy_infinities(self):
+        # no inertia on link 2 and its mass at the joint: det M = 0, which
+        # must end a run as a divergence, not a ZeroDivisionError
+        arm = TwoLinkArm(ArmParams(I2=0.0, lc2=0.0))
+        q, qdot, tau, tau_star = np.array([[0.3, -0.7], [0.5, -1.0], [1.0, -2.0], [0.1, 0.2]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = arm.forward_dynamics(q, qdot, tau, tau_star)
+            want = numpy_forward_dynamics(arm.theta, q, qdot, tau, tau_star)
+        assert not np.isfinite(got).any()
+        assert np.array_equal(got, want, equal_nan=True)
+        with pytest.warns(RuntimeWarning):
+            arm.forward_dynamics(q, qdot, tau, tau_star)
 
 
 class TestInertia:

@@ -27,7 +27,11 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "reference"
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.ini"))
 # (config, variant) runs of the laws no config runs
-VARIANTS = [("tone_single", "filtered_adaptive")]
+VARIANTS = [
+    ("order_sweep", "plain"), ("order_sweep", "nldamp"), ("order_sweep", "passive"),
+    ("pid_equivalence", "pid"), ("pid_equivalence", "pid_textbook"),
+    ("tone_single", "filtered_adaptive"),
+]
 CASES = CONFIGS + [f"{config}-{variant}" for config, variant in VARIANTS]
 TOL = 1e-12
 
