@@ -76,7 +76,7 @@ class ProxyController(FilteredDamping, ControllerBase):
 
     def observe(self, t, q, qdot, x):
         ev = super().observe(t, q, qdot, x)
-        return ControlEval(ev.tau.copy(), ev.xdot.copy(),
+        return ControlEval(ev.tau.copy(), ev.xdot,
                            {name: a.copy() for name, a in ev.extras.items()})
 
     def _load(self, t, q, qdot, x):
@@ -164,8 +164,8 @@ class FilteredAdaptiveController(ProxyController):
         Y.dot(th, u["Y_th"])
         Y.T.dot(s, u["Yt_s"])
         Y.dot(xi, u["Y_xi"])
-        xdot, (tau,) = self.block.late()
+        parts, (tau,) = self.block.late()
 
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, W=W, h=h, qd_aux=aux0)
-        return tau, xdot
+        return tau, parts

@@ -3,25 +3,31 @@
 Every controller is an ODE component: it exposes the size of its internal
 state block, an initializer, and a pure ``evaluate``, its one statement of
 the law, mapping measurements and internal state to the commanded torque and
-the state-block time derivative on every RK4 stage.  ``observe`` runs the
-same law at a sampled step and also returns the derived views a log records,
-which the stages never build.  ``evaluate``'s arrays may be overwritten by
-the next call (the filtering laws return views of their work arrays);
-``observe``'s belong to the caller.  Each reference cascade runs as precomputed
-matrix rows: one product with ``[phi; q; qdot; q_d rows]`` in the
-single-layer laws, the filtering laws' compiled block otherwise.  The
-experiment loop concatenates plant and controller states and integrates them
-jointly, so no controller ever integrates anything privately.
+the state-block time derivative on every RK4 stage.  ``evaluate`` returns
+that rate as a tuple of parts in layout order, which the experiment loop
+joins with the plant's rates in its one concatenation per stage; ``observe``
+runs the same law at a sampled step, joins the parts into one ``xdot`` and
+also returns the derived views a log records, which the stages never build.
+``evaluate``'s arrays may be overwritten by the next call (the filtering
+laws return views of their work arrays); ``observe``'s belong to the caller.
+Each reference cascade runs as precomputed matrix rows: one product with
+``[phi; q; qdot; q_d rows]`` in the single-layer laws, the filtering laws'
+compiled block otherwise.  The experiment loop concatenates plant and
+controller states and integrates them jointly, so no controller ever
+integrates anything privately.  Gains that enter a rate or torque negated
+are negated once, at construction.
 
-On every RHS a law forms its 2-D products (a matrix against a vector) with
-``ndarray.dot``, as ``a.dot(b)`` or ``a.dot(b, out)`` into a work-array
-slot: it dispatches in about half the time of ``np.matmul`` and gives the
-same bits (``tests/test_host_rounding.py``).  Three products stay
-``np.matmul``: ``stacked_multi``'s 3-D path outputs against the weights
-``(thf, 1)``, which ``dot`` sums in another order, so the logs would move;
-``stacked_single``'s one-entry ``W1 @ e[:, None]``; and ``LinearBlock``'s
-stage products, whose maps are row-strided views that ``dot`` would copy on
-every call.  The diagnostics, which run only on sampled steps, keep ``@``.
+On every RHS a law forms its 2-D products (a matrix against a vector, or a
+vector against a matrix) with ``ndarray.dot``, as ``a.dot(b)`` or
+``a.dot(b, out)`` into a work-array slot: the compiled cascade rows, the
+regressor against an estimate and its transpose against an error,
+``stacked_single``'s one-entry ``W1.dot(e[:, None], out)`` and
+``LinearBlock``'s three stage products, whose maps are contiguous at their
+stage's width.  ``dot`` dispatches in about half the time of ``np.matmul``
+and gives the same bits (``tests/test_host_rounding.py``).  Only
+``stacked_multi``'s 3-D path outputs against the weights ``(thf, 1)`` stay
+``np.matmul``: ``dot`` sums them in another order, so the logs would move.
+The diagnostics, which run only on sampled steps, keep ``@``.
 
 Information discipline is structural: controllers receive an
 :class:`~refcascade.manipulator.ArmShape` (dimensions plus regressor map,
@@ -209,15 +215,17 @@ class ControllerBase:
         return np.zeros(self.state_size)
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        """The law's ``(tau, xdot)``; a dict ``extras``, if given, also
-        receives the derived views a sampled step logs."""
+        """The law's ``(tau, parts)``, ``parts`` the state rate as a tuple of
+        arrays in layout order; a dict ``extras``, if given, also receives
+        the derived views a sampled step logs."""
         raise NotImplementedError
 
     def observe(self, t, q, qdot, x) -> ControlEval:
-        """The law at a sampled state, with its derived views."""
+        """The law at a sampled state, with its rate joined into one owned
+        ``xdot`` and its derived views."""
         extras = {}
-        tau, xdot = self.evaluate(t, q, qdot, x, extras)
-        return ControlEval(tau, xdot, extras)
+        tau, parts = self.evaluate(t, q, qdot, x, extras)
+        return ControlEval(tau, np.concatenate(parts), extras)
 
     def energy(self, model, q, qdot, extras):
         """Energy-like functions ``(V, V_aux)`` at a sampled state."""

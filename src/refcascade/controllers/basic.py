@@ -54,6 +54,7 @@ class _CascadeController(ControllerBase):
         lam = positive(gains, "lam_corr", self.n) if self.availability == "full_corrected" else None
         self.refcfg = ReferenceConfig(coeffs, self.availability, lam)
         self.K = nonnegative(gains, "k", self.n)
+        self._neg_K = -self.K  # the torque's -K s, negated once
         self.layout.add("phi", self.refcfg.ell, self.n)
         self.M = compile_cascade(self.refcfg, self.n)
         self._m = self.layout.size
@@ -93,6 +94,7 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
         self.gamma = nonnegative(gains, "gamma", self.p_dim)
+        self._neg_gamma = -self.gamma
         self.theta_hat0 = self._estimate0(theta_hat0)
         self.layout.add("theta_hat", self.p_dim)
 
@@ -105,11 +107,10 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         th = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y.dot(th)
-        xdot = np.concatenate((phi_dot, -self.gamma * Y.T.dot(s)))
+        tau = self._neg_K * s + Y.dot(th)
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy())
-        return tau, xdot
+        return tau, (phi_dot, self._neg_gamma * Y.T.dot(s))
 
     def energy(self, model, q, qdot, extras):
         s = extras["s"]
@@ -125,10 +126,10 @@ class PlainCascadeController(_CascadeController):
 
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
-        tau = -self.K * s
+        tau = self._neg_K * s
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
-        return tau, phi_dot  # phi is the whole controller state
+        return tau, (phi_dot,)  # phi is the whole controller state
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.K, extras["s"])
@@ -148,6 +149,7 @@ class PidReformulatedController(ControllerBase):
     def __init__(self, shape, gains, traj, matched_init=True):
         super().__init__(shape, traj)
         self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
+        self._neg_kd = -self.kd
         self.matched_init = bool(matched_init)
         self.layout.add("z", self.n)
 
@@ -166,10 +168,10 @@ class PidReformulatedController(ControllerBase):
         dqdot = qdot - qd_dot
         zdot = qd_ddot - (self.kp * dqdot + self.ki * dq) / self.kd
         s = qdot - x  # z is the whole controller state
-        tau = -self.kd * s
+        tau = self._neg_kd * s
         if extras is not None:
             extras.update(ref_vel=x.copy(), ref_acc=zdot, s=s)
-        return tau, zdot
+        return tau, (zdot,)
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.kd, extras["s"])
@@ -184,16 +186,17 @@ class PidTextbookController(ControllerBase):
     def __init__(self, shape, gains, traj):
         super().__init__(shape, traj)
         self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
+        self._neg_kd = -self.kd
         self.layout.add("integral", self.n)
 
     def evaluate(self, t, q, qdot, x, extras=None):
         qd, qd_dot = self.traj.derivs(t, 1)
         dq = q - qd
         dqdot = qdot - qd_dot
-        tau = -self.kd * dqdot - self.kp * dq - self.ki * x  # x is the integral
+        tau = self._neg_kd * dqdot - self.kp * dq - self.ki * x  # x is the integral
         if extras is not None:
             extras["s"] = dqdot
-        return tau, dq
+        return tau, (dq,)
 
 
 class KnownParamsController(SIdentity, _CascadeController):
@@ -218,10 +221,10 @@ class KnownParamsController(SIdentity, _CascadeController):
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y.dot(self.theta_ff)
+        tau = self._neg_K * s + Y.dot(self.theta_ff)
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
-        return tau, phi_dot  # phi is the whole controller state
+        return tau, (phi_dot,)  # phi is the whole controller state
 
     def _estimate_error(self, Y, model, extras):
         return 0.0  # exact feedforward
@@ -244,10 +247,10 @@ class NonlinearDampingController(SIdentity, _CascadeController):
     def evaluate(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(Y.T.dot(s))
+        tau = self._neg_K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(Y.T.dot(s))
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=self.theta_hat)
-        return tau, phi_dot  # phi is the whole controller state
+        return tau, (phi_dot,)  # phi is the whole controller state
 
     def _damping(self, Y, s, extras):
         return self.lambda_D * (Y @ (Y.T @ s))
@@ -274,8 +277,7 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
         xi = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = -self.K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(xi)
-        xdot = np.concatenate((phi_dot, -self.lam * xi + self.lam * Y.T.dot(s)))
+        tau = self._neg_K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(xi)
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, xi=xi.copy(), theta_hat=self.theta_hat)
-        return tau, xdot
+        return tau, (phi_dot, -self.lam * xi + self.lam * Y.T.dot(s))

@@ -176,14 +176,14 @@ class StackedSingleController(ProxyController):
         u["Y"][:] = Y
         Y.dot(th, u["Y_th"])
         Y.T.dot(s_aux, u["Yt_s"])
-        np.matmul(W1, e[:, None], out=u["W1_e"])
+        W1.dot(e[:, None], u["W1_e"])
         Y.dot(xi, u["Y_xi"])
-        xdot, (tau,) = self.block.late()
+        parts, (tau,) = self.block.late()
 
         if extras is not None:
             extras.update(ref_vel=chidot_aux, ref_acc=chidd_aux, s=s_aux, z=z, zdot=zdot,
                           theta_hat=th, xi=xi, freq_hat=thf, psi=psi, psidot=psidot, h=h, W1=W1)
-        return tau, xdot
+        return tau, parts
 
 
 class StackedMultiController(ProxyController):
@@ -353,9 +353,9 @@ class StackedMultiController(ProxyController):
         Y.T.dot(s, u["Yt_s"])
         layer_err.dot(W_i, u["W_err"])
         Y.dot(xi, u["Y_xi"])
-        xdot, (tau,) = self.block.late()
+        parts, (tau,) = self.block.late()
 
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, freq_hat=thf,
                           psi1=psi1, psi2=psi2, chi2=chi2, h=h)
-        return tau, xdot
+        return tau, parts

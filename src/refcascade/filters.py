@@ -232,8 +232,8 @@ class LinearBlock:
       keeping the rates of the leading state blocks (the cascade and the
       layers before the regressor) for :meth:`late`;
     * :meth:`late` reads all of ``v``, the ``late`` inputs being the
-      products with the regressor, and returns the full ``xdot`` with the
-      remaining signals (the torque).
+      products with the regressor, and returns the state rate, as its early
+      and late parts, with the remaining signals (the torque).
 
     The maps are built by linear algebra on *signals*: arrays whose last
     axis runs over the columns of ``v``, so a signal ``S`` takes the value
@@ -246,11 +246,12 @@ class LinearBlock:
     signals into the matrices ``C``, ``early_map`` and ``late_map``, whose
     first ``n_early`` and ``n_late`` rows are the state rates, and checks
     that each stage's map is finite (else ``OverflowError``) and reads only
-    the columns it is given.
+    the columns it is given; each map is stored contiguous at its stage's
+    width, and a stage is one ``ndarray.dot`` into its product.
 
     An evaluation allocates nothing: the block owns one work array,
-    ``work`` (``v``, ``xdot``, each stage's product), and fixed views into
-    it.  ``slots`` names the views of ``v`` a law writes: ``x``, ``q``,
+    ``work`` (``v`` and each stage's product), and fixed views into it.
+    ``slots`` names the views of ``v`` a law writes: ``x``, ``q``,
     ``qdot``, ``qd`` and each nonlinear input.  A stage returns the same
     views of its product on every call, so what an evaluation returns is
     valid only until the next one.  Nothing writable is shared between
@@ -319,23 +320,25 @@ class LinearBlock:
         del self._names, self._cols
 
     def _stage(self, stage, rates, signals):
-        """One stage's matrix, the rates of the blocks in ``rates`` followed
-        by ``signals``, and the signals' places in its product."""
-        W = self.width
+        """One stage's matrix, contiguous at the stage's width: the rates of
+        the blocks in ``rates`` followed by ``signals``, and the signals'
+        places in its product."""
+        W, width = self.width, self._widths[stage]
         flat = [s.reshape(-1, W) for s in signals]
-        M = np.concatenate([rate.reshape(-1, W) for rate in rates.values()] + flat)
-        width = self._widths[stage]
+        rows = [rate.reshape(-1, W) for rate in rates.values()] + flat
+        # the columns past the stage's width are dropped before the one copy
+        # that assembles the map, and checked where they are
+        M = np.concatenate([r[:, :width] for r in rows])
         if not np.isfinite(M).all():  # an overflowing gain product, not a structural error
             raise OverflowError("the compiled law's coefficients overflow")
-        if M[:, width:].any():
+        if width < W and any(r[:, width:].any() for r in rows):
             raise ValueError("a signal reads columns its stage is not given")
         spec = []
         off = len(M) - sum(map(len, flat))
         for s, f in zip(signals, flat):
             spec.append((slice(off, off + len(f)), s.shape[:-1] if s.ndim > 2 else None))
             off += len(f)
-        # a row-strided matrix multiplies as fast as a contiguous one
-        return M[:, :width], spec
+        return M, spec
 
     # -- evaluation -----------------------------------------------------------
     #
@@ -344,16 +347,12 @@ class LinearBlock:
 
     @functools.cached_property
     def work(self):
-        """``v``, ``xdot``, then each stage's product, in one array."""
-        return np.empty(self.width + self._x + sum(map(len, self._maps)))
+        """``v``, then each stage's product, in one array."""
+        return np.empty(self.width + sum(map(len, self._maps)))
 
     @functools.cached_property
     def v(self):
         return self.work[: self.width]
-
-    @functools.cached_property
-    def xdot(self):
-        return self.work[self.width : self.width + self._x]
 
     @functools.cached_property
     def slots(self):
@@ -365,7 +364,7 @@ class LinearBlock:
     def _stages(self):
         """Per stage: its map, the part of ``v`` it reads, its product and
         the views of its signals."""
-        stages, off = [], self.width + self._x
+        stages, off = [], self.width
         for M, spec, width in zip(self._maps, self._specs, self._widths):
             r = self.work[off : off + len(M)]
             off += len(M)
@@ -380,21 +379,21 @@ class LinearBlock:
     def outputs(self):
         """The output signals at ``v``'s ``[x; w]``, in compile order."""
         M, v, r, signals = self._stages[0]
-        np.matmul(M, v, out=r)
+        M.dot(v, r)
         return signals
 
     def early(self):
         """The early signals, once ``v`` holds the early inputs."""
         M, v, r, signals = self._stages[1]
-        np.matmul(M, v, out=r)
+        M.dot(v, r)
         return signals
 
     def late(self):
-        """``xdot`` and the late signals, at the full ``v``."""
+        """The state rate as ``(early part, late part)``, whose concatenation
+        is ``xdot``, and the late signals, at the full ``v``."""
         M, v, r, signals = self._stages[2]
-        np.matmul(M, v, out=r)
-        np.concatenate(self._rates, out=self.xdot)
-        return self.xdot, signals
+        M.dot(v, r)
+        return self._rates, signals
 
 
 @functools.lru_cache(maxsize=4)

@@ -202,9 +202,9 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     def deriv(t, xx):
         q = xx[:n]
         qdot = xx[n : 2 * n]
-        tau, xdot = controller.evaluate(t, q, qdot, xx[2 * n :])
+        tau, parts = controller.evaluate(t, q, qdot, xx[2 * n :])
         qdd = model.forward_dynamics(q, qdot, tau, dist.eval(t))
-        return np.concatenate([qdot, qdd, xdot])
+        return np.concatenate((qdot, qdd, *parts))
 
     try:
         t_arr = np.empty(steps + 1)

@@ -22,6 +22,7 @@ parameters; only diagnostics receive the full model.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,13 +96,45 @@ def _cos_sin(angle: float) -> tuple[float, float]:
         return float(np.cos(angle)), float(np.sin(angle))
 
 
+_pack_angles = struct.Struct("dd").pack
+# the latest distinct joint-angle pair: (its bytes, its trigonometry).  It is
+# module state because the regressor is a staticmethod that the laws receive
+# without the model; a pure function of its key, it is right for every caller,
+# and it is replaced as one tuple, never changed in place.
+_kinematics_memo = (None, None)
+
+
+def _kinematics(q0: float, q1: float) -> tuple[float, float, float, float]:
+    """``(c1, c2, s2, c12)``: ``cos(q0)``, ``cos(q1)``, ``sin(q1)``, ``cos(q0 + q1)``.
+
+    A right-hand side reads them twice, in the law's regressor and in the
+    plant, so the latest pair's values are kept.  The key is the angles'
+    bits: ``0.0`` and ``-0.0`` never share an entry (``sin`` keeps the
+    sign), nor does a NaN with any other value.  An infinite angle takes
+    numpy's path, whose warning every call must raise, so it is never kept.
+    """
+    global _kinematics_memo
+    key = _pack_angles(q0, q1)
+    memo_key, trig = _kinematics_memo
+    if key == memo_key:
+        return trig
+    try:
+        trig = math.cos(q0), math.cos(q1), math.sin(q1), math.cos(q0 + q1)
+    except ValueError:
+        (c1, _), (c2, s2), (c12, _) = _cos_sin(q0), _cos_sin(q1), _cos_sin(q0 + q1)
+        return c1, c2, s2, c12
+    _kinematics_memo = key, trig
+    return trig
+
+
 class TwoLinkArm:
     """Planar two-link arm dynamics, generic-interface instance for n = 2.
 
     Each term is stated once, over unpacked Python floats: scalar arithmetic
     does the same IEEE operations as the elementwise array form, without its
     per-element overhead.  The public methods wrap those entries in arrays,
-    and ``forward_dynamics`` reads them directly.
+    and ``forward_dynamics`` reads them directly.  The lumped parameters are
+    read from a tuple made at construction, so ``theta`` is read-only.
     """
 
     n = 2
@@ -110,22 +143,24 @@ class TwoLinkArm:
     def __init__(self, params: ArmParams = DEFAULT_PARAMS):
         self.params = params
         self.theta = params.lumped()
+        self.theta.flags.writeable = False
+        self._theta = tuple(self.theta.tolist())
 
     # -- dynamics terms, as entries ----------------------------------------
 
     def _inertia(self, c2):
         """``(m00, m01, m11)`` of M at ``c2 = cos(q1)``."""
-        a1, a2, a3, _, _ = self.theta.tolist()
+        a1, a2, a3, _, _ = self._theta
         return a1 + 2.0 * a2 * c2, a3 + a2 * c2, a3
 
     def _coriolis(self, s2, v0, v1):
         """Rows of the Christoffel-symbol C at ``s2 = sin(q1)``."""
-        h = self.theta.item(1) * s2
+        h = self._theta[1] * s2
         return [[-h * v1, -h * (v0 + v1)], [h * v0, 0.0]]
 
     def _gravity(self, c1, c12):
         """``(g0, g1)`` at ``c1 = cos(q0)``, ``c12 = cos(q0 + q1)``."""
-        _, _, _, b1, b2 = self.theta.tolist()
+        _, _, _, b1, b2 = self._theta
         return b1 * c1 + b2 * c12, b2 * c12
 
     # -- dynamics terms ----------------------------------------------------
@@ -145,7 +180,7 @@ class TwoLinkArm:
         """Analytic dM/dt along (q, qdot)."""
         _, q1 = np.asarray(q).tolist()
         _, v1 = np.asarray(qdot).tolist()
-        d = -self.theta.item(1) * _cos_sin(q1)[1] * v1
+        d = -self._theta[1] * _cos_sin(q1)[1] * v1
         return np.array([[2.0 * d, d], [d, 0.0]])
 
     def gravity(self, q) -> np.ndarray:
@@ -153,7 +188,7 @@ class TwoLinkArm:
         return np.array(self._gravity(_cos_sin(q0)[0], _cos_sin(q0 + q1)[0]))
 
     def potential(self, q) -> float:
-        _, _, _, b1, b2 = self.theta.tolist()
+        _, _, _, b1, b2 = self._theta
         q0, q1 = np.asarray(q).tolist()
         return b1 * _cos_sin(q0)[1] + b2 * _cos_sin(q0 + q1)[1]
 
@@ -166,13 +201,12 @@ class TwoLinkArm:
         v0, v1 = np.asarray(qdot).tolist()
         z0, z1 = np.asarray(zeta).tolist()
         zd0, zd1 = np.asarray(zetadot).tolist()
-        c1, _ = _cos_sin(q0)
-        c2, s2 = _cos_sin(q1)
-        c12, _ = _cos_sin(q0 + q1)
+        c1, c2, s2, c12 = _kinematics(q0, q1)
+        # a flat list converts faster than nested rows
         return np.array([
-            [zd0, c2 * (2.0 * zd0 + zd1) - s2 * (v1 * z0 + (v0 + v1) * z1), zd1, c1, c12],
-            [0.0, c2 * zd0 + s2 * v0 * z0, zd0 + zd1, 0.0, c12],
-        ])
+            zd0, c2 * (2.0 * zd0 + zd1) - s2 * (v1 * z0 + (v0 + v1) * z1), zd1, c1, c12,
+            0.0, c2 * zd0 + s2 * v0 * z0, zd0 + zd1, 0.0, c12,
+        ]).reshape(2, 5)
 
     def shape(self) -> ArmShape:
         return ArmShape(n=self.n, p_dim=self.p_dim, regressor=self.regressor)
@@ -183,9 +217,7 @@ class TwoLinkArm:
         """Joint accelerations from M qdd = tau + tau_star - C qd - g."""
         q0, q1 = np.asarray(q).tolist()
         v0, v1 = np.asarray(qdot).tolist()
-        c1, _ = _cos_sin(q0)
-        c2, s2 = _cos_sin(q1)
-        c12, _ = _cos_sin(q0 + q1)
+        c1, c2, s2, c12 = _kinematics(q0, q1)
         m00, m01, m11 = self._inertia(c2)
         # C qdot stays a BLAS product: its row 0 rounds as one fused
         # multiply-add, which no Python float expression reproduces

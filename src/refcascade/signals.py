@@ -110,10 +110,11 @@ class _SignalVector:
         if self._grid_times is not None:
             if key not in self._table:
                 grid = self._grid(self._grid_times, lo, hi)
+                grid.flags.writeable = False  # its rows are served, not copied
                 self._table[key] = dict(zip(self._grid_times.tolist(), grid))
             row = self._table[key].get(t)
             if row is not None:
-                return row.copy()
+                return row
         return self._grid((t,), lo, hi)[0]
 
     def _grid(self, times, lo: int, hi: int) -> np.ndarray:
@@ -142,7 +143,10 @@ class _SignalVector:
 
     def tabulate(self, times):
         """Serve evaluations at ``times`` from tables, each order range's filled
-        by one :meth:`_grid` call on its first use; ``None`` drops them."""
+        by one :meth:`_grid` call on its first use; ``None`` drops them.
+
+        A row served from a table is a read-only view of it, not a copy: a
+        caller that changes a row copies it first."""
         self._grid_times = None if times is None else np.asarray(times, dtype=float)
         self._table = {}
 

@@ -87,12 +87,18 @@ def test_evaluate_equals_observe_bitwise(variant):
         t = rng.uniform(0.0, 5.0)
         q, qdot = rng.uniform(-1.0, 1.0, (2, ctrl.n))
         x = rng.uniform(-1.0, 1.0, ctrl.state_size)
-        # evaluate's arrays may be views the next call overwrites
-        tau, xdot = (a.copy() for a in ctrl.evaluate(t, q, qdot, x))
+        # the rate comes as a tuple of 1-D parts in layout order; evaluate's
+        # arrays may be views the next call overwrites, so join them now
+        tau, parts = ctrl.evaluate(t, q, qdot, x)
+        assert isinstance(parts, tuple) and all(part.ndim == 1 for part in parts)
+        tau, xdot = tau.copy(), np.concatenate(parts)
         ev = ctrl.observe(t, q, qdot, x)
-        assert np.array_equal(tau, ev.tau)
-        assert np.array_equal(xdot, ev.xdot)
-        assert xdot.shape == (ctrl.state_size,)
+        assert tau.tobytes() == ev.tau.tobytes()
+        assert xdot.tobytes() == ev.xdot.tobytes()
+        assert ev.xdot.shape == (ctrl.state_size,)
+        # observe's xdot is owned: no later evaluation writes into it
+        assert not any(np.shares_memory(ev.xdot, part)
+                       for part in ctrl.evaluate(t, q, qdot, x)[1])
         assert "s" in ev.extras
 
 

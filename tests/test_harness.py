@@ -143,9 +143,9 @@ def reference_records(model, controller, dist, dt, steps, stride):
     x = np.concatenate([np.zeros(2 * n), controller.initial_state(np.zeros(n), np.zeros(n), 0.0)])
 
     def deriv(t, xx):
-        tau, xdot = controller.evaluate(t, xx[:n], xx[n : 2 * n], xx[2 * n :])
+        tau, parts = controller.evaluate(t, xx[:n], xx[n : 2 * n], xx[2 * n :])
         qdd = model.forward_dynamics(xx[:n], xx[n : 2 * n], tau, dist.eval(t))
-        return np.concatenate([xx[n : 2 * n], qdd, xdot])
+        return np.concatenate((xx[n : 2 * n], qdd, *parts))
 
     plant, samples = [], []
     for k in range(steps + 1):
@@ -225,7 +225,7 @@ class TestIntegrateTables:
         coast = SimpleNamespace(
             n=1, traj=TrajectorySpec.constant([0.0]),
             initial_state=lambda q, qdot, t: np.zeros(0),
-            evaluate=lambda t, q, qdot, x: (np.zeros(1), np.zeros(0)),
+            evaluate=lambda t, q, qdot, x: (np.zeros(1), ()),
             observe=lambda t, q, qdot, x: SimpleNamespace(tau=np.zeros(1), xdot=np.zeros(0)),
             forward_dynamics=lambda q, qdot, tau, ts: np.zeros(1),
         )

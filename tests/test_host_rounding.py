@@ -1,19 +1,25 @@
-"""Two facts about this host's numpy that the per-RHS code relies on.
+"""Facts about this host's numpy that the per-RHS code relies on.
 
 The plant takes its trigonometry from ``math`` and the control laws form
-their 2-D products with ``ndarray.dot``; both are faster than the numpy
-calls they replace, and both give the same bits here.  Another numpy build
+their 2-D products with ``ndarray.dot``, the compiled stage maps of the
+filtering laws included; both are faster than the numpy calls they
+replace, and both give the same bits here.  Another numpy build
 or BLAS library may round differently.  If a test below fails, the program
 is not wrong, but its logs will move by roundoff against the committed
 references (``tests/test_reference_logs.py``).
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from refcascade.config import load_config
+from refcascade.harness import build_experiment
 from refcascade.refdyn import AVAILABILITIES, QD_ROWS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 HOST = (
     "numpy or BLAS on this host rounds {what} differently: the control laws are"
@@ -72,3 +78,45 @@ def test_vector_matrix_dot_rounds_like_matmul(n_star):
         want = np.matmul(a, b)
         a.dot(b, out)
         assert np.array_equal(out, want), HOST.format(what=f"ndarray.dot on (2,) @ {b.shape}")
+
+
+def test_one_entry_product_rounds_like_matmul():
+    # stacked_single's W1 against its target error, in the law's own layout:
+    # e a view of a stage product, so e[:, None] is (2, 1) with strides (8, 0),
+    # and the one-entry result a slot of the work array
+    rng = np.random.default_rng(41)
+    work = np.empty(9)
+    out = work[7:8]
+    for _ in range(20000):
+        w1 = _draws(rng, 2)
+        work[2:4] = _draws(rng, 2)
+        col = work[2:4][:, None]
+        assert col.shape == (2, 1) and col.strides == (8, 0)
+        want = np.matmul(w1, col)
+        w1.dot(col, out)
+        assert out.tobytes() == want.tobytes(), HOST.format(what="ndarray.dot on (2,) @ (2, 1)")
+
+
+@pytest.mark.parametrize("config, variant", [
+    ("tone_single", "filtered_adaptive"), ("tone_single", "stacked_single"),
+    ("tone_two", "stacked_multi"),
+])
+def test_stage_products_round_like_matmul_on_the_strided_map(config, variant):
+    # a LinearBlock stores each stage's map contiguous at the stage's width
+    # and forms the product with dot; np.matmul on the same rows as a
+    # row-strided view of a full-width map must give the same bits
+    block = build_experiment(load_config(CONFIGS / f"{config}.ini",
+                                         [("controller", "variant", variant)]))[1].block
+    rng = np.random.default_rng(len(variant))
+    for M in (block.C, block.early_map, block.late_map):
+        rows, width = M.shape
+        assert M.flags.c_contiguous and width <= block.width
+        full = np.zeros((rows, block.width))
+        full[:, :width] = M
+        strided = full[:, :width]
+        out = np.empty(rows)
+        for _ in range(200):
+            v = _draws(rng, width)
+            M.dot(v, out)
+            assert out.tobytes() == np.matmul(strided, v).tobytes(), HOST.format(
+                what=f"ndarray.dot on the {variant} stage map {M.shape}")

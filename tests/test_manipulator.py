@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from refcascade.manipulator import ArmParams, TwoLinkArm
+from refcascade import manipulator
+from refcascade.manipulator import ArmParams, TwoLinkArm, _cos_sin, _kinematics
 from refcascade.numerics import rk4_step
 
 
@@ -108,6 +110,79 @@ class TestScalarStatement:
         assert np.array_equal(got, want, equal_nan=True)
         with pytest.warns(RuntimeWarning):
             arm.forward_dynamics(q, qdot, tau, tau_star)
+
+
+class TestKinematicsMemo:
+    """The regressor and the plant share the trigonometry of the latest
+    joint-angle pair.  Whatever the memo holds, each value must equal a
+    fresh computation bitwise: the same call with the memo emptied, and
+    ``_cos_sin`` angle by angle."""
+
+    QDOT, ZETA, ZETADOT = np.array([[0.5, -1.0], [0.2, 0.4], [-0.3, 0.6]])
+    TAU, TAU_STAR = np.array([[1.0, -2.0], [0.1, 0.2]])
+
+    def terms(self, arm, q, fresh):
+        """The regressor, then the plant, as one RHS calls them."""
+        out = []
+        for call in (lambda: arm.regressor(q, self.QDOT, self.ZETA, self.ZETADOT),
+                     lambda: arm.forward_dynamics(q, self.QDOT, self.TAU, self.TAU_STAR)):
+            if fresh:
+                manipulator._kinematics_memo = (None, None)
+            out.append(call().tobytes())
+        return out
+
+    def check(self, arm, q):
+        q = np.array(q, dtype=float)
+        got = self.terms(arm, q, fresh=False)
+        assert got == self.terms(arm, q, fresh=True)
+        q0, q1 = q.tolist()
+        want = (_cos_sin(q0)[0], *_cos_sin(q1), _cos_sin(q0 + q1)[0])
+        assert np.array(_kinematics(q0, q1)).tobytes() == np.array(want).tobytes()
+
+    def test_alternating_pairs(self, arm):
+        a, b = [0.3, -0.7], [1.1, 0.2]
+        for q in (a, b, a, a, b, b, a):
+            self.check(arm, q)
+
+    def test_signed_zero_is_another_pair(self, arm):
+        for q in ([0.3, 0.0], [0.3, -0.0], [0.3, 0.0], [0.0, -0.0], [-0.0, -0.0]):
+            self.check(arm, q)
+        # sin keeps the sign of a zero angle, so the two pairs differ
+        assert math.copysign(1.0, _kinematics(0.3, 0.0)[2]) == 1.0
+        assert math.copysign(1.0, _kinematics(0.3, -0.0)[2]) == -1.0
+        assert math.copysign(1.0, _kinematics(0.3, 0.0)[2]) == 1.0
+
+    def test_nan_angles(self, arm):
+        nan = math.nan
+        with np.errstate(invalid="ignore"):
+            for q in ([nan, 0.3], [nan, 0.3], [0.3, nan], [nan, nan], [0.3, -0.7], [nan, 0.3]):
+                self.check(arm, q)
+        assert math.isnan(_kinematics(0.3, nan)[1]) and _kinematics(0.3, 0.5)[1] == math.cos(0.5)
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf])
+    @pytest.mark.parametrize("joint", [0, 1])
+    def test_infinite_angles_take_numpys_path_on_every_call(self, arm, angle, joint):
+        q = np.array([0.3, -0.7])
+        q[joint] = angle
+        for _ in range(3):
+            # the memo never keeps this pair, so every call warns again
+            with np.errstate(invalid="warn"):
+                with pytest.warns(RuntimeWarning, match="invalid value"):
+                    arm.regressor(q, self.QDOT, self.ZETA, self.ZETADOT)
+                with pytest.warns(RuntimeWarning, match="invalid value"):
+                    arm.forward_dynamics(q, self.QDOT, self.TAU, self.TAU_STAR)
+            with np.errstate(invalid="ignore"):
+                self.check(arm, q)
+
+    def test_instances_share_only_the_trigonometry(self):
+        light, heavy = TwoLinkArm(), TwoLinkArm(ArmParams(m2=2.5, lc2=0.3, I2=0.4))
+        for arm in (light, heavy, light, heavy):
+            self.check(arm, [0.4, -1.3])
+
+    def test_lumped_parameters_are_read_only(self, arm):
+        # the terms read a tuple made at construction, which must not drift
+        with pytest.raises(ValueError, match="read-only"):
+            arm.theta[1] = 2.0
 
 
 class TestInertia:

@@ -147,12 +147,20 @@ class TestTables:
                     assert tt in spec._table[(lo, hi)]
                     assert got.tobytes() == twin._rows(tt, lo, hi).tobytes()
 
-    def test_rows_are_copies_of_the_table(self):
-        spec = _table_specs()[3]()
-        spec.tabulate([0.5, 1.0])
-        first = spec.derivs(0.5, 2)
-        first[:] = 99.0
-        assert not np.any(spec.derivs(0.5, 2) == 99.0)
+    def test_table_rows_are_read_only(self):
+        # rows are served as views of the table, not copies, so no caller
+        # can change what a later evaluation at the same time reads
+        for make in _table_specs():
+            spec, twin = make(), make()
+            spec.tabulate([0.5, 1.0])
+            for row in (spec.derivs(0.5, 2), spec.eval(0.5, 1), spec.derivs(1.0, 0)[0]):
+                with pytest.raises(ValueError, match="read-only"):
+                    row[...] = 99.0
+                with pytest.raises(ValueError, match="read-only"):
+                    row += 1.0
+            assert spec.derivs(0.5, 2).tobytes() == twin.derivs(0.5, 2).tobytes()
+            assert spec.eval(0.5, 1).tobytes() == twin.eval(0.5, 1).tobytes()
+            assert spec.derivs(1.0, 0).tobytes() == twin.derivs(1.0, 0).tobytes()
 
     def test_off_grid_and_dropped_tables_compute(self):
         # for every signal kind, an off-table time is the matching row of a
