@@ -144,6 +144,14 @@ SCHEMA = {
 }
 
 
+# section -> key -> parsed default, parsed once; every parsed value is
+# immutable (a number, string, bool or tuple), so loads share them
+_DEFAULTS = {
+    section: {key: _PARSERS[typ](default) for key, (typ, default, _help) in keys.items()}
+    for section, keys in SCHEMA.items()
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Typed view of one experiment; ``values[section][key]`` holds parsed data."""
@@ -152,12 +160,7 @@ class ExperimentConfig:
 
     @classmethod
     def defaults(cls):
-        vals = {}
-        for section, keys in SCHEMA.items():
-            vals[section] = {}
-            for key, (typ, default, _help) in keys.items():
-                vals[section][key] = _PARSERS[typ](default)
-        return cls(vals)
+        return cls({section: dict(keys) for section, keys in _DEFAULTS.items()})
 
     def get(self, section, key):
         return self.values[section][key]
@@ -174,8 +177,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
 
     def is_default(self, section, key) -> bool:
-        typ, default, _help = SCHEMA[section][key]
-        return self.values[section][key] == _PARSERS[typ](default)
+        return self.values[section][key] == _DEFAULTS[section][key]
 
     def copy(self):
         return ExperimentConfig({s: dict(kv) for s, kv in self.values.items()})

@@ -61,6 +61,7 @@ class ProxyController(FilteredDamping, ControllerBase):
         self.lambda_D_star = positive(gains, "lambda_d_star")
         self.refcfg = ReferenceConfig(coeffs, self.availability, self.Lam)
         self.theta_hat0 = self._estimate0(theta_hat0)
+        self._qd_rows = self.traj.reader(2)
 
     def _proxy(self, sig, alpha, a0, a1):
         """Signals of the target error e = dqdot + alpha dq, with
@@ -85,7 +86,7 @@ class ProxyController(FilteredDamping, ControllerBase):
         slots["x"][:] = x
         slots["q"][:] = q
         slots["qdot"][:] = qdot
-        slots["qd"][:] = self.traj.derivs(t, 2)
+        slots["qd"][:] = self._qd_rows(t)
         return slots
 
     def initial_state(self, q0, qdot0, t0=0.0):

@@ -14,8 +14,15 @@ Each reference cascade runs as precomputed matrix rows: one product with
 ``[phi; q; qdot; q_d rows]`` in the single-layer laws, the filtering laws'
 compiled block otherwise.  The experiment loop concatenates plant and
 controller states and integrates them jointly, so no controller ever
-integrates anything privately.  Gains that enter a rate or torque negated
-are negated once, at construction.
+integrates anything privately.
+
+What is fixed for the run is fixed at construction, never per evaluation.
+Gains that enter a rate or torque negated are negated once.  A law that
+reads the same desired-trajectory rows on every RHS binds a reader of them
+(:meth:`TrajectoryView.reader`), its order checked against the
+availability once, there.  A single-layer law whose reference cascade
+``phi`` is its whole state (``known``, ``plain``, ``nldamp``) hands the state
+itself to the cascade product, unsliced.
 
 On every RHS a law forms its 2-D products (a matrix against a vector, or a
 vector against a matrix) with ``ndarray.dot``, as ``a.dot(b)`` or
@@ -27,7 +34,9 @@ stage's width.  ``dot`` dispatches in about half the time of ``np.matmul``
 and gives the same bits (``tests/test_host_rounding.py``).  Only
 ``stacked_multi``'s 3-D path outputs against the weights ``(thf, 1)`` stay
 ``np.matmul``: ``dot`` sums them in another order, so the logs would move.
-The diagnostics, which run only on sampled steps, keep ``@``.
+Of the diagnostics, which run only on sampled steps, the energies use
+``dot`` as well (a run that logs every step pays them on every step), and
+the residuals keep ``@``.
 
 Information discipline is structural: controllers receive an
 :class:`~refcascade.manipulator.ArmShape` (dimensions plus regressor map,
@@ -137,9 +146,14 @@ class TrajectoryView:
 
     def derivs(self, t, upto):
         """Rows ``q_d, q_d', ..., q_d^(upto)`` at ``t``, in one evaluation."""
+        return self.reader(upto)(t)
+
+    def reader(self, upto):
+        """``t -> derivs(t, upto)``, for a law that reads the same rows on
+        every evaluation: ``upto`` is checked once, here."""
         if upto > self.max_order:
             self._refuse(upto)
-        return self._traj.derivs(t, upto)
+        return self._traj.reader(upto)
 
     def tabulate(self, times):
         self._traj.tabulate(times)
@@ -276,6 +290,6 @@ class FilteredDamping(SIdentity):
 
     def energy(self, model, q, qdot, extras):
         s, xi = extras["s"], extras["xi"]
-        quad = 0.5 * s @ model.inertia(q) @ s
-        return (quad + (self.lambda_D / (2.0 * self.lam)) * xi @ xi,
-                quad + (self.lambda_D / (4.0 * self.lam)) * xi @ xi)
+        quad = (0.5 * s).dot(model.inertia(q)).dot(s)
+        return (quad + ((self.lambda_D / (2.0 * self.lam)) * xi).dot(xi),
+                quad + ((self.lambda_D / (4.0 * self.lam)) * xi).dot(xi))

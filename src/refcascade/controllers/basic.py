@@ -58,6 +58,7 @@ class _CascadeController(ControllerBase):
         self.layout.add("phi", self.refcfg.ell, self.n)
         self.M = compile_cascade(self.refcfg, self.n)
         self._m = self.layout.size
+        self._qd_rows = self.traj.reader(self.traj.max_order)  # the rows M reads
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
@@ -65,11 +66,11 @@ class _CascadeController(ControllerBase):
         self.layout.view(x, "phi")[:] = cascade_init(self.refcfg, self.n, qd_dot0)
         return x
 
-    def _cascade(self, t, q, qdot, x):
-        """``(z, z', s, phi')`` against the true desired trajectory."""
-        qd = self.traj.derivs(t, self.traj.max_order)  # the rows M reads
-        r = self.M.dot(np.concatenate((x[: self._m], q, qdot, qd.ravel())))
-        return x[: self.n], r[: self.n], r[self._m :], r[: self._m]
+    def _cascade(self, t, q, qdot, phi):
+        """``(z, z', s, phi')`` against the true desired trajectory; ``phi``
+        is the cascade block of the state, the whole state if it has no other."""
+        r = self.M.dot(np.concatenate((phi, q, qdot, self._qd_rows(t).ravel())))
+        return phi[: self.n], r[: self.n], r[self._m :], r[: self._m]
 
 
 def _torque_residual(model, q, qdot, tau, tau_star, gain, s):
@@ -104,7 +105,7 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
         return x
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x[: self._m])
         th = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = self._neg_K * s + Y.dot(th)
@@ -115,7 +116,7 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
     def energy(self, model, q, qdot, extras):
         s = extras["s"]
         dth = extras["theta_hat"] - model.theta
-        return 0.5 * s @ model.inertia(q) @ s + 0.5 * dth @ (dth / self.gamma), np.nan
+        return (0.5 * s).dot(model.inertia(q)).dot(s) + (0.5 * dth).dot(dth / self.gamma), np.nan
 
 
 class PlainCascadeController(_CascadeController):
@@ -125,11 +126,11 @@ class PlainCascadeController(_CascadeController):
     availability = "full"
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)  # phi is the whole state
         tau = self._neg_K * s
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
-        return tau, (phi_dot,)  # phi is the whole controller state
+        return tau, (phi_dot,)
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.K, extras["s"])
@@ -152,6 +153,7 @@ class PidReformulatedController(ControllerBase):
         self._neg_kd = -self.kd
         self.matched_init = bool(matched_init)
         self.layout.add("z", self.n)
+        self._qd_rows = self.traj.reader(2)
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
@@ -163,7 +165,7 @@ class PidReformulatedController(ControllerBase):
         return x
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        qd, qd_dot, qd_ddot = self.traj.derivs(t, 2)
+        qd, qd_dot, qd_ddot = self._qd_rows(t)
         dq = q - qd
         dqdot = qdot - qd_dot
         zdot = qd_ddot - (self.kp * dqdot + self.ki * dq) / self.kd
@@ -188,9 +190,10 @@ class PidTextbookController(ControllerBase):
         self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
         self._neg_kd = -self.kd
         self.layout.add("integral", self.n)
+        self._qd_rows = self.traj.reader(1)
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        qd, qd_dot = self.traj.derivs(t, 1)
+        qd, qd_dot = self._qd_rows(t)
         dq = q - qd
         dqdot = qdot - qd_dot
         tau = self._neg_kd * dqdot - self.kp * dq - self.ki * x  # x is the integral
@@ -219,12 +222,12 @@ class KnownParamsController(SIdentity, _CascadeController):
             raise ConfigError("feedforward_theta has the wrong dimension")
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)  # phi is the whole state
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = self._neg_K * s + Y.dot(self.theta_ff)
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
-        return tau, (phi_dot,)  # phi is the whole controller state
+        return tau, (phi_dot,)
 
     def _estimate_error(self, Y, model, extras):
         return 0.0  # exact feedforward
@@ -245,12 +248,12 @@ class NonlinearDampingController(SIdentity, _CascadeController):
         self.lambda_D = nonnegative(gains, "lambda_d")  # zero turns the damping off
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)  # phi is the whole state
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = self._neg_K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(Y.T.dot(s))
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=self.theta_hat)
-        return tau, (phi_dot,)  # phi is the whole controller state
+        return tau, (phi_dot,)
 
     def _damping(self, Y, s, extras):
         return self.lambda_D * (Y @ (Y.T @ s))
@@ -274,7 +277,7 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
         self.layout.add("xi", self.p_dim)
 
     def evaluate(self, t, q, qdot, x, extras=None):
-        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)
+        z, zdot, s, phi_dot = self._cascade(t, q, qdot, x[: self._m])
         xi = x[self._m :]
         Y = self.shape.regressor(q, qdot, z, zdot)
         tau = self._neg_K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(xi)

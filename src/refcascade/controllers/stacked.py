@@ -110,6 +110,7 @@ class StackedSingleController(ProxyController):
                   ("Y_xi", n)),
         )
         self._compile(self.block)
+        self._psi_D = self.b_psi.D[0]  # the psi filter's direct feedthrough
 
     def _compile(self, block):
         sig = block.signal
@@ -164,7 +165,7 @@ class StackedSingleController(ProxyController):
         )
         psith, h, Wt_e = u["psith"], u["h"], u["Wt_e"]
         np.multiply(psi, thf, out=psith)
-        g1_psith += self.b_psi.D[0] * psith
+        g1_psith += self._psi_D * psith
 
         Wst = thf * WG2 + WG3                          # (n, p)
         np.subtract(W1 * thf - g1_psith + thf * (WG2.dot(th) - vG2) + WG3.dot(th), vG3, out=h)
@@ -261,6 +262,9 @@ class StackedMultiController(ProxyController):
         )
         self._compile(self.block)
         self._weights = np.ones(n_star + 1)  # (thf, 1), refilled per evaluation
+        # the biproper p^2 / kpoly filters' direct feedthrough
+        self._outer_w_D = self.f_outer_w.D[0][:, None]
+        self._outer_h_D = self.f_outer_h.D[0]
 
     def _compile(self, block):
         sig = block.signal
@@ -338,8 +342,8 @@ class StackedMultiController(ProxyController):
         weights[:-1] = thf
         np.matmul(by, weights, out=mW)
         bv.dot(weights, mh)
-        Wst += self.f_outer_w.D[0][:, None] * mW      # biproper p^2/kpoly
-        oh += self.f_outer_h.D[0] * mh
+        Wst += self._outer_w_D * mW  # biproper p^2/kpoly
+        oh += self._outer_h_D * mh
         Wst.dot(th, h)
         h -= oh
         Wst.T.dot(e, Wt_e)

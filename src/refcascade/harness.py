@@ -193,23 +193,25 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     time; no table outlives the call.
 
     Returns ``(t, q, qdot, divergence_time)``: the plant samples of every
-    step reached, and ``None`` unless the run diverged.
+    step reached, and ``None`` unless the run diverged.  Each step stores
+    one plant row ``(q, qdot)``; ``q`` and ``qdot`` are column views of
+    those rows.
     """
     n = model.n
+    p = 2 * n  # the plant's share of the joint state
     x = np.concatenate([q0, qdot0, controller.initial_state(q0, qdot0, 0.0)])
     signals = (controller.traj, dist)
+    evaluate, forward_dynamics, disturbance = controller.evaluate, model.forward_dynamics, dist.eval
 
     def deriv(t, xx):
         q = xx[:n]
-        qdot = xx[n : 2 * n]
-        tau, parts = controller.evaluate(t, q, qdot, xx[2 * n :])
-        qdd = model.forward_dynamics(q, qdot, tau, dist.eval(t))
-        return np.concatenate((qdot, qdd, *parts))
+        qdot = xx[n:p]
+        tau, parts = evaluate(t, q, qdot, xx[p:])
+        return np.concatenate((qdot, forward_dynamics(q, qdot, tau, disturbance(t)), *parts))
 
     try:
         t_arr = np.empty(steps + 1)
-        q_arr = np.empty((steps + 1, n))
-        qdot_arr = np.empty((steps + 1, n))
+        plant_arr = np.empty((steps + 1, p))
     except (ValueError, MemoryError):
         raise ConfigError(f"run.duration / run.dt: {steps:.3g} steps cannot be allocated") from None
     div_time = None
@@ -224,16 +226,15 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
                 for signal in signals:
                     signal.tabulate(times)
             t_arr[k] = t
-            q = x[:n]
-            qdot = x[n : 2 * n]
-            q_arr[k] = q
-            qdot_arr[k] = qdot
+            plant_arr[k] = x[:p]
 
             k1 = None
             if k % stride == 0:
-                ev = controller.observe(t, q, qdot, x[2 * n :])
-                ts = dist.eval(t)
-                k1 = np.concatenate([qdot, model.forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
+                q = x[:n]
+                qdot = x[n:p]
+                ev = controller.observe(t, q, qdot, x[p:])
+                ts = disturbance(t)
+                k1 = np.concatenate([qdot, forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
                 sample(k, t, q, qdot, ev, ts)
 
             if k >= steps:
@@ -248,7 +249,8 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     finally:
         for signal in signals:
             signal.tabulate(None)
-    return t_arr[: k + 1], q_arr[: k + 1], qdot_arr[: k + 1], div_time
+    plant_arr = plant_arr[: k + 1]
+    return t_arr[: k + 1], plant_arr[:, :n], plant_arr[:, n:], div_time
 
 
 def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:

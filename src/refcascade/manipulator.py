@@ -145,6 +145,7 @@ class TwoLinkArm:
         self.theta = params.lumped()
         self.theta.flags.writeable = False
         self._theta = tuple(self.theta.tolist())
+        self._C = np.zeros((2, 2))  # forward_dynamics' C, written in place; C[1, 1] stays 0
 
     # -- dynamics terms, as entries ----------------------------------------
 
@@ -154,9 +155,10 @@ class TwoLinkArm:
         return a1 + 2.0 * a2 * c2, a3 + a2 * c2, a3
 
     def _coriolis(self, s2, v0, v1):
-        """Rows of the Christoffel-symbol C at ``s2 = sin(q1)``."""
+        """``(c00, c01, c10)`` of the Christoffel-symbol C at ``s2 = sin(q1)``;
+        ``c11`` is 0."""
         h = self._theta[1] * s2
-        return [[-h * v1, -h * (v0 + v1)], [h * v0, 0.0]]
+        return -h * v1, -h * (v0 + v1), h * v0
 
     def _gravity(self, c1, c12):
         """``(g0, g1)`` at ``c1 = cos(q0)``, ``c12 = cos(q0 + q1)``."""
@@ -174,7 +176,8 @@ class TwoLinkArm:
         """Christoffel-symbol Coriolis/centrifugal matrix."""
         _, q1 = np.asarray(q).tolist()
         v0, v1 = np.asarray(qdot).tolist()
-        return np.array(self._coriolis(_cos_sin(q1)[1], v0, v1))
+        c00, c01, c10 = self._coriolis(_cos_sin(q1)[1], v0, v1)
+        return np.array([[c00, c01], [c10, 0.0]])
 
     def inertia_rate(self, q, qdot) -> np.ndarray:
         """Analytic dM/dt along (q, qdot)."""
@@ -196,11 +199,12 @@ class TwoLinkArm:
 
     @staticmethod
     def regressor(q, qdot, zeta, zetadot) -> np.ndarray:
-        """Y such that Y @ theta = M(q) zetadot + C(q, qdot) zeta + g(q)."""
-        q0, q1 = np.asarray(q).tolist()
-        v0, v1 = np.asarray(qdot).tolist()
-        z0, z1 = np.asarray(zeta).tolist()
-        zd0, zd1 = np.asarray(zetadot).tolist()
+        """Y such that Y @ theta = M(q) zetadot + C(q, qdot) zeta + g(q);
+        run on every RHS, it takes 1-D ndarrays only and converts nothing."""
+        q0, q1 = q.tolist()
+        v0, v1 = qdot.tolist()
+        z0, z1 = zeta.tolist()
+        zd0, zd1 = zetadot.tolist()
         c1, c2, s2, c12 = _kinematics(q0, q1)
         # a flat list converts faster than nested rows
         return np.array([
@@ -214,17 +218,20 @@ class TwoLinkArm:
     # -- simulation --------------------------------------------------------
 
     def forward_dynamics(self, q, qdot, tau, tau_star) -> np.ndarray:
-        """Joint accelerations from M qdd = tau + tau_star - C qd - g."""
-        q0, q1 = np.asarray(q).tolist()
-        v0, v1 = np.asarray(qdot).tolist()
+        """Joint accelerations from M qdd = tau + tau_star - C qd - g; run
+        on every RHS, it takes 1-D ndarrays only and converts nothing."""
+        q0, q1 = q.tolist()
+        v0, v1 = qdot.tolist()
         c1, c2, s2, c12 = _kinematics(q0, q1)
         m00, m01, m11 = self._inertia(c2)
         # C qdot stays a BLAS product: its row 0 rounds as one fused
         # multiply-add, which no Python float expression reproduces
-        cq0, cq1 = np.array(self._coriolis(s2, v0, v1)).dot(qdot).tolist()
+        C = self._C
+        C[0, 0], C[0, 1], C[1, 0] = self._coriolis(s2, v0, v1)
+        cq0, cq1 = C.dot(qdot).tolist()
         g0, g1 = self._gravity(c1, c12)
-        tau0, tau1 = np.asarray(tau).tolist()
-        ts0, ts1 = np.asarray(tau_star).tolist()
+        tau0, tau1 = tau.tolist()
+        ts0, ts1 = tau_star.tolist()
         r0 = tau0 + ts0 - cq0 - g0
         r1 = tau1 + ts1 - cq1 - g1
         # closed-form 2x2 solve; M is positive definite for valid parameters

@@ -161,6 +161,10 @@ class _SignalVector:
         """
         return self._rows(t, 0, upto)
 
+    def reader(self, upto: int):
+        """``derivs`` at a fixed ``upto``, as a function of ``t`` alone."""
+        return lambda t: self._rows(t, 0, upto)
+
     def eval_grid(self, t, order: int = 0) -> np.ndarray:
         """``(len(t), n)``: row ``i`` equals ``eval(t[i], order)`` bitwise."""
         return self._grid(t, order, order)[:, 0]

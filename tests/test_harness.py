@@ -254,6 +254,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.set("nonsense", "dt", "1")
 
+    def test_a_set_does_not_leak_into_later_loads(self):
+        # the parsed defaults are shared by every load; a set replaces a
+        # value in its own config's section dicts only
+        first = load_config(None, [("gains", "k", "7 8"), ("run", "q0", "0.1 0.2")])
+        assert first.get("gains", "k") == (7.0, 8.0) and not first.is_default("gains", "k")
+        first.set("controller", "variant", "plain")
+        second = load_config(None)
+        assert second.get("gains", "k") == (20.0,) and second.is_default("gains", "k")
+        assert second.get("run", "q0") == (0.0, 0.0) and second.is_default("run", "q0")
+        assert second.get("controller", "variant") == "adaptive"
+        assert second.values == ExperimentConfig.defaults().values
+        assert all(second.is_default(section, key)
+                   for section, keys in second.values.items() for key in keys)
+        assert first.get("controller", "variant") == "plain"
+
     def test_override_parsing(self):
         out = parse_overrides(["run.dt=0.01", "gains.k = 15"])
         assert out[0] == ("run", "dt", "0.01")

@@ -97,6 +97,24 @@ def test_one_entry_product_rounds_like_matmul():
         assert out.tobytes() == want.tobytes(), HOST.format(what="ndarray.dot on (2,) @ (2, 1)")
 
 
+@pytest.mark.parametrize("p", [2, 5])
+def test_energy_products_round_like_matmul(p):
+    # the sampled energies: 0.5 s M s as ((0.5 s) M) s with s of n = 2
+    # entries, and the (p,) . (p,) storage of an estimate or a filter state
+    rng = np.random.default_rng(50 + p)
+    for _ in range(20000):
+        s, v = _draws(rng, 2), _draws(rng, p)
+        M = _draws(rng, (2, 2))
+        M = M + M.T
+        w = _draws(rng, p)
+        assert (0.5 * s).dot(M).tobytes() == np.matmul(0.5 * s, M).tobytes(), HOST.format(
+            what="ndarray.dot on (2,) @ (2, 2)")
+        assert (0.5 * s).dot(M).dot(s).tobytes() == (0.5 * s @ M @ s).tobytes(), HOST.format(
+            what="ndarray.dot on (2,) @ (2,)")
+        assert v.dot(w).tobytes() == (v @ w).tobytes(), HOST.format(
+            what=f"ndarray.dot on ({p},) @ ({p},)")
+
+
 @pytest.mark.parametrize("config, variant", [
     ("tone_single", "filtered_adaptive"), ("tone_single", "stacked_single"),
     ("tone_two", "stacked_multi"),

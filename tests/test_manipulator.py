@@ -287,6 +287,31 @@ class TestRegressor:
             assert np.allclose(Y @ theta, base + 0.37 * Y[:, i], atol=1e-12)
 
 
+class TestRhsInputContract:
+    """``regressor`` and ``forward_dynamics`` take 1-D ndarrays and convert
+    nothing: any view of a state gives the bits of a fresh array, and a
+    list is refused, not coerced."""
+
+    def test_strided_views_give_the_bits_of_fresh_arrays(self, arm):
+        # the columns of plant records, as integrate returns q and qdot
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            records = rng.uniform(-3.0, 3.0, (2, 4))
+            views = tuple(records.T)
+            assert not views[0].flags.c_contiguous
+            copies = tuple(v.copy() for v in views)
+            assert arm.regressor(*views).tobytes() == arm.regressor(*copies).tobytes()
+            assert arm.forward_dynamics(*views).tobytes() == arm.forward_dynamics(*copies).tobytes()
+            assert records.T.tobytes() == np.array(copies).tobytes()  # no input is written
+
+    def test_lists_are_refused(self, arm):
+        q, qdot, zeta, zetadot = np.array([[0.3, -0.7], [0.5, -1.0], [0.2, 0.4], [-0.3, 0.6]])
+        with pytest.raises(AttributeError):
+            arm.regressor(q.tolist(), qdot, zeta, zetadot)
+        with pytest.raises(AttributeError):
+            arm.forward_dynamics(q, qdot, [1.0, -2.0], np.zeros(2))
+
+
 class TestForwardDynamics:
     def test_gravity_compensation_rest(self, arm):
         q = np.array([0.4, -0.9])

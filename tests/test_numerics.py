@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,39 @@ class TestRk4:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as exc:
             rk4_step(lambda t, x: next(rates), np.array([1.0, 1.7e308]), 0.0, 1.0)
         assert exc.value.indices == [1]
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])  # 2-D: the AC-2 oracle's stacked states
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("source", ["state", "rate"])
+    def test_one_non_finite_entry_names_its_flat_index(self, shape, value, where, source):
+        index = {"first": 0, "middle": math.prod(shape) // 2, "last": math.prod(shape) - 1}[where]
+        x = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+        rate = np.zeros(shape)
+        (x if source == "state" else rate).flat[index] = value
+        before = x.tobytes()
+        with pytest.raises(NonFiniteStateError) as exc:
+            rk4_step(lambda t, xx: rate, x, 0.5, 0.1)
+        assert exc.value.indices == [index]
+        assert exc.value.t == 0.5
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 2)])
+    @pytest.mark.parametrize("context", ["default", "integrate", "raise"])
+    def test_finite_state_with_overflowing_square_passes_silently(self, shape, context):
+        # the squared norm of this state overflows to inf, so the exact pass
+        # runs and finds every entry finite; nothing warns, under any errstate
+        x = np.full(shape, 1e200)
+        x.flat[1] = -1.5e200
+        before = x.tobytes()
+        errstate = {"default": {}, "integrate": {"over": "ignore", "invalid": "ignore"},
+                    "raise": {"all": "raise"}}[context]
+        with warnings.catch_warnings(), np.errstate(**errstate):
+            warnings.simplefilter("error")
+            out = rk4_step(lambda t, xx: np.full(shape, 1e190), x, 0.0, 0.1)
+        want = x + (0.1 / 6.0) * (1e190 + 2.0 * 1e190 + 2.0 * 1e190 + 1e190)
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == before
 
     def test_deterministic(self):
         def f(t, x):

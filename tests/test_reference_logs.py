@@ -1,17 +1,28 @@
 """Every ``configs/*.ini`` run, one simulated second long, against its
 committed ``log.csv`` and ``metrics.json``, and likewise the runs in
-``VARIANTS``: a config run as a variant no config names.
+``VARIANTS``: a config run as a variant no config names, and the runs in
+``DIVERGING``: a config run with overrides that make it diverge.
 
 ``tests/reference/<config>/`` holds the output of
 
     refcascade run --config configs/<config>.ini --set run.duration=1 --out tests/reference/<config>
 
-run from the repository root, and ``tests/reference/<config>-<variant>/``
-the same run with ``--set controller.variant=<variant>`` added.  Each case
-is rerun in-process, and every number of both files must match within
-1e-12 absolute, with NaN equal to NaN; a failure names the worst column.  A
-change that moves a log on purpose regenerates its reference with the
-command above and says why.
+run from the repository root, ``tests/reference/<config>-<variant>/``
+the same run with ``--set controller.variant=<variant>`` added, and
+``tests/reference/<case>/`` for a diverging case the same run with one
+``--set`` per override of ``DIVERGING[case]`` added:
+
+    refcascade run --config configs/order_sweep.ini --set run.duration=1 \
+        --set run.dt=0.012 --set gains.k=200 --set run.csv_decimate=1 \
+        --set run.extras_stride=1 --out tests/reference/order_sweep-stiff_gain
+    refcascade run --config configs/order_sweep.ini --set run.duration=1 \
+        --set model.i2=0 --set model.lc2=0 --out tests/reference/order_sweep-singular_inertia
+
+Each case is rerun in-process, and every number of both files must match
+within 1e-12 absolute, with NaN equal to NaN; a failure names the worst
+column.  A run must exit 0, a diverging one 3 (its log ends at the step
+that diverged).  A change that moves a log on purpose regenerates its
+reference with the command above and says why.
 """
 
 import csv
@@ -32,7 +43,20 @@ VARIANTS = [
     ("pid_equivalence", "pid"), ("pid_equivalence", "pid_textbook"),
     ("tone_single", "filtered_adaptive"),
 ]
-CASES = CONFIGS + [f"{config}-{variant}" for config, variant in VARIANTS]
+# case -> (config, overrides) of runs that diverge, which gate the finiteness
+# check end to end: a stage rate that blows up at t = 0.048, and a singular
+# inertia matrix, non-finite at t = 0
+DIVERGING = {
+    "order_sweep-stiff_gain": ("order_sweep", ["run.dt=0.012", "gains.k=200",
+                                               "run.csv_decimate=1", "run.extras_stride=1"]),
+    "order_sweep-singular_inertia": ("order_sweep", ["model.i2=0", "model.lc2=0"]),
+}
+# case -> (config, overrides, exit code)
+RUNS = {config: (config, [], 0) for config in CONFIGS}
+RUNS.update({f"{config}-{variant}": (config, [f"controller.variant={variant}"], 0)
+             for config, variant in VARIANTS})
+RUNS.update({case: (config, sets, 3) for case, (config, sets) in DIVERGING.items()})
+CASES = list(RUNS)
 TOL = 1e-12
 
 
@@ -69,11 +93,11 @@ def test_every_config_has_a_reference():
 
 @pytest.mark.parametrize("case", CASES)
 def test_log_matches_reference(tmp_path, case):
-    config, _, variant = case.partition("-")
+    config, overrides, code = RUNS[case]
     out = tmp_path / case
     assert main(["run", "--config", str(ROOT / "configs" / f"{config}.ini"),
                  "--set", "run.duration=1", "--out", str(out), "--quiet",
-                 *(["--set", f"controller.variant={variant}"] if variant else [])]) == 0
+                 *[arg for pair in overrides for arg in ("--set", pair)]]) == code
     for name, read in (("log.csv", _read_csv), ("metrics.json", _read_metrics)):
         names, want = read(REFERENCE / case / name)
         got_names, got = read(out / name)
