@@ -163,22 +163,19 @@ class Layout:
     """Named slices into a flat controller state vector."""
 
     def __init__(self):
-        # name -> (slice, shape); shape is None for blocks the slice already
-        # shapes (one axis or none), which then skip the reshape
-        self._blocks: dict[str, tuple[slice, tuple | None]] = {}
+        # name -> (slice, shape); a shapeless block is one entry, shape (1,)
+        self._blocks: dict[str, tuple[slice, tuple]] = {}
         self.size = 0
 
     def add(self, name, *shape):
-        count = 1
-        for s in shape:
-            count *= int(s)
-        block = slice(self.size, self.size + count)
-        self._blocks[name] = (block, shape if len(shape) > 1 else None)
+        shape = tuple(int(s) for s in shape) or (1,)
+        count = math.prod(shape)
+        self._blocks[name] = (slice(self.size, self.size + count), shape)
         self.size += count
 
     def view(self, x, name):
         block, shape = self._blocks[name]
-        return x[block] if shape is None else x[block].reshape(shape)
+        return x[block].reshape(shape)
 
     def names(self):
         return tuple(self._blocks)
@@ -186,7 +183,7 @@ class Layout:
     def span(self, name):
         """First index and shape of a block."""
         block, shape = self._blocks[name]
-        return block.start, shape or (block.stop - block.start,)
+        return block.start, shape
 
 
 @dataclass

@@ -142,10 +142,6 @@ class FilterBank:
 
     # -- state management ----------------------------------------------------
 
-    @property
-    def state_size(self) -> int:
-        return self.rows * self.cols * self.order
-
     def state_shape(self):
         if self.cols == 1:
             return (self.rows, self.order)

@@ -22,7 +22,6 @@ parameters; only diagnostics receive the full model.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,35 +95,15 @@ def _cos_sin(angle: float) -> tuple[float, float]:
         return float(np.cos(angle)), float(np.sin(angle))
 
 
-_pack_angles = struct.Struct("dd").pack
-# the latest distinct joint-angle pair: (its bytes, its trigonometry).  It is
-# module state because the regressor is a staticmethod that the laws receive
-# without the model; a pure function of its key, it is right for every caller,
-# and it is replaced as one tuple, never changed in place.
-_kinematics_memo = (None, None)
-
-
 def _kinematics(q0: float, q1: float) -> tuple[float, float, float, float]:
-    """``(c1, c2, s2, c12)``: ``cos(q0)``, ``cos(q1)``, ``sin(q1)``, ``cos(q0 + q1)``.
-
-    A right-hand side reads them twice, in the law's regressor and in the
-    plant, so the latest pair's values are kept.  The key is the angles'
-    bits: ``0.0`` and ``-0.0`` never share an entry (``sin`` keeps the
-    sign), nor does a NaN with any other value.  An infinite angle takes
-    numpy's path, whose warning every call must raise, so it is never kept.
-    """
-    global _kinematics_memo
-    key = _pack_angles(q0, q1)
-    memo_key, trig = _kinematics_memo
-    if key == memo_key:
-        return trig
+    """``(c1, c2, s2, c12)``: ``cos(q0)``, ``cos(q1)``, ``sin(q1)``, ``cos(q0 + q1)``,
+    the trigonometry the regressor and the plant read at ``q``; an infinite
+    angle takes ``_cos_sin``'s numpy path, with its warning."""
     try:
-        trig = math.cos(q0), math.cos(q1), math.sin(q1), math.cos(q0 + q1)
+        return math.cos(q0), math.cos(q1), math.sin(q1), math.cos(q0 + q1)
     except ValueError:
         (c1, _), (c2, s2), (c12, _) = _cos_sin(q0), _cos_sin(q1), _cos_sin(q0 + q1)
         return c1, c2, s2, c12
-    _kinematics_memo = key, trig
-    return trig
 
 
 class TwoLinkArm:

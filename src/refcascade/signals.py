@@ -67,24 +67,19 @@ class _SignalVector:
         self._tone_amp = np.array(amps)
         self._tone_w = np.array(omegas)
         self._tone_ph = np.array(phases)
-        # one tone per joint, in joint order: the per-joint sum is the tone
-        # itself, so evaluation can skip the scatter
-        one_each = owner == list(range(len(self.joints)))
-        self._tone_owner = None if one_each else np.array(owner, dtype=int)
-        self._range_cache: dict = {}
+        self._tone_owner = np.array(owner, dtype=int)
         self.tabulate(None)
 
     @property
     def n(self) -> int:
         return len(self.joints)
 
-    def _tables(self, key):
-        """Coefficient tables for the orders ``key = (lo, hi)``, one row each.
+    def _tables(self, lo: int, hi: int):
+        """Coefficient tables for the orders ``lo..hi``, one row each.
 
         ``base`` is the offset plus the polynomial's constant column (its
         ``t**0`` term needs no time), ``cols`` the remaining columns.
         """
-        lo, hi = key
         orders = range(lo, hi + 1)
         base = np.array(
             [[j.offset if order == 0 else 0.0 for j in self.joints] for order in orders]
@@ -102,8 +97,7 @@ class _SignalVector:
             cols = list(cols[1:])
         tone_gain = np.array([self._tone_amp * self._tone_w**order for order in orders])
         tone_shift = np.array([self._tone_ph + order * (math.pi / 2.0) for order in orders])
-        tables = self._range_cache[key] = (base, cols, tone_gain, tone_shift)
-        return tables
+        return base, cols, tone_gain, tone_shift
 
     def _rows(self, t, lo: int, hi: int) -> np.ndarray:
         key = (lo, hi)
@@ -124,8 +118,7 @@ class _SignalVector:
         the final transpose, and a table row or a single time is a row of it.
         """
         t = np.asarray(times, dtype=float).reshape(-1)
-        key = (lo, hi)
-        base, cols, tone_gain, tone_shift = self._range_cache.get(key) or self._tables(key)
+        base, cols, tone_gain, tone_shift = self._tables(lo, hi)
         out = np.repeat(base[..., None], t.size, axis=-1)
         tp = t
         for col in cols:
@@ -133,12 +126,10 @@ class _SignalVector:
             tp = tp * t
         if tone_gain.size:
             vals = tone_gain[..., None] * np.sin(self._tone_w[:, None] * t + tone_shift[..., None])
-            if self._tone_owner is not None:
-                # each joint sums its tones from zero, in tone order
-                summed = np.zeros_like(out)
-                np.add.at(summed, (slice(None), self._tone_owner), vals)
-                vals = summed
-            out += vals
+            # each joint sums its tones from zero, in tone order
+            summed = np.zeros_like(out)
+            np.add.at(summed, (slice(None), self._tone_owner), vals)
+            out += summed
         return np.ascontiguousarray(out.transpose(2, 0, 1))
 
     def tabulate(self, times):

@@ -10,6 +10,7 @@ from refcascade.controllers import (
     closed_loop_residual,
     lyapunov_diag,
 )
+from refcascade.controllers.base import Layout
 from refcascade.filters import FilterBank
 from refcascade.harness import integrate
 from refcascade.manipulator import ArmParams, TwoLinkArm
@@ -110,6 +111,25 @@ class TestTrivialTorques:
         ev = ctrl.observe(0.0, q, np.zeros(2), x)
         assert np.max(np.abs(ev.tau)) < 1e-13
         assert np.max(np.abs(ev.xdot)) < 1e-13
+
+
+class TestLayout:
+    def test_views_and_spans_of_every_block_shape(self):
+        layout = Layout()
+        layout.add("z", 2)
+        layout.add("freq_hat")
+        layout.add("phi", 3, 2)
+        assert layout.names() == ("z", "freq_hat", "phi")
+        assert layout.size == 9
+        x = np.zeros(layout.size)
+        for name, start, shape in (("z", 0, (2,)), ("freq_hat", 2, (1,)), ("phi", 3, (3, 2))):
+            assert layout.span(name) == (start, shape)
+            view = layout.view(x, name)
+            assert view.shape == shape
+            # a view, not a copy: writes through it reach x
+            view[...] = np.arange(1.0, view.size + 1.0).reshape(shape)
+            assert np.array_equal(x[start : start + view.size], np.arange(1.0, view.size + 1.0))
+        assert np.array_equal(layout.view(x, "phi")[1], x[5:7])
 
 
 class TestPidEquivalence:

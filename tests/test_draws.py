@@ -8,7 +8,9 @@ They are recorded once as the suite draws them and once with extra
 literals, in range of the old draws, added to the constants hypothesis
 collects from local modules.  An integer seed drawn directly is the
 control: the same added literals change its examples, so the check has
-teeth.
+teeth.  The control records both lists against a pinned pool of local
+constants, so its outcome depends on its own literals, not on which local
+modules earlier tests happened to import.
 """
 
 import functools
@@ -30,6 +32,10 @@ PROPERTIES = {
     "bank_maps": test_linear_block.test_block_from_the_bank_maps_matches_the_bank,
 }
 COUNTS = {"compiled_rows": 150, "oracle": 20, "bank_maps": 60}
+# the local constants the control draws against: integers in its range,
+# as a repository's literals would be, and one of every other type
+PINNED_POOL = Constants(integers={2, 16, 255, 1000, 86_400}, floats={0.5, 2.5},
+                        bytes={b"pin"}, strings={"pin"})
 
 
 @settings(max_examples=60)
@@ -53,6 +59,15 @@ def _examples(prop):
     # ``self`` and the fixtures a property takes do not enter its draws
     replay(*[None for name in inspect.signature(inner).parameters if name != "seed"])
     return seen
+
+
+@pytest.fixture
+def pinned_pool(monkeypatch):
+    """Local constants fixed at ``PINNED_POOL``, whatever has been imported."""
+    monkeypatch.setattr(providers, "_get_local_constants", lambda: PINNED_POOL)
+    providers.CONSTANTS_CACHE.cache.clear()
+    yield
+    providers.CONSTANTS_CACHE.cache.clear()
 
 
 @pytest.fixture
@@ -82,8 +97,9 @@ def test_added_literals_leave_the_examples_unchanged(request, name):
     assert _examples(PROPERTIES[name]) == plain
 
 
-def test_an_integer_seed_is_moved_by_added_literals(request):
+def test_an_integer_seed_is_moved_by_added_literals(request, pinned_pool):
     plain = _examples(_integer_seed_property)
+    assert len(plain) == 60
     request.getfixturevalue("added_literals")
     assert _examples(_integer_seed_property) != plain
 

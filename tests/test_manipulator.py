@@ -98,6 +98,11 @@ class TestScalarStatement:
         for name, value in got.items():
             assert np.array_equal(value, want[name], equal_nan=True), name
 
+    def test_lumped_parameters_are_read_only(self, arm):
+        # the terms read a tuple made at construction, which must not drift
+        with pytest.raises(ValueError, match="read-only"):
+            arm.theta[1] = 2.0
+
     def test_singular_inertia_gives_numpy_infinities(self):
         # no inertia on link 2 and its mass at the joint: det M = 0, which
         # must end a run as a divergence, not a ZeroDivisionError
@@ -112,77 +117,74 @@ class TestScalarStatement:
             arm.forward_dynamics(q, qdot, tau, tau_star)
 
 
-class TestKinematicsMemo:
-    """The regressor and the plant share the trigonometry of the latest
-    joint-angle pair.  Whatever the memo holds, each value must equal a
-    fresh computation bitwise: the same call with the memo emptied, and
-    ``_cos_sin`` angle by angle."""
+def cos_sin_kinematics(q0, q1):
+    """``_kinematics`` angle by angle, the reference it must match bitwise."""
+    return _cos_sin(q0)[0], *_cos_sin(q1), _cos_sin(q0 + q1)[0]
+
+
+class TestKinematics:
+    """The regressor and the plant read the trigonometry of ``q`` from
+    ``_kinematics``.  Its values, and both terms built from them, must equal
+    ``_cos_sin`` angle by angle bitwise, whatever pair came before."""
 
     QDOT, ZETA, ZETADOT = np.array([[0.5, -1.0], [0.2, 0.4], [-0.3, 0.6]])
     TAU, TAU_STAR = np.array([[1.0, -2.0], [0.1, 0.2]])
 
-    def terms(self, arm, q, fresh):
+    def terms(self, arm, q):
         """The regressor, then the plant, as one RHS calls them."""
-        out = []
-        for call in (lambda: arm.regressor(q, self.QDOT, self.ZETA, self.ZETADOT),
-                     lambda: arm.forward_dynamics(q, self.QDOT, self.TAU, self.TAU_STAR)):
-            if fresh:
-                manipulator._kinematics_memo = (None, None)
-            out.append(call().tobytes())
-        return out
+        return [arm.regressor(q, self.QDOT, self.ZETA, self.ZETADOT).tobytes(),
+                arm.forward_dynamics(q, self.QDOT, self.TAU, self.TAU_STAR).tobytes()]
 
-    def check(self, arm, q):
+    def check(self, arm, q, monkeypatch):
         q = np.array(q, dtype=float)
-        got = self.terms(arm, q, fresh=False)
-        assert got == self.terms(arm, q, fresh=True)
         q0, q1 = q.tolist()
-        want = (_cos_sin(q0)[0], *_cos_sin(q1), _cos_sin(q0 + q1)[0])
-        assert np.array(_kinematics(q0, q1)).tobytes() == np.array(want).tobytes()
+        want = np.array(cos_sin_kinematics(q0, q1)).tobytes()
+        assert np.array(_kinematics(q0, q1)).tobytes() == want
+        got = self.terms(arm, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(manipulator, "_kinematics", cos_sin_kinematics)
+            assert got == self.terms(arm, q)
 
-    def test_alternating_pairs(self, arm):
+    def test_alternating_pairs(self, arm, monkeypatch):
         a, b = [0.3, -0.7], [1.1, 0.2]
         for q in (a, b, a, a, b, b, a):
-            self.check(arm, q)
+            self.check(arm, q, monkeypatch)
 
-    def test_signed_zero_is_another_pair(self, arm):
+    def test_signed_zero_keeps_sins_sign(self, arm, monkeypatch):
         for q in ([0.3, 0.0], [0.3, -0.0], [0.3, 0.0], [0.0, -0.0], [-0.0, -0.0]):
-            self.check(arm, q)
+            self.check(arm, q, monkeypatch)
         # sin keeps the sign of a zero angle, so the two pairs differ
         assert math.copysign(1.0, _kinematics(0.3, 0.0)[2]) == 1.0
         assert math.copysign(1.0, _kinematics(0.3, -0.0)[2]) == -1.0
         assert math.copysign(1.0, _kinematics(0.3, 0.0)[2]) == 1.0
 
-    def test_nan_angles(self, arm):
+    def test_nan_angles(self, arm, monkeypatch):
         nan = math.nan
         with np.errstate(invalid="ignore"):
             for q in ([nan, 0.3], [nan, 0.3], [0.3, nan], [nan, nan], [0.3, -0.7], [nan, 0.3]):
-                self.check(arm, q)
+                self.check(arm, q, monkeypatch)
         assert math.isnan(_kinematics(0.3, nan)[1]) and _kinematics(0.3, 0.5)[1] == math.cos(0.5)
 
     @pytest.mark.parametrize("angle", [np.inf, -np.inf])
     @pytest.mark.parametrize("joint", [0, 1])
-    def test_infinite_angles_take_numpys_path_on_every_call(self, arm, angle, joint):
+    def test_infinite_angles_take_numpys_path_on_every_call(self, arm, angle, joint, monkeypatch):
         q = np.array([0.3, -0.7])
         q[joint] = angle
         for _ in range(3):
-            # the memo never keeps this pair, so every call warns again
+            # numpy's invalid-value warning, again on every call
             with np.errstate(invalid="warn"):
                 with pytest.warns(RuntimeWarning, match="invalid value"):
                     arm.regressor(q, self.QDOT, self.ZETA, self.ZETADOT)
                 with pytest.warns(RuntimeWarning, match="invalid value"):
                     arm.forward_dynamics(q, self.QDOT, self.TAU, self.TAU_STAR)
             with np.errstate(invalid="ignore"):
-                self.check(arm, q)
+                self.check(arm, q, monkeypatch)
 
-    def test_instances_share_only_the_trigonometry(self):
+    def test_arms_with_different_parameters(self, monkeypatch):
         light, heavy = TwoLinkArm(), TwoLinkArm(ArmParams(m2=2.5, lc2=0.3, I2=0.4))
         for arm in (light, heavy, light, heavy):
-            self.check(arm, [0.4, -1.3])
-
-    def test_lumped_parameters_are_read_only(self, arm):
-        # the terms read a tuple made at construction, which must not drift
-        with pytest.raises(ValueError, match="read-only"):
-            arm.theta[1] = 2.0
+            self.check(arm, [0.4, -1.3], monkeypatch)
+        assert self.terms(light, np.array([0.4, -1.3])) != self.terms(heavy, np.array([0.4, -1.3]))
 
 
 class TestInertia:

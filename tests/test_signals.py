@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,68 @@ class TestDerivs:
             v = spec.eval(0.7)
             v[:] = 99.0
             assert np.array_equal(spec.eval(0.7), want[0])
+
+def _reference(spec, t, order):
+    """One joint at a time, as plain float arithmetic: the polynomial part
+    (the offset plus the constant column, then each further column times its
+    power of ``t``, padded to the signal's widest polynomial), plus the
+    joint's tones summed in tone order from ``+0.0``."""
+    width = max((len(j.poly) for j in spec.joints), default=0) - order
+    out = []
+    for joint in spec.joints:
+        coefs = [joint.poly[k] * math.perm(k, order) if k < len(joint.poly) else 0.0
+                 for k in range(order, order + width)]
+        value = joint.offset if order == 0 else 0.0
+        if coefs:
+            value = value + coefs[0]
+        tp = t
+        for coef in coefs[1:]:
+            value += coef * tp
+            tp = tp * t
+        tones = 0.0
+        for tone in joint.tones:
+            shift = tone.phase + order * (math.pi / 2.0)
+            tones += tone.amp * tone.omega**order * math.sin(tone.omega * t + shift)
+        out.append(value + tones)
+    return np.array(out)
+
+
+class TestGrid:
+    SPECS = {
+        "one_tone_each": lambda: TrajectorySpec.multisine(
+            [[(0.3, 0.5, 0.0)], [(-0.2, 1.5, 0.7)]], offsets=[0.1, -0.2]),
+        "several_tones": lambda: TrajectorySpec([
+            JointSignal(poly=(0.4, 0.25, -0.1), tones=(Tone(0.2, 1.1, 0.3), Tone(0.1, 2.3, -1.0))),
+            JointSignal(poly=(-0.2, 0.15), offset=0.05),
+            JointSignal(tones=(Tone(0.5, 0.7, 2.0),), offset=-0.3),
+        ]),
+        "several_tones_bias": lambda: DisturbanceSpec.tones(
+            [[], [(0.5, 2.0, 0.0), (-0.3, 3.0, 1.0)]], bias=[0.4, -0.3]),
+        "tone_free": lambda: TrajectorySpec.polynomial(
+            [[0.3, 0.2, -0.05, 0.01], [-0.1, 0.0, 0.02]], offsets=[0.1, 0.0]),
+        "constant": lambda: TrajectorySpec.constant([0.3, -0.2]),
+    }
+    TIMES = (0.0, 0.37, 1.5, 12.5, 59.998) + tuple(0.004 * np.arange(1, 300))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_grid_matches_a_per_joint_reference_bitwise(self, name):
+        spec = self.SPECS[name]()
+        for lo, hi in ((0, 0), (1, 1), (2, 2), (0, 2)):
+            grid = spec._grid(self.TIMES, lo, hi)
+            assert grid.shape == (len(self.TIMES), hi - lo + 1, spec.n)
+            for t, rows in zip(self.TIMES, grid):
+                for r, row in enumerate(rows):
+                    # tobytes() also tells -0.0 from 0.0
+                    assert row.tobytes() == _reference(spec, t, lo + r).tobytes(), (t, lo + r)
+
+    def test_a_negative_zero_offset_under_one_tone_reads_plus_zero(self):
+        # the tone sum starts from +0.0, so the -0.0 offset and the tone's
+        # -0.0 at t = 0 add to +0.0, with one tone per joint as with several
+        spec = TrajectorySpec.multisine([[(-0.3, 1.0, 0.0)], [(0.2, 1.0, 0.0)]], offsets=[-0.0, 0.0])
+        assert spec.eval(0.0).tobytes() == np.array([0.0, 0.0]).tobytes()
+        several = TrajectorySpec.multisine([[(-0.3, 1.0, 0.0), (-0.1, 2.0, 0.0)], [(0.2, 1.0, 0.0)]],
+                                           offsets=[-0.0, 0.0])
+        assert several.eval(0.0).tobytes() == np.array([0.0, 0.0]).tobytes()
 
 
 def _table_specs():
