@@ -262,8 +262,9 @@ class StackedMultiController(ProxyController):
         )
         self._compile(self.block)
         self._weights = np.ones(n_star + 1)  # (thf, 1), refilled per evaluation
-        # the biproper p^2 / kpoly filters' direct feedthrough
-        self._outer_w_D = self.f_outer_w.D[0][:, None]
+        # the biproper p^2 / kpoly filters' direct feedthrough; the regressor
+        # side's is stored at (n, p), the shape of the product it scales
+        self._outer_w_D = np.repeat(self.f_outer_w.D[0][:, None], self.p_dim, axis=1)
         self._outer_h_D = self.f_outer_h.D[0]
 
     def _compile(self, block):

@@ -243,10 +243,16 @@ class LinearBlock:
     first ``n_early`` and ``n_late`` rows are the state rates, and checks
     that each stage's map is finite (else ``OverflowError``) and reads only
     the columns it is given; each map is stored contiguous at its stage's
-    width, and a stage is one ``ndarray.dot`` into its product.
+    width, and a stage is one ``ndarray.dot`` into its product.  Most of
+    the late rate is the filter chains' shifts ``x_i' = x_(i+1)``, which
+    need no product: the late map leaves them out in whole groups of four
+    (:meth:`_serve_shifts`, which records them as ``served``), and
+    :meth:`late` fills the rate with one copy of ``v`` one entry on, then
+    one scatter of the rows the map computes.
 
     An evaluation allocates nothing: the block owns one work array,
-    ``work`` (``v`` and each stage's product), and fixed views into it.
+    ``work`` (``v``, each stage's product and the late rate), and fixed
+    views into it.
     ``slots`` names the views of ``v`` a law writes: ``x``, ``q``,
     ``qdot``, ``qd`` and each nonlinear input.  A stage returns the same
     views of its product on every call, so what an evaluation returns is
@@ -318,16 +324,18 @@ class LinearBlock:
     def _stage(self, stage, rates, signals):
         """One stage's matrix, contiguous at the stage's width: the rates of
         the blocks in ``rates`` followed by ``signals``, and the signals'
-        places in its product."""
+        places in its product.  The late stage leaves out the rate rows it
+        serves by copy (:meth:`_serve_shifts`)."""
         W, width = self.width, self._widths[stage]
         flat = [s.reshape(-1, W) for s in signals]
-        rows = [rate.reshape(-1, W) for rate in rates.values()] + flat
+        rates = [rate.reshape(-1, W) for rate in rates.values()]
+        kept = self._serve_shifts(rates, n_signals=sum(map(len, flat))) if stage == 2 else rates
         # the columns past the stage's width are dropped before the one copy
         # that assembles the map, and checked where they are
-        M = np.concatenate([r[:, :width] for r in rows])
+        M = np.concatenate([r[:, :width] for r in kept + flat])
         if not np.isfinite(M).all():  # an overflowing gain product, not a structural error
             raise OverflowError("the compiled law's coefficients overflow")
-        if width < W and any(r[:, width:].any() for r in rows):
+        if width < W and any(r[:, width:].any() for r in rates + flat):
             raise ValueError("a signal reads columns its stage is not given")
         spec = []
         off = len(M) - sum(map(len, flat))
@@ -336,6 +344,38 @@ class LinearBlock:
             off += len(f)
         return M, spec
 
+    def _serve_shifts(self, rates, n_signals):
+        """The late rate blocks without the rows :meth:`late` serves by copy.
+
+        A row that equals the unit signal of the next state is a chain
+        shift ``x_i' = x_(i+1)``.  Shifts are left out in whole groups of
+        four, and never from the map's last ``rows % 4`` rows (``n_signals``
+        rows follow the rates): ``dot`` computes a map's rows in groups of
+        four and its leftover rows apart, so a map keeps every row's bits
+        only while it keeps the same leftover rows
+        (``tests/test_host_rounding.py``).  ``served`` records the rows left
+        out, as indices into the late rate; ``_dense`` the rest.
+        """
+        unit = _identity(self.width)
+        shift = np.empty(sum(map(len, rates)), dtype=bool)
+        off = 0
+        for r in rates:
+            # row i is the rate of state n_early + off + i
+            nxt = self.n_early + off + 1
+            np.equal(r, unit[nxt : nxt + len(r)]).all(axis=1, out=shift[off : off + len(r)])
+            off += len(r)
+        rows = off + n_signals
+        shift = np.flatnonzero(shift[: rows - rows % 4])
+        self.served = shift[: len(shift) - len(shift) % 4]
+        keep = np.ones(off, dtype=bool)
+        keep[self.served] = False
+        self._dense = np.flatnonzero(keep)
+        kept, off = [], 0
+        for r in rates:
+            kept.append(r.compress(keep[off : off + len(r)], axis=0))
+            off += len(r)
+        return kept
+
     # -- evaluation -----------------------------------------------------------
     #
     # The work array and its views are made on first use, so that set-up
@@ -343,8 +383,8 @@ class LinearBlock:
 
     @functools.cached_property
     def work(self):
-        """``v``, then each stage's product, in one array."""
-        return np.empty(self.width + sum(map(len, self._maps)))
+        """``v``, then each stage's product, then the late rate, in one array."""
+        return np.empty(self.width + sum(map(len, self._maps)) + self.n_late)
 
     @functools.cached_property
     def v(self):
@@ -370,7 +410,15 @@ class LinearBlock:
 
     @functools.cached_property
     def _rates(self):
-        return self._stages[1][2][: self.n_early], self._stages[2][2][: self.n_late]
+        return self._stages[1][2][: self.n_early], self.work[self.work.size - self.n_late :]
+
+    @functools.cached_property
+    def _late_rate(self):
+        """The late rate; ``v`` one entry on from its first state, every
+        shift's value; and the places and values of the rows the map computes."""
+        start, dense = self.n_early + 1, self._dense
+        return (self._rates[1], self.v[start : start + self.n_late], dense,
+                self._stages[2][2][: len(dense)])
 
     def outputs(self):
         """The output signals at ``v``'s ``[x; w]``, in compile order."""
@@ -389,6 +437,9 @@ class LinearBlock:
         is ``xdot``, and the late signals, at the full ``v``."""
         M, v, r, signals = self._stages[2]
         M.dot(v, r)
+        rate, shifted, dense, computed = self._late_rate
+        rate[:] = shifted  # every shift row, then the rows the map computes
+        rate[dense] = computed
         return self._rates, signals
 
 

@@ -49,3 +49,21 @@ def loop_runner():
 @pytest.fixture
 def no_disturbance():
     return DisturbanceSpec.zero(2)
+
+
+def late_map_before_drops(block):
+    """A compiled ``LinearBlock``'s late map with the rows it serves by copy
+    put back where they were: each a chain shift, a 1.0 in the column after
+    its own state."""
+    served = block.served
+    full = np.zeros((len(block.late_map) + len(served), block.late_map.shape[1]))
+    dense = np.ones(len(full), dtype=bool)
+    dense[served] = False
+    full[dense] = block.late_map
+    full[served, block.n_early + served + 1] = 1.0
+    return full
+
+
+@pytest.fixture
+def dense_late_map():
+    return late_map_before_drops

@@ -5,13 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from draws import SEEDS
+from hypothesis import given, settings
 
 from refcascade import validation
 from refcascade.cli import main
+from refcascade.config import SCHEMA
 from refcascade.manipulator import ArmParams, TwoLinkArm
 from refcascade.validation import suite_skew_symmetry
 
-RAMP_CFG = Path(__file__).resolve().parent.parent / "configs" / "ramp_adaptive.ini"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RAMP_CFG = CONFIGS / "ramp_adaptive.ini"
 
 
 RUN_CFG = """
@@ -448,3 +452,74 @@ class TestValidateCommand:
         assert len(results) == 6
         for result in results:
             assert not result.passed, result
+
+
+# -- fuzzed malformed arguments: a configuration error, never an internal one --
+
+# characters that no number, boolean, tone list, variant, estimate or
+# trajectory kind holds, so text with one of them never parses
+POISON = list("#$!?&~")
+NUMBER_LIKE = list("0123456789.eE+- ")
+NAME_LIKE = list("abcdefghijklmnopqrstuvwxyz_")
+NON_FINITE = ["nan", "inf", "-inf", "1e999"]
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def _garbage(rng, alphabet=NUMBER_LIKE):
+    """Up to five characters of ``alphabet`` with a poison character among them."""
+    chars = [_pick(rng, alphabet) for _ in range(int(rng.integers(0, 6)))]
+    chars.insert(int(rng.integers(len(chars) + 1)), _pick(rng, POISON))
+    return "".join(chars)
+
+
+def _bad_value(rng, typ):
+    if typ != "str" and rng.integers(2):
+        value = _pick(rng, NON_FINITE)
+        return f"{value}@2" if typ == "tones" else value
+    return _garbage(rng)
+
+
+def _malformed_set(rng):
+    section = _pick(rng, sorted(SCHEMA))
+    key = _pick(rng, sorted(SCHEMA[section]))
+    form = int(rng.integers(5))
+    if form == 0:
+        return f"{section}.{key}{_garbage(rng)}"  # no '='
+    if form == 1:
+        return f"{key}={rng.uniform(0.5, 2.0)!r}"  # no section
+    if form == 2:
+        return f"{_garbage(rng, NAME_LIKE)}.{key}=1"
+    if form == 3:
+        return f"{section}.{_garbage(rng, NAME_LIKE)}=1"
+    return f"{section}.{key}={_bad_value(rng, SCHEMA[section][key][0])}"
+
+
+# a sweep axis and values it takes
+AXES = {"ell": ["2", "3"], "kappa": ["1", "2.5"], "gain:k": ["5", "10", "20"]}
+
+
+def _malformed_values(rng):
+    axis = _pick(rng, sorted(AXES))
+    fields = [_pick(rng, AXES[axis]) for _ in range(int(rng.integers(1, 4)))]
+    bad = _pick(rng, ["", " ", _garbage(rng), _pick(rng, NON_FINITE)])
+    fields.insert(int(rng.integers(len(fields) + 1)), bad)
+    return axis, ",".join(fields)
+
+
+@settings(max_examples=60)
+@given(seed=SEEDS)
+def test_malformed_arguments_exit_2(tmp_path_factory, seed):
+    # malformed --set pairs of every form, among good ones, and sweep
+    # values with a malformed field, all refused before any run
+    rng = np.random.default_rng(seed)
+    out = tmp_path_factory.getbasetemp() / "fuzz"
+    pairs = [_malformed_set(rng)] + [f"run.duration={rng.uniform(0.5, 2.0)!r}"] * int(rng.integers(2))
+    sets = [arg for pair in rng.permutation(pairs).tolist() for arg in ("--set", pair)]
+    assert main(["run", "--config", str(CONFIGS / "order_sweep.ini"), "--out", str(out),
+                 "--quiet", *sets]) == 2, sets
+    axis, values = _malformed_values(rng)
+    assert main(["sweep", "--config", str(CONFIGS / "order_sweep.ini"), "--out", str(out),
+                 "--quiet", "--axis", axis, f"--values={values}"]) == 2, (axis, values)

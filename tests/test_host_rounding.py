@@ -3,7 +3,10 @@
 The plant takes its trigonometry from ``math`` and the control laws form
 their 2-D products with ``ndarray.dot``, the compiled stage maps of the
 filtering laws included; both are faster than the numpy calls they
-replace, and both give the same bits here.  Another numpy build
+replace, and both give the same bits here.  The filtering laws' late map
+also leaves out the chain shifts it serves by copy, in whole groups of four
+and never from its last ``rows % 4`` rows, and the rows it keeps round as
+they do in the full map here.  Another numpy build
 or BLAS library may round differently.  If a test below fails, the program
 is not wrong, but its logs will move by roundoff against the committed
 references (``tests/test_reference_logs.py``).
@@ -115,16 +118,21 @@ def test_energy_products_round_like_matmul(p):
             what=f"ndarray.dot on ({p},) @ ({p},)")
 
 
-@pytest.mark.parametrize("config, variant", [
-    ("tone_single", "filtered_adaptive"), ("tone_single", "stacked_single"),
-    ("tone_two", "stacked_multi"),
-])
+LAWS = [("tone_single", "filtered_adaptive"), ("tone_single", "stacked_single"),
+        ("tone_two", "stacked_multi")]
+
+
+def _block(config, variant):
+    return build_experiment(load_config(CONFIGS / f"{config}.ini",
+                                        [("controller", "variant", variant)]))[1].block
+
+
+@pytest.mark.parametrize("config, variant", LAWS)
 def test_stage_products_round_like_matmul_on_the_strided_map(config, variant):
     # a LinearBlock stores each stage's map contiguous at the stage's width
     # and forms the product with dot; np.matmul on the same rows as a
     # row-strided view of a full-width map must give the same bits
-    block = build_experiment(load_config(CONFIGS / f"{config}.ini",
-                                         [("controller", "variant", variant)]))[1].block
+    block = _block(config, variant)
     rng = np.random.default_rng(len(variant))
     for M in (block.C, block.early_map, block.late_map):
         rows, width = M.shape
@@ -138,3 +146,22 @@ def test_stage_products_round_like_matmul_on_the_strided_map(config, variant):
             M.dot(v, out)
             assert out.tobytes() == np.matmul(strided, v).tobytes(), HOST.format(
                 what=f"ndarray.dot on the {variant} stage map {M.shape}")
+
+
+@pytest.mark.parametrize("config, variant", LAWS)
+def test_late_map_keeps_its_bits_without_the_served_rows(config, variant, dense_late_map):
+    # the late map leaves out the chain shifts it serves by copy, in whole
+    # groups of four and never from its last rows % 4 rows; the rows it
+    # keeps must round as they do in the full map
+    block = _block(config, variant)
+    full = dense_late_map(block)
+    kept = np.ones(len(full), dtype=bool)
+    kept[block.served] = False
+    rng = np.random.default_rng(len(config) + len(variant))
+    out = np.empty(len(block.late_map))
+    for _ in range(2000):
+        v = _draws(rng, full.shape[1])
+        block.late_map.dot(v, out)
+        assert out.tobytes() == full.dot(v)[kept].tobytes(), HOST.format(
+            what=f"ndarray.dot on {block.late_map.shape[0]} of the {variant} late map's"
+                 f" {len(full)} rows")

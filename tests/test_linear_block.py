@@ -203,29 +203,77 @@ def test_outputs_match_the_banks(variant, kw):
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
-def test_derivative_matches_the_banks(variant, kw):
+def test_derivative_matches_the_banks(variant, kw, dense_late_map):
     for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, 12):
         for name in FILTER_BLOCKS[variant]:
             _close(ctrl.layout.view(ev.xdot, name), rates[name])
     # the chains keep their exact structure in the compiled rates: a state's
     # rate is the next state and nothing else, and the last one's reads the
-    # denominator tail on its own chain (its drive adds the rest)
+    # denominator tail on its own chain (its drive adds the rest).  The late
+    # stage serves most shifts by copy; its record of them, put back as the
+    # rows they stand for, and its dense rows give the whole rate map
     block = ctrl.block
+    late = dense_late_map(block)
     rates = np.vstack([np.pad(block.early_map[: block.n_early],
-                              ((0, 0), (0, block.late_map.shape[1] - block.early_map.shape[1]))),
-                       block.late_map[: block.n_late]])
+                              ((0, 0), (0, late.shape[1] - block.early_map.shape[1]))),
+                       late[: block.n_late]])
     index = np.arange(ctrl.state_size)
+    served = set((block.n_early + block.served).tolist())
+    shifts = set()
     for name, attr in FILTER_BLOCKS[variant].items():
         bank = getattr(ctrl, attr)
         idx = ctrl.layout.view(index, name)
         shift = np.zeros(idx[..., :-1].shape + (rates.shape[1],))
         np.put_along_axis(shift, idx[..., 1:, None], 1.0, axis=-1)
         assert np.array_equal(rates[idx[..., :-1]], shift)
+        shifts.update(idx[..., :-1].ravel().tolist())
         per_row = (bank.rows,) + (1,) * (idx.ndim - 2) + (bank.order,)
         last = rates[idx[..., -1:], idx]
         assert np.array_equal(last, np.broadcast_to(-bank.a.reshape(per_row), last.shape))
+    # only chain shifts are served, in fours, and fewer than four stay dense
+    assert served <= shifts and len(served) % 4 == 0 and len(shifts - served) < 4
     # the outputs read only [x; w], never a nonlinear input
     assert block.C.shape[1] == ctrl.state_size + 5 * ctrl.n
+
+
+def _late_bits(block):
+    parts, signals = block.late()
+    return [parts[1].tobytes(), np.concatenate(signals).tobytes()]
+
+
+@pytest.mark.parametrize("variant,kw", CASES)
+def test_late_stage_equals_the_map_before_drops(variant, kw, dense_late_map):
+    # the copied shifts and the rows the map computes give the bits of the
+    # full dense product, rate and torque alike
+    block = _controller(variant, kw).block
+    full = dense_late_map(block)
+    width = full.shape[1]
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        block.v[:] = rng.standard_normal(block.width) * 10.0 ** rng.uniform(-3.0, 3.0, block.width)
+        want = full.dot(block.v[:width])
+        assert _late_bits(block) == [want[: block.n_late].tobytes(),
+                                     want[block.n_late :].tobytes()]
+
+
+def test_shifts_are_served_in_fours_outside_the_tail(dense_late_map):
+    # 15 rate rows: shifts at 0-6 and in the last two rows, computed rows
+    # between.  dot leaves the last 15 % 4 = 3 rows to another kernel, so
+    # of the seven shifts before them, four are served and three stay dense
+    layout = Layout()
+    layout.add("z", 15)
+    block = LinearBlock(layout, 1, early=(), late=())
+    z, q = block.signal("z"), block.signal("q")
+    rate = np.vstack((z, q))[1:16].copy()  # z_i' = z_(i+1), z_14' = q
+    rate[7:13] = -2.0 * z[7:13] + 0.5 * q
+    block.compile((q,), ({}, (q,)), ({"z": rate}, ()))
+    assert block.served.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(dense_late_map(block), rate[:, : block.late_map.shape[1]])
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        block.v[:] = rng.uniform(-1.0, 1.0, block.width)
+        (_, got), _ = block.late()
+        assert got.tobytes() == rate.dot(block.v).tobytes()
 
 
 @pytest.mark.parametrize("variant,kw", CASES + [("stacked_single", {"freeze_freq": True}),

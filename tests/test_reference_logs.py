@@ -17,6 +17,9 @@ the same run with ``--set controller.variant=<variant>`` added, and
         --set run.extras_stride=1 --out tests/reference/order_sweep-stiff_gain
     refcascade run --config configs/order_sweep.ini --set run.duration=1 \
         --set model.i2=0 --set model.lc2=0 --out tests/reference/order_sweep-singular_inertia
+    refcascade run --config configs/tone_two.ini --set run.duration=1 \
+        --set run.dt=0.012 --set run.csv_decimate=1 --set run.extras_stride=1 \
+        --out tests/reference/tone_two-coarse_step
 
 Each case is rerun in-process, and every number of both files must match
 within 1e-12 absolute, with NaN equal to NaN; a failure names the worst
@@ -44,12 +47,17 @@ VARIANTS = [
     ("tone_single", "filtered_adaptive"),
 ]
 # case -> (config, overrides) of runs that diverge, which gate the finiteness
-# check end to end: a stage rate that blows up at t = 0.048, and a singular
-# inertia matrix, non-finite at t = 0
+# check end to end: a stage rate that blows up at t = 0.048, a singular
+# inertia matrix, non-finite at t = 0, and a filtering law whose step is too
+# coarse for its filter chains, which blows up at t = 0.06 (the chains'
+# shift rates are copies, so a non-finite entry reaches only the rates that
+# read it)
 DIVERGING = {
     "order_sweep-stiff_gain": ("order_sweep", ["run.dt=0.012", "gains.k=200",
                                                "run.csv_decimate=1", "run.extras_stride=1"]),
     "order_sweep-singular_inertia": ("order_sweep", ["model.i2=0", "model.lc2=0"]),
+    "tone_two-coarse_step": ("tone_two", ["run.dt=0.012", "run.csv_decimate=1",
+                                          "run.extras_stride=1"]),
 }
 # case -> (config, overrides, exit code)
 RUNS = {config: (config, [], 0) for config in CONFIGS}
