@@ -136,7 +136,6 @@ class FilteredAdaptiveController(ProxyController):
         )
         z = phi[0]
         s = qdot - z
-        # a bank's rate comes back with the chain axis last
         xw, xh = block.chains("wbank", self.wbank), block.chains("hbank", self.hbank)
         block.compile(
             # filtered regressor (n, p), filtered Y th, then the plain signals
@@ -146,8 +145,7 @@ class FilteredAdaptiveController(ProxyController):
                    (zdot.T,)),
             late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
-                   "wbank": self.wbank.deriv(xw, sig("Y")).swapaxes(-1, -2),
-                   "hbank": self.hbank.deriv(xh, sig("Y_th")).swapaxes(-1, -2)},
+                   "wbank": sig("Y"), "hbank": sig("Y_th")},  # the chains' drives
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 

@@ -31,12 +31,8 @@ regressor against an estimate and its transpose against an error,
 ``stacked_single``'s one-entry ``W1.dot(e[:, None], out)`` and
 ``LinearBlock``'s three stage products, whose maps are contiguous at their
 stage's width.  ``dot`` dispatches in about half the time of ``np.matmul``
-and gives the same bits (``tests/test_host_rounding.py``).  The late stage
-multiplies only the rows that compute: it serves the filter chains' shift
-rates ``x_i' = x_(i+1)`` by one copy of the state, and leaves them out of
-its map in whole groups of four, never from the map's last ``rows % 4``
-rows, since ``dot`` computes rows in fours and the leftover rows apart, and
-only so does every kept row keep its bits.  Only
+and gives the same bits (``tests/test_host_rounding.py``); the late stage
+serves the filter chains' shift rates by copy (``LinearBlock``).  Only
 ``stacked_multi``'s 3-D path outputs against the weights ``(thf, 1)`` stay
 ``np.matmul``: ``dot`` sums them in another order, so the logs would move.
 Of the diagnostics, which run only on sampled steps, the energies use

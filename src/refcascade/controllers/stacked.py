@@ -128,7 +128,6 @@ class StackedSingleController(ProxyController):
         s_aux = qdot - chidot_aux
         chidd_aux = chidd - self.alpha_star * psidot
         b_psi, b_y, b_v = self.b_psi, self.b_y, self.b_v
-        # a bank's rate comes back with the chain axis last
         x_psi, x_psith, x_y, x_v = (block.chains(name, bank) for name, bank in (
             ("b_psi", b_psi), ("b_psith", b_psi), ("b_y", b_y), ("b_v", b_v)))
         block.compile(
@@ -145,10 +144,8 @@ class StackedSingleController(ProxyController):
             late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f) * sig("W1_e"),
-                   "b_psi": b_psi.deriv(x_psi, psi).swapaxes(-1, -2),
-                   "b_psith": b_psi.deriv(x_psith, sig("psith")).swapaxes(-1, -2),
-                   "b_y": b_y.deriv(x_y, sig("Y")).swapaxes(-1, -2),
-                   "b_v": b_v.deriv(x_v, sig("Y_th")).swapaxes(-1, -2)},
+                   "b_psi": psi, "b_psith": sig("psith"),  # the chains' drives
+                   "b_y": sig("Y"), "b_v": sig("Y_th")},
                   (-self.K[:, None] * s_aux + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
@@ -278,7 +275,6 @@ class StackedMultiController(ProxyController):
         psi1 = q - chi1[0]
         psi1dot = qdot - chi1[1]
         f_e, f_u, f_w = self.f_e, self.f_u, self.f_w
-        # a bank's rate comes back with the chain axis last
         x_e, x_u, x_w, x_y, x_v, x_ow, x_oh = (block.chains(name, bank) for name, bank in (
             ("f_e", f_e), ("f_u", f_u), ("f_w", f_w), ("b_y", self.b_y), ("b_v", self.b_v),
             ("outer_w", self.f_outer_w), ("outer_h", self.f_outer_h)))
@@ -312,16 +308,11 @@ class StackedMultiController(ProxyController):
             early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
                     "chi1": np.array((chi1[1], r1))},
                    (zdot.T,)),
-            late=({"f_e": f_e.deriv(x_e, psi1).swapaxes(-1, -2),
-                   "f_u": f_u.deriv(x_u, m_drive).swapaxes(-1, -2),
-                   "f_w": f_w.deriv(x_w, psi2).swapaxes(-1, -2),
+            late=({"f_e": psi1, "f_u": m_drive, "f_w": psi2,  # the chains' drives
                    "xi": -self.lam * xi + self.lam * sig("Yt_s"),
                    "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f[:, None]) * sig("W_err"),
-                   "b_y": self.b_y.deriv(x_y, sig("Y")).swapaxes(-1, -2),
-                   "b_v": self.b_v.deriv(x_v, sig("Y_th")).swapaxes(-1, -2),
-                   "outer_w": self.f_outer_w.deriv(x_ow, sig("mW")).swapaxes(-1, -2),
-                   "outer_h": self.f_outer_h.deriv(x_oh, sig("mh")).swapaxes(-1, -2)},
+                   "b_y": sig("Y"), "b_v": sig("Y_th"), "outer_w": sig("mW"), "outer_h": sig("mh")},
                   (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 

@@ -25,9 +25,9 @@ term ``W W^T e`` and ``W^T e``, and the products with the tone estimates.
 A :class:`LinearBlock` compiles the rest, once, into one affine map:
 ``y = C [x; w]`` for every linear signal the law reads, and the state rate
 ``xdot = A x + B [w; u]``, where ``u`` holds only those products.  The
-banks state every filter once: a block's filter outputs and rates are the
-bank's own :meth:`FilterBank.output`, ``output_dot``, ``output_ddot`` and
-``deriv``, evaluated on the block's unit signal.
+banks state every filter once: a block's filter outputs are the bank's own
+``output``, ``output_dot`` and ``output_ddot`` on its unit signal, and each
+chain entry's rate is the next entry but the last's, ``FilterBank.last_rate``.
 """
 
 from __future__ import annotations
@@ -159,8 +159,12 @@ class FilterBank:
         """State derivative for current input ``u`` (shape (rows,[cols]))."""
         xd = np.empty_like(x)
         xd[..., :-1] = x[..., 1:]
-        xd[..., -1] = u - np.einsum("rm,r...m->r...", self.a, x)
+        xd[..., -1] = self.last_rate(x, u)
         return xd
+
+    def last_rate(self, x, u):
+        """The rate ``u - a x`` of each chain's last entry."""
+        return u - self._mix(self.a, x)
 
     def _mix(self, M, x):
         return np.einsum("rm,r...m->r...", M, x)
@@ -237,18 +241,18 @@ class LinearBlock:
     ``q``, ``qdot``, ``qd`` (the three trajectory rows) or of a nonlinear
     input.  Any linear function that accepts leading axes is evaluated on
     signals with that axis moved to the front: the reference cascade, and a
-    filter bank's maps on :meth:`chains`, the unit signal of its block with
-    the column axis before the chain axis.  :meth:`compile` places the
-    signals into the matrices ``C``, ``early_map`` and ``late_map``, whose
-    first ``n_early`` and ``n_late`` rows are the state rates, and checks
-    that each stage's map is finite (else ``OverflowError``) and reads only
-    the columns it is given; each map is stored contiguous at its stage's
+    filter bank's output maps on :meth:`chains`, the unit signal of its
+    block with the column axis before the chain axis; a chain block's late
+    rate is given as the bank's drive.  :meth:`compile` places the signals
+    into the matrices ``C``, ``early_map`` and ``late_map``, whose first
+    ``n_early`` and ``n_late`` rows are the state rates, and checks that
+    each stage's map is finite (else ``OverflowError``) and reads only the
+    columns it is given; each map is stored contiguous at its stage's
     width, and a stage is one ``ndarray.dot`` into its product.  Most of
-    the late rate is the filter chains' shifts ``x_i' = x_(i+1)``, which
-    need no product: the late map leaves them out in whole groups of four
-    (:meth:`_serve_shifts`, which records them as ``served``), and
-    :meth:`late` fills the rate with one copy of ``v`` one entry on, then
-    one scatter of the rows the map computes.
+    the late rate is the chains' shifts ``x_i' = x_(i+1)``, which need no
+    product: the late map leaves them out (:meth:`_late_rates`, which
+    records them as ``served``), and :meth:`late` fills the rate with one
+    copy of ``v`` one entry on, then one scatter of the rows the map computes.
 
     An evaluation allocates nothing: the block owns one work array,
     ``work`` (``v``, each stage's product and the late rate), and fixed
@@ -276,6 +280,7 @@ class LinearBlock:
             widths.append(off)
         self._widths = tuple(widths)
         self.width = off
+        self._banks = {}  # chain block name -> its bank
 
     # -- construction ---------------------------------------------------------
 
@@ -287,14 +292,15 @@ class LinearBlock:
         return rows.reshape(shape + (self.width,))
 
     def chains(self, name, bank):
-        """Unit signal of block ``name`` as ``bank``'s state argument.
+        """Unit signal of block ``name`` as ``bank``'s state argument, the
+        column axis before the chain axis, so the bank's outputs are signals.
 
-        The column axis comes before the chain axis, so the bank's outputs
-        are signals, and its ``deriv`` is a rate signal once the last two
-        axes are swapped back.
+        The block's late rate is then the bank's drive, the ``u`` of
+        ``bank.deriv(x, u)``, and :meth:`compile` places the chains' rates.
         """
         if self._cols[name][1] != bank.state_shape():
             raise ValueError(f"block '{name}' does not match its bank's state shape")
+        self._banks[name] = bank
         return self.signal(name).swapaxes(-1, -2)
 
     def compile(self, outputs, early, late):
@@ -302,12 +308,13 @@ class LinearBlock:
 
         ``outputs`` is a sequence of signals; ``early`` and ``late`` are
         each ``(rates, signals)``, ``rates`` mapping state-block names to
-        rate signals.  The early rates' blocks followed by the late ones'
-        must be the layout's blocks, in order.
+        rate signals (a chain block's late rate to its drive).  The early
+        rates' blocks followed by the late ones' are the layout's, in order.
         """
         (early_rates, early_out), (late_rates, late_out) = early, late
-        if tuple(early_rates) + tuple(late_rates) != self._names:
-            raise ValueError("early and late rates must cover the state blocks in layout order")
+        if (tuple(early_rates) + tuple(late_rates) != self._names
+                or not self._banks.keys() <= late_rates.keys()):
+            raise ValueError("the rates must cover the state blocks in layout order, chains late")
         self.n_early = sum(math.prod(self._cols[name][1]) for name in early_rates)
         self.n_late = self._x - self.n_early
         maps, self._specs = zip(self._stage(0, {}, outputs),
@@ -319,62 +326,68 @@ class LinearBlock:
         self._inputs.update((name, place) for name, place in self._cols.items()
                             if name not in self._names)
         # construction-time state; a compiled block holds its maps and places
-        del self._names, self._cols
+        del self._names, self._cols, self._banks
 
     def _stage(self, stage, rates, signals):
         """One stage's matrix, contiguous at the stage's width: the rates of
         the blocks in ``rates`` followed by ``signals``, and the signals'
-        places in its product.  The late stage leaves out the rate rows it
-        serves by copy (:meth:`_serve_shifts`)."""
+        places in its product.  The late stage's rates are the rows
+        :meth:`late` does not serve by copy (:meth:`_late_rates`)."""
         W, width = self.width, self._widths[stage]
         flat = [s.reshape(-1, W) for s in signals]
-        rates = [rate.reshape(-1, W) for rate in rates.values()]
-        kept = self._serve_shifts(rates, n_signals=sum(map(len, flat))) if stage == 2 else rates
+        n_signals = sum(map(len, flat))
+        rates = ([self._late_rates(rates, n_signals)] if stage == 2
+                 else [rate.reshape(-1, W) for rate in rates.values()])
+        if not n_signals + sum(map(len, rates)):
+            raise ValueError(f"the {('output', 'early', 'late')[stage]} stage is empty")
         # the columns past the stage's width are dropped before the one copy
         # that assembles the map, and checked where they are
-        M = np.concatenate([r[:, :width] for r in kept + flat])
+        M = np.concatenate([r[:, :width] for r in rates + flat])
         if not np.isfinite(M).all():  # an overflowing gain product, not a structural error
             raise OverflowError("the compiled law's coefficients overflow")
         if width < W and any(r[:, width:].any() for r in rates + flat):
             raise ValueError("a signal reads columns its stage is not given")
         spec = []
-        off = len(M) - sum(map(len, flat))
+        off = len(M) - n_signals
         for s, f in zip(signals, flat):
             spec.append((slice(off, off + len(f)), s.shape[:-1] if s.ndim > 2 else None))
             off += len(f)
         return M, spec
 
-    def _serve_shifts(self, rates, n_signals):
-        """The late rate blocks without the rows :meth:`late` serves by copy.
+    def _late_rates(self, rates, n_signals):
+        """The late rate rows the map computes.
 
-        A row that equals the unit signal of the next state is a chain
-        shift ``x_i' = x_(i+1)``.  Shifts are left out in whole groups of
-        four, and never from the map's last ``rows % 4`` rows (``n_signals``
-        rows follow the rates): ``dot`` computes a map's rows in groups of
-        four and its leftover rows apart, so a map keeps every row's bits
-        only while it keeps the same leftover rows
-        (``tests/test_host_rounding.py``).  ``served`` records the rows left
-        out, as indices into the late rate; ``_dense`` the rest.
+        A chain's entries but the last are shifts, which :meth:`late` serves
+        by copy, in whole groups of four, and never from the map's last
+        ``rows % 4`` rows (``n_signals`` rows follow the rates): ``dot``
+        computes a map's rows in groups of four and its leftover rows apart,
+        so a map keeps every row's bits only while it keeps the same leftover
+        rows (``tests/test_host_rounding.py``).  ``served`` records the rows
+        left out, as indices into the late rate; ``_dense`` the rest.
         """
-        unit = _identity(self.width)
-        shift = np.empty(sum(map(len, rates)), dtype=bool)
-        off = 0
-        for r in rates:
-            # row i is the rate of state n_early + off + i
-            nxt = self.n_early + off + 1
-            np.equal(r, unit[nxt : nxt + len(r)]).all(axis=1, out=shift[off : off + len(r)])
-            off += len(r)
-        rows = off + n_signals
-        shift = np.flatnonzero(shift[: rows - rows % 4])
-        self.served = shift[: len(shift) - len(shift) % 4]
-        keep = np.ones(off, dtype=bool)
+        shift = np.zeros(self.n_late, dtype=bool)
+        for name, bank in self._banks.items():
+            start = self._cols[name][0] - self.n_early
+            chains = shift[start : start + math.prod(bank.state_shape())]
+            chains.reshape(-1, bank.order)[:, :-1] = True
+        n = self.n_late + n_signals
+        shifts = np.flatnonzero(shift[: n - n % 4])
+        self.served = shifts[: len(shifts) - len(shifts) % 4]
+        keep = np.ones(self.n_late, dtype=bool)
         keep[self.served] = False
         self._dense = np.flatnonzero(keep)
-        kept, off = [], 0
-        for r in rates:
-            kept.append(r.compress(keep[off : off + len(r)], axis=0))
-            off += len(r)
-        return kept
+        place = np.cumsum(keep) - 1  # a kept row's row in the map
+        R = np.zeros((len(self._dense), self.width))
+        kept = np.flatnonzero(shift & keep)  # each the unit row of the next state
+        R[place[kept], self.n_early + kept + 1] = 1.0
+        for name, rate in rates.items():
+            start, shape = self._cols[name]
+            rows = place[start - self.n_early :][: math.prod(shape)]
+            if name in self._banks:  # the chains' last entries
+                rows = rows[shape[-1] - 1 :: shape[-1]]
+                rate = self._banks[name].last_rate(self.signal(name).swapaxes(-1, -2), rate)
+            R[rows] = rate.reshape(-1, self.width)
+        return R
 
     # -- evaluation -----------------------------------------------------------
     #

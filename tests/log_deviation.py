@@ -1,0 +1,87 @@
+"""Per-column deviation between the logs two source trees write.
+
+Runs every case of ``tests/test_reference_logs.py`` (each config, the
+variant runs and the diverging runs) at its config's full length in two
+checkouts, and reports for each ``log.csv`` column the largest absolute
+deviation between the two logs, that deviation relative to the column's
+largest magnitude, and the first logged step at which they differ:
+
+    python tests/log_deviation.py TREE_A TREE_B [CASE ...]
+
+run from the repository root, where ``TREE_A`` and ``TREE_B`` are
+checkouts (``git archive`` or ``git clone``) each holding ``src/`` and
+``configs/``.  No cases means all of them.  A case prints one line, and
+one more per column that differs; it exits 1 if any log differs.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from test_reference_logs import RUNS, _gaps, _read_csv
+
+
+def run_log(tree, case, out):
+    """Run ``case`` at full length with ``tree``'s package and config;
+    return the exit code and the path of the log."""
+    config, overrides, _ = RUNS[case]
+    tree = Path(tree).resolve()
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
+    cmd = [sys.executable, "-m", "refcascade.cli", "run", "--config",
+           str(tree / "configs" / f"{config}.ini"), "--out", str(out), "--quiet", *sets]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    code = subprocess.run(cmd, env=env, cwd=tree).returncode
+    return code, Path(out) / "log.csv"
+
+
+def deviation(log_a, log_b):
+    """Per column of two logs: ``(name, largest absolute deviation, that
+    over the column's largest magnitude, first differing row)``, the row
+    ``None`` where the column is equal.  Rows past the shorter log differ."""
+    names, a = _read_csv(log_a)
+    names_b, b = _read_csv(log_b)
+    if names_b != names:
+        raise ValueError(f"{log_a} and {log_b} log different columns")
+    rows = min(len(a), len(b))
+    gaps = _gaps(a[:rows], b[:rows])
+    report = []
+    for j, name in enumerate(names):
+        largest = float(gaps[:, j].max(initial=0.0))
+        differ = np.flatnonzero(gaps[:, j])
+        first = int(differ[0]) if len(differ) else (rows if len(a) != len(b) else None)
+        column = np.concatenate((a[:, j], b[:, j]))
+        magnitude = np.max(np.abs(column[np.isfinite(column)]), initial=0.0)
+        relative = largest / magnitude if magnitude else (np.inf if largest else 0.0)
+        report.append((name, largest, relative, first))
+    return report
+
+
+def main(argv):
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    tree_a, tree_b, *cases = argv
+    differs = False
+    for case in cases or RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            (code_a, log_a), (code_b, log_b) = (run_log(tree, case, Path(tmp) / side)
+                                                for tree, side in ((tree_a, "a"), (tree_b, "b")))
+            t = _read_csv(log_a)[1][:, 0]
+            report = deviation(log_a, log_b)
+        moved = [entry for entry in report if entry[3] is not None]
+        differs |= bool(moved) or code_a != code_b
+        worst = max(report, key=lambda entry: entry[1])
+        print(f"{case}: exit {code_a}/{code_b}, {len(t)} rows, {len(moved)} of {len(report)}"
+              f" columns differ, largest {worst[1]:.3e} ({worst[0]})")
+        for name, largest, relative, first in moved:
+            at = f"t = {t[first]:.6g}" if first < len(t) else "past the end"
+            print(f"  {name}: {largest:.3e} absolute, {relative:.3e} relative,"
+                  f" first at row {first} ({at})")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -56,6 +56,10 @@ class TestRunCommand:
         assert main(["run", "--config", str(run_config), "--out", str(out_b), "--quiet"]) == 0
         assert (out_a / "log.csv").read_bytes() == (out_b / "log.csv").read_bytes()
 
+    def test_unknown_option_exit_2(self, capsys):
+        assert main(["run", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -299,6 +303,17 @@ class TestSweepCommand:
         rows = list(csv.DictReader(open(out / "sweep.csv")))
         assert [r["diverged"] for r in rows] == ["0", "1"]
 
+    def test_value_read_as_an_option_exit_2(self, run_config, tmp_path, capsys):
+        # argparse reads "-1,2" as an option, so a negative first value is
+        # written --values=-1,2; its usage error is an exit code, not SystemExit
+        code = main([
+            "sweep", "--config", str(run_config), "--out", str(tmp_path / "sw"),
+            "--quiet", "--axis", "kappa", "--values", "-1,2",
+        ])
+        assert code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_non_numeric_value_exit_2(self, run_config, tmp_path):
         code = main([
             "sweep", "--config", str(run_config), "--out", str(tmp_path / "sw"),
@@ -408,8 +423,7 @@ class TestPlotData:
 
 class TestHelp:
     def test_help_lists_schema_keys(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
+        assert main(["--help"]) == 0
         text = capsys.readouterr().out
         for key in ("gains", "kappa", "alpha_star", "csv_decimate", "variant", "tones"):
             assert key in text

@@ -3,11 +3,12 @@
 The plant takes its trigonometry from ``math`` and the control laws form
 their 2-D products with ``ndarray.dot``, the compiled stage maps of the
 filtering laws included; both are faster than the numpy calls they
-replace, and both give the same bits here.  The filtering laws' late map
-also leaves out the chain shifts it serves by copy, in whole groups of four
+replace, and both give the same bits here.  In the filtering laws' filter
+chains every entry's rate is the next entry but the last entry's; the late
+map leaves these shifts out, serving them by copy, in whole groups of four
 and never from its last ``rows % 4`` rows, and the rows it keeps round as
-they do in the full map here.  Another numpy build
-or BLAS library may round differently.  If a test below fails, the program
+they do in the full map here.  Another numpy build or BLAS library may
+round differently.  If a test below fails, the program
 is not wrong, but its logs will move by roundoff against the committed
 references (``tests/test_reference_logs.py``).
 """
@@ -150,9 +151,9 @@ def test_stage_products_round_like_matmul_on_the_strided_map(config, variant):
 
 @pytest.mark.parametrize("config, variant", LAWS)
 def test_late_map_keeps_its_bits_without_the_served_rows(config, variant, dense_late_map):
-    # the late map leaves out the chain shifts it serves by copy, in whole
-    # groups of four and never from its last rows % 4 rows; the rows it
-    # keeps must round as they do in the full map
+    # the late map leaves out the chain shifts x_i' = x_(i+1) it serves by
+    # copy, in whole groups of four and never from its last rows % 4 rows;
+    # the rows it keeps must round as they do in the full map
     block = _block(config, variant)
     full = dense_late_map(block)
     kept = np.ones(len(full), dtype=bool)

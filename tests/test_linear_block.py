@@ -13,6 +13,7 @@ import gc
 
 import numpy as np
 import pytest
+from conftest import late_map_before_drops
 from draws import SEEDS
 from hypothesis import given, settings
 
@@ -257,16 +258,26 @@ def test_late_stage_equals_the_map_before_drops(variant, kw, dense_late_map):
 
 
 def test_shifts_are_served_in_fours_outside_the_tail(dense_late_map):
-    # 15 rate rows: shifts at 0-6 and in the last two rows, computed rows
-    # between.  dot leaves the last 15 % 4 = 3 rows to another kernel, so
-    # of the seven shifts before them, four are served and three stay dense
+    # 15 rate rows: an 8-entry chain (shifts at 0-6, its last entry at 7),
+    # four rows of a plain block, of which the last, 11, equals the shift
+    # to the next state, and a 3-entry chain (shifts at 12 and 13).  dot
+    # leaves the last 15 % 4 = 3 rows to another kernel, so of the seven
+    # chain shifts before them, four are served and three stay dense
     layout = Layout()
-    layout.add("z", 15)
+    layout.add("z", 1, 8)
+    layout.add("m", 4)
+    layout.add("y", 1, 3)
     block = LinearBlock(layout, 1, early=(), late=())
-    z, q = block.signal("z"), block.signal("q")
-    rate = np.vstack((z, q))[1:16].copy()  # z_i' = z_(i+1), z_14' = q
-    rate[7:13] = -2.0 * z[7:13] + 0.5 * q
-    block.compile((q,), ({}, (q,)), ({"z": rate}, ()))
+    bz = FilterBank([poly_from_roots(-np.arange(1.0, 9.0))], [[1.0]])
+    by = FilterBank([poly_from_roots([-1.0, -2.0, -3.0])], [[1.0]])
+    xz, xy = block.chains("z", bz), block.chains("y", by)
+    m, y, q = block.signal("m"), block.signal("y"), block.signal("q")
+    m_rate = np.vstack((-2.0 * m[:3] + 0.5 * q, y[0, :1]))  # m_3' = y_0
+    rate = np.vstack([bz.deriv(xz, q).swapaxes(-1, -2).reshape(-1, block.width), m_rate,
+                      by.deriv(xy, 0.5 * q).swapaxes(-1, -2).reshape(-1, block.width)])
+    block.compile((q,), ({}, (q,)), ({"z": q, "m": m_rate, "y": 0.5 * q}, ()))
+    # whole fours of chain shifts, none from the tail's rows 12-14, and not
+    # the plain block's row 11
     assert block.served.tolist() == [0, 1, 2, 3]
     assert np.array_equal(dense_late_map(block), rate[:, : block.late_map.shape[1]])
     rng = np.random.default_rng(17)
@@ -340,7 +351,10 @@ def test_block_from_the_bank_maps_matches_the_bank(seed):
         return [bank.state_output(x, k) for k in ks], outputs, bank.deriv(x, u)
 
     states, outputs, rate = laws(x, u, udot)
-    block.compile(states, ({}, outputs), ({"f": rate.swapaxes(-1, -2)}, ()))
+    block.compile(states, ({}, outputs), ({"f": u}, ()))
+    # the chains the block states give the bits of the bank's own rate
+    dense = np.ascontiguousarray(rate.swapaxes(-1, -2)).reshape(-1, block.width)
+    assert late_map_before_drops(block).tobytes() == dense.tobytes()
 
     xv = rng.uniform(-1.0, 1.0, bank.state_shape())
     uv, udotv = rng.uniform(-1.0, 1.0, (2,) + shape)
@@ -363,6 +377,32 @@ def test_compile_rejects_a_signal_read_too_early():
     # the outputs are formed before any nonlinear input exists
     with pytest.raises(ValueError, match="not given"):
         block.compile([block.signal("h")], ({"z": block.signal("z")}, ()), ({}, ()))
+
+
+@pytest.mark.parametrize("stage", ["output", "early", "late"])
+def test_compile_rejects_an_empty_stage(stage):
+    layout = Layout()
+    layout.add("z", 2)
+    block = LinearBlock(layout, 2, (), ())
+    z = block.signal("z")
+    outputs, early, late = {
+        "output": ([], ({"z": -z}, ()), ({}, (z,))),
+        "early": ([z], ({}, ()), ({"z": -z}, ())),
+        "late": ([z], ({"z": -z}, ()), ({}, ())),
+    }[stage]
+    with pytest.raises(ValueError, match=f"the {stage} stage is empty"):
+        block.compile(outputs, early, late)
+
+
+def test_compile_rejects_a_chain_block_outside_the_late_rates():
+    # a chain block's rate is its bank's drive, which only the late stage reads
+    layout = Layout()
+    layout.add("f", 1, 2)
+    block = LinearBlock(layout, 1, (), ())
+    block.chains("f", FilterBank([[2.0, 3.0, 1.0]], [[1.0]]))
+    q = block.signal("q")
+    with pytest.raises(ValueError, match="chains late"):
+        block.compile([q], ({"f": q}, ()), ({}, (q,)))
 
 
 def _bits(ev):

@@ -85,12 +85,17 @@ def _read_metrics(path):
     return names, np.concatenate(values)[None]
 
 
-def _worst(names, want, got):
-    """Largest absolute gap and the column it is in; equal infinities and
-    NaN against NaN count as no gap."""
+def _gaps(want, got):
+    """Entrywise absolute gaps; equal infinities and NaN against NaN count
+    as no gap, NaN against a number as an infinite one."""
     with np.errstate(invalid="ignore"):
         gap = np.where((want == got) | np.isnan(want) & np.isnan(got), 0.0, np.abs(want - got))
-    gap = np.nan_to_num(gap, nan=np.inf).max(axis=0)
+    return np.nan_to_num(gap, nan=np.inf)
+
+
+def _worst(names, want, got):
+    """Largest absolute gap and the column it is in (:func:`_gaps`)."""
+    gap = _gaps(want, got).max(axis=0)
     j = int(np.argmax(gap))
     return float(gap[j]), names[j]
 
