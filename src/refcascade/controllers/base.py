@@ -35,9 +35,14 @@ and gives the same bits (``tests/test_host_rounding.py``); the late stage
 serves the filter chains' shift rates by copy (``LinearBlock``).  Only
 ``stacked_multi``'s 3-D path outputs against the weights ``(thf, 1)`` stay
 ``np.matmul``: ``dot`` sums them in another order, so the logs would move.
-Of the diagnostics, which run only on sampled steps, the energies use
-``dot`` as well (a run that logs every step pays them on every step), and
-the residuals keep ``@``.
+The diagnostics never run on a stage.  The energies run once per run,
+after the integration, over every sampled step stacked along a leading
+axis: their products are stacked ``np.matmul`` (:func:`quadratic`), and
+the same lines serve one sample.  A class names the extras its ``energy``
+reads in ``energy_reads`` (``s`` and ``theta_hat`` for ``adaptive``, ``s``
+and ``xi`` for the filtered-damping laws); the log holds ``s`` and
+``theta_hat`` itself, and the run keeps the others per sample.  The
+residuals run per sample, on their own stride, and keep ``@``.
 
 Information discipline is structural: controllers receive an
 :class:`~refcascade.manipulator.ArmShape` (dimensions plus regressor map,
@@ -66,6 +71,7 @@ __all__ = [
     "SIdentity",
     "FilteredDamping",
     "per_channel",
+    "quadratic",
     "positive",
     "nonnegative",
 ]
@@ -239,9 +245,14 @@ class ControllerBase:
         tau, parts = self.evaluate(t, q, qdot, x, extras)
         return ControlEval(tau, np.concatenate(parts), extras)
 
+    energy_reads: tuple = ()  # the extras ``energy`` reads
+
     def energy(self, model, q, qdot, extras):
-        """Energy-like functions ``(V, V_aux)`` at a sampled state."""
-        return np.nan, np.nan
+        """Energy-like functions ``(V, V_aux)`` at sampled states, one entry
+        per leading index of ``q`` (``(..., n)``) and of the extras it reads,
+        ``energy_reads``; NaN where the variant defines none."""
+        nan = np.full(np.shape(q)[:-1], np.nan)
+        return nan, nan.copy()
 
     def residual(self, model, q, qdot, tau, tau_star, extras) -> float:
         """Largest entry of the variant's closed-loop identity residual."""
@@ -277,17 +288,32 @@ class SIdentity:
         return 0.0
 
 
+def quadratic(u, w, M=None):
+    """``u M w``, or ``u w`` without ``M``, per leading index of the vectors
+    ``u`` and ``w`` (and of ``M``), in ``@``'s association order, by stacked
+    ``np.matmul``: a scalar for one sample, an array for a stack.  On
+    operands whose last axis is contiguous, numpy takes BLAS and each entry
+    has ``ndarray.dot``'s bits on its sample alone
+    (``tests/test_host_rounding.py``); other strides round differently."""
+    u = u[..., None, :]
+    if M is not None:
+        u = np.matmul(u, M)
+    return np.matmul(u, w[..., :, None])[..., 0, 0]
+
+
 class FilteredDamping(SIdentity):
     """Damping -lambda_D Y xi through the filter xi' = -lam xi + lam Y^T s.
 
     Its energies add the filter state's storage to the kinetic energy of s.
     """
 
+    energy_reads = ("s", "xi")
+
     def _damping(self, Y, s, extras):
         return self.lambda_D * (Y @ extras["xi"])
 
     def energy(self, model, q, qdot, extras):
         s, xi = extras["s"], extras["xi"]
-        quad = (0.5 * s).dot(model.inertia(q)).dot(s)
-        return (quad + ((self.lambda_D / (2.0 * self.lam)) * xi).dot(xi),
-                quad + ((self.lambda_D / (4.0 * self.lam)) * xi).dot(xi))
+        quad = quadratic(0.5 * s, s, model.inertia(q))
+        return (quad + quadratic((self.lambda_D / (2.0 * self.lam)) * xi, xi),
+                quad + quadratic((self.lambda_D / (4.0 * self.lam)) * xi, xi))

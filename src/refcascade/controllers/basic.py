@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..refdyn import QD_ROWS, ReferenceConfig, cascade_init, cascade_rates
-from .base import ConfigError, ControllerBase, FilteredDamping, SIdentity, nonnegative, positive
+from .base import (ConfigError, ControllerBase, FilteredDamping, SIdentity, nonnegative, positive,
+                   quadratic)
 
 __all__ = [
     "compile_cascade",
@@ -113,10 +114,13 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy())
         return tau, (phi_dot, self._neg_gamma * Y.T.dot(s))
 
+    energy_reads = ("s", "theta_hat")
+
     def energy(self, model, q, qdot, extras):
         s = extras["s"]
         dth = extras["theta_hat"] - model.theta
-        return (0.5 * s).dot(model.inertia(q)).dot(s) + (0.5 * dth).dot(dth / self.gamma), np.nan
+        V = quadratic(0.5 * s, s, model.inertia(q)) + quadratic(0.5 * dth, dth / self.gamma)
+        return V, np.full_like(V, np.nan)
 
 
 class PlainCascadeController(_CascadeController):

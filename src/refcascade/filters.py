@@ -248,15 +248,16 @@ class LinearBlock:
     ``n_early`` and ``n_late`` rows are the state rates, and checks that
     each stage's map is finite (else ``OverflowError``) and reads only the
     columns it is given; each map is stored contiguous at its stage's
-    width, and a stage is one ``ndarray.dot`` into its product.  Most of
-    the late rate is the chains' shifts ``x_i' = x_(i+1)``, which need no
-    product: the late map leaves them out (:meth:`_late_rates`, which
-    records them as ``served``), and :meth:`late` fills the rate with one
-    copy of ``v`` one entry on, then one scatter of the rows the map computes.
+    width from a 64-byte boundary, and a stage is one ``ndarray.dot`` into
+    its product.  Most of the late rate is the chains' shifts
+    ``x_i' = x_(i+1)``, which need no product: the late map leaves them out
+    (:meth:`_late_rates`, which records them as ``served``), and
+    :meth:`late` fills the rate with one copy of ``v`` one entry on, then
+    one scatter of the rows the map computes.
 
     An evaluation allocates nothing: the block owns one work array,
-    ``work`` (``v``, each stage's product and the late rate), and fixed
-    views into it.
+    ``work`` (``v``, each stage's product and the late rate, also from a
+    64-byte boundary), and fixed views into it.
     ``slots`` names the views of ``v`` a law writes: ``x``, ``q``,
     ``qdot``, ``qd`` and each nonlinear input.  A stage returns the same
     views of its product on every call, so what an evaluation returns is
@@ -338,14 +339,16 @@ class LinearBlock:
         n_signals = sum(map(len, flat))
         rates = ([self._late_rates(rates, n_signals)] if stage == 2
                  else [rate.reshape(-1, W) for rate in rates.values()])
-        if not n_signals + sum(map(len, rates)):
+        blocks = rates + flat
+        rows = sum(map(len, blocks))
+        if not rows:
             raise ValueError(f"the {('output', 'early', 'late')[stage]} stage is empty")
         # the columns past the stage's width are dropped before the one copy
         # that assembles the map, and checked where they are
-        M = np.concatenate([r[:, :width] for r in rates + flat])
+        M = np.concatenate([r[:, :width] for r in blocks], out=_aligned((rows, width)))
         if not np.isfinite(M).all():  # an overflowing gain product, not a structural error
             raise OverflowError("the compiled law's coefficients overflow")
-        if width < W and any(r[:, width:].any() for r in rates + flat):
+        if width < W and any(r[:, width:].any() for r in blocks):
             raise ValueError("a signal reads columns its stage is not given")
         spec = []
         off = len(M) - n_signals
@@ -397,7 +400,7 @@ class LinearBlock:
     @functools.cached_property
     def work(self):
         """``v``, then each stage's product, then the late rate, in one array."""
-        return np.empty(self.width + sum(map(len, self._maps)) + self.n_late)
+        return _aligned((self.width + sum(map(len, self._maps)) + self.n_late,))
 
     @functools.cached_property
     def v(self):
@@ -454,6 +457,16 @@ class LinearBlock:
         rate[:] = shifted  # every shift row, then the rows the map computes
         rate[dense] = computed
         return self._rates, signals
+
+
+def _aligned(shape):
+    """An uninitialized float array of ``shape`` starting at a 64-byte
+    boundary, a slice of a slightly larger buffer: where the heap puts a
+    stage map would otherwise decide how fast ``dot`` reads it."""
+    count = math.prod(shape)
+    buf = np.empty(count + 7)
+    start = -buf.__array_interface__["data"][0] % 64 // 8
+    return buf[start : start + count].reshape(shape)
 
 
 @functools.lru_cache(maxsize=4)

@@ -267,17 +267,21 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
     if q0.shape != (n,) or qdot0.shape != (n,):
         raise ConfigError(f"q0/qdot0 must have {n} entries")
 
-    # one tuple per sampled step, in TimeSeriesLog's field order from ``et``
+    # one tuple per sampled step, in TimeSeriesLog's field order from ``et``,
+    # less the energies; and the inputs of the energies the log does not hold
     samples, residuals = [], []
+    held = {key: [] for key in controller.energy_reads
+            if key not in TimeSeriesLog.__dataclass_fields__}
     nan_row = np.full(n, np.nan)  # shared filler; stacking copies it
 
     def sample(k, t, q, qdot, ev, ts):
         extras = ev.extras
         samples.append((
             k, ev.tau, ts, extras.get("ref_vel", nan_row), extras.get("s", nan_row),
-            *lyapunov_diag(controller, model, q, qdot, extras),
             extras.get("theta_hat"), extras.get("freq_hat"),
         ))
+        for key, col in held.items():
+            col.append(extras[key])
         if res_stride and k % res_stride == 0:
             residuals.append(
                 (t, closed_loop_residual(controller, model, t, q, qdot, ev.tau, ts, extras))
@@ -287,15 +291,23 @@ def run_experiment(cfg: ExperimentConfig) -> TimeSeriesLog:
         model, controller, dist, q0, qdot0, dt, int(round(r["duration"] / dt)),
         r["extras_stride"], sample,
     )
+    et, tau, tau_star, ref_vel, s, theta_hat, freq_hat = (
+        None if col[0] is None else np.array(col) for col in zip(*samples))
     qd_arr = traj.eval_grid(t_arr, 0)
-    return TimeSeriesLog(
+    log = TimeSeriesLog(
         t_arr, q_arr, qdot_arr, qd_arr, q_arr - qd_arr,
-        *(None if col[0] is None else np.array(col) for col in zip(*samples)),
+        et, tau, tau_star, ref_vel, s, None, None, theta_hat, freq_hat,
         *np.array(residuals, dtype=float).reshape(-1, 2).T,
         diverged=div_time is not None,
         divergence_time=div_time,
         csv_decimate=r["csv_decimate"],
     )
+    # the energies once, over the samples stacked along a leading axis
+    stacked = {key: np.array(held[key]) if key in held else getattr(log, key)
+               for key in controller.energy_reads}
+    with np.errstate(over="ignore", invalid="ignore"):  # as in integrate
+        log.V, log.V_aux = lyapunov_diag(controller, model, q_arr[et], qdot_arr[et], stacked)
+    return log
 
 
 def compute_metrics(log: TimeSeriesLog) -> MetricsReport:
@@ -349,12 +361,21 @@ def sweep(cfg: ExperimentConfig, axis: str, values):
 # -- persistence ---------------------------------------------------------------
 
 
+_CSV_BLOCK = 256  # rows formatted and written at a time
+
+
 def _write_csv(path, header, rows):
-    """Write ``rows`` of numbers under ``header``, each value as ``%.17g``."""
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    """Write ``rows`` of numbers under ``header``, each value as ``%.17g``:
+    a 2-D array or a list of tuples, formatted ``_CSV_BLOCK`` rows at a
+    time, so no whole-file text is ever held."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start : start + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join([fmt % tuple(row) for row in block]))
 
 
 def write_log_csv(log: TimeSeriesLog, path):
@@ -375,7 +396,7 @@ def write_log_csv(log: TimeSeriesLog, path):
     header = []
     for name, arr in table:
         header += [name] if arr.ndim == 1 else [f"{name}{i + 1}" for i in range(arr.shape[1])]
-    _write_csv(path, header, np.column_stack([arr for _, arr in table]).tolist())
+    _write_csv(path, header, np.column_stack([arr for _, arr in table]))
 
 
 def write_metrics_json(report: MetricsReport, path):

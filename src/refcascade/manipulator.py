@@ -112,8 +112,10 @@ class TwoLinkArm:
     Each term is stated once, over unpacked Python floats: scalar arithmetic
     does the same IEEE operations as the elementwise array form, without its
     per-element overhead.  The public methods wrap those entries in arrays,
-    and ``forward_dynamics`` reads them directly.  The lumped parameters are
-    read from a tuple made at construction, so ``theta`` is read-only.
+    and ``forward_dynamics`` reads them directly; ``inertia`` gives them
+    numpy's array trigonometry, so it also takes a stack of angles.  The
+    lumped parameters are read from a tuple made at construction, so
+    ``theta`` is read-only.
     """
 
     n = 2
@@ -147,9 +149,15 @@ class TwoLinkArm:
     # -- dynamics terms ----------------------------------------------------
 
     def inertia(self, q) -> np.ndarray:
-        _, q1 = np.asarray(q).tolist()
-        m00, m01, m11 = self._inertia(_cos_sin(q1)[0])
-        return np.array([[m00, m01], [m01, m11]])
+        """M at angles ``q`` of shape ``(..., 2)``, one ``(2, 2)`` matrix per
+        leading index: one sample and a stack of them run the same lines."""
+        c2 = np.cos(np.asarray(q)[..., 1])
+        m00, m01, m11 = self._inertia(c2)
+        M = np.empty(np.shape(c2) + (2, 2))
+        M[..., 0, 0] = m00
+        M[..., 0, 1] = M[..., 1, 0] = m01
+        M[..., 1, 1] = m11
+        return M
 
     def coriolis(self, q, qdot) -> np.ndarray:
         """Christoffel-symbol Coriolis/centrifugal matrix."""

@@ -10,8 +10,11 @@ largest magnitude, and the first logged step at which they differ:
 
 run from the repository root, where ``TREE_A`` and ``TREE_B`` are
 checkouts (``git archive`` or ``git clone``) each holding ``src/`` and
-``configs/``.  No cases means all of them.  A case prints one line, and
-one more per column that differs; it exits 1 if any log differs.
+``configs/``.  No cases means all of them.  A case prints one line, with
+whether ``log.csv`` and ``metrics.json`` are byte-identical, and one more
+per column that differs; it exits 1 if any log differs, by value or by
+byte, or any ``metrics.json`` does.  The column report alone would read a
+formatting change as no deviation.
 """
 
 import os
@@ -35,6 +38,19 @@ def run_log(tree, case, out):
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     code = subprocess.run(cmd, env=env, cwd=tree).returncode
     return code, Path(out) / "log.csv"
+
+
+FILES = ("log.csv", "metrics.json")
+
+
+def identical(out_a, out_b):
+    """Per file in ``FILES``: whether run directories ``out_a`` and
+    ``out_b`` both hold it, byte for byte the same."""
+    same = {}
+    for name in FILES:
+        a, b = Path(out_a) / name, Path(out_b) / name
+        same[name] = a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+    return same
 
 
 def deviation(log_a, log_b):
@@ -71,11 +87,13 @@ def main(argv):
                                                 for tree, side in ((tree_a, "a"), (tree_b, "b")))
             t = _read_csv(log_a)[1][:, 0]
             report = deviation(log_a, log_b)
+            same = identical(log_a.parent, log_b.parent)
         moved = [entry for entry in report if entry[3] is not None]
-        differs |= bool(moved) or code_a != code_b
+        differs |= bool(moved) or code_a != code_b or not all(same.values())
         worst = max(report, key=lambda entry: entry[1])
         print(f"{case}: exit {code_a}/{code_b}, {len(t)} rows, {len(moved)} of {len(report)}"
-              f" columns differ, largest {worst[1]:.3e} ({worst[0]})")
+              f" columns differ, largest {worst[1]:.3e} ({worst[0]}); "
+              + ", ".join(f"{name} {'identical' if ok else 'DIFFERS'}" for name, ok in same.items()))
         for name, largest, relative, first in moved:
             at = f"t = {t[first]:.6g}" if first < len(t) else "past the end"
             print(f"  {name}: {largest:.3e} absolute, {relative:.3e} relative,"

@@ -5,7 +5,9 @@ listed in ``DEFINED``; the others are NaN.  Where they are defined they must
 equal, bitwise, the formulas restated below: the energy of the adaptive law,
 the filtered-damping energies, the torque-side identity of ``plain`` and
 ``pid``, and the input-side identity of the seven laws acting on
-``s = qdot - z``.
+``s = qdot - z``.  The energies take a stack of samples along a leading
+axis as ``run_experiment`` does, once per run, and give the bits of one
+call per sample.
 """
 
 import numpy as np
@@ -86,8 +88,9 @@ def test_every_variant_is_covered():
     assert set(DEFINED) == set(VARIANTS)
 
 
-@pytest.mark.parametrize("variant", sorted(DEFINED))
-def test_diagnostics_match_their_definitions(variant, model, loop_runner):
+def _recorded(variant, model, loop_runner):
+    """A short closed-loop run of ``variant``: its controller, disturbance
+    and 11 sampled ``(t, q, qdot, ev)``."""
     traj = TrajectorySpec.multisine([[(0.4, 0.6, 0.0)], [(0.3, 0.6, 0.9)]])
     dist = DisturbanceSpec.tones([[(0.3, 0.8, 0.2)], [(0.2, 0.8, 0.0)]])
     ctrl = build_controller(
@@ -97,6 +100,12 @@ def test_diagnostics_match_their_definitions(variant, model, loop_runner):
     )
     records = loop_runner(model, ctrl, dist, duration=0.5, dt=2e-3, sample_stride=25)
     assert len(records) == 11
+    return ctrl, dist, records
+
+
+@pytest.mark.parametrize("variant", sorted(DEFINED))
+def test_diagnostics_match_their_definitions(variant, model, loop_runner):
+    ctrl, dist, records = _recorded(variant, model, loop_runner)
     for t, q, qdot, ev in records:
         ts = dist.eval(t)
         got = (*lyapunov_diag(ctrl, model, q, qdot, ev.extras),
@@ -106,3 +115,54 @@ def test_diagnostics_match_their_definitions(variant, model, loop_runner):
         assert tuple(bool(np.isfinite(g)) for g in got) == DEFINED[variant]
         for g, w in zip(got, want):
             assert _same(g, w), (g, w)
+
+
+def _stack(ctrl, records):
+    """The samples' ``q``, ``qdot`` and the extras the energy reads, each
+    stacked along a leading axis, as ``run_experiment`` hands them over."""
+    q, qdot = (np.array([rec[i] for rec in records]) for i in (1, 2))
+    return q, qdot, {key: np.array([rec[3].extras[key] for rec in records])
+                     for key in ctrl.energy_reads}
+
+
+def _per_sample(ctrl, model, q, qdot, extras):
+    """``lyapunov_diag`` called on each sample of a stack, as two arrays."""
+    rows = [lyapunov_diag(ctrl, model, q[i], qdot[i], {key: col[i] for key, col in extras.items()})
+            for i in range(len(q))]
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("variant", sorted(DEFINED))
+def test_stacked_energies_equal_the_per_sample_ones(variant, model, loop_runner):
+    ctrl, _, records = _recorded(variant, model, loop_runner)
+    q, qdot, extras = _stack(ctrl, records)
+    V, V_aux = lyapunov_diag(ctrl, model, q, qdot, extras)
+    assert V.shape == V_aux.shape == (len(records),)
+    for got, want in zip((V, V_aux), _per_sample(ctrl, model, q, qdot, extras)):
+        assert got.tobytes() == want.tobytes()
+    for i, (_, q_i, _, ev) in enumerate(records):
+        want = reference_energy(variant, ctrl, model, q_i, ev.extras)
+        assert _same(V[i], want[0]) and _same(V_aux[i], want[1])
+    assert tuple(bool(np.isfinite(col).all()) for col in (V, V_aux)) == DEFINED[variant][:2]
+
+
+@pytest.mark.parametrize("variant", sorted(DEFINED))
+def test_stacked_energies_keep_non_finite_samples_apart(variant, model, loop_runner):
+    # a NaN and an inf sample, under run_experiment's error state: they
+    # spoil their own entries and no other, as one call per sample does
+    ctrl, _, records = _recorded(variant, model, loop_runner)
+    q, qdot, extras = _stack(ctrl, records)
+    q[3, 1] = np.inf
+    for col in extras.values():
+        col[6, 0] = np.nan
+        col[8, -1] = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = lyapunov_diag(ctrl, model, q, qdot, extras)
+        per_sample = _per_sample(ctrl, model, q, qdot, extras)
+    clean = np.ones(len(q), dtype=bool)
+    clean[[3, 6, 8]] = False
+    base = _per_sample(ctrl, model, *_stack(ctrl, records))
+    for got, want, unspoiled in zip(stacked, per_sample, base):
+        assert got.tobytes() == want.tobytes()
+        assert got[clean].tobytes() == unspoiled[clean].tobytes()
+        assert not np.isfinite(got[~clean]).any()

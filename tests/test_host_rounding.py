@@ -1,14 +1,16 @@
-"""Facts about this host's numpy that the per-RHS code relies on.
+"""Facts about this host's numpy that the per-RHS code and the logs rely on.
 
 The plant takes its trigonometry from ``math`` and the control laws form
 their 2-D products with ``ndarray.dot``, the compiled stage maps of the
 filtering laws included; both are faster than the numpy calls they
-replace, and both give the same bits here.  In the filtering laws' filter
-chains every entry's rate is the next entry but the last entry's; the late
-map leaves these shifts out, serving them by copy, in whole groups of four
-and never from its last ``rows % 4`` rows, and the rows it keeps round as
-they do in the full map here.  Another numpy build or BLAS library may
-round differently.  If a test below fails, the program
+replace, and both give the same bits here, wherever a map is placed.  The
+energies of a whole log are one stacked ``np.matmul`` per product and one
+array ``np.cos``; they give the bits of one sample at a time.  In the
+filtering laws' filter chains every entry's rate is the next entry but the
+last entry's; the late map leaves these shifts out, serving them by copy,
+in whole groups of four and never from its last ``rows % 4`` rows, and the
+rows it keeps round as they do in the full map here.  Another numpy build
+or BLAS library may round differently.  If a test below fails, the program
 is not wrong, but its logs will move by roundoff against the committed
 references (``tests/test_reference_logs.py``).
 """
@@ -36,12 +38,31 @@ def _draws(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
 
 
-def test_math_trigonometry_rounds_like_numpy():
+def _angles():
     rng = np.random.default_rng(0)
-    angles = np.concatenate((rng.uniform(-50.0, 50.0, 20000), _draws(rng, 2000) * 1e3)).tolist()
+    return np.concatenate((rng.uniform(-50.0, 50.0, 20000), _draws(rng, 2000) * 1e3))
+
+
+def test_math_trigonometry_rounds_like_numpy():
+    angles = _angles().tolist()
     for fn, ufunc in ((math.cos, np.cos), (math.sin, np.sin)):
         bad = [a for a in angles if fn(a) != float(ufunc(a))]
         assert not bad, HOST.format(what=f"{ufunc.__name__} (e.g. at {bad[0]!r})")
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_array_trigonometry_rounds_like_math(layout):
+    # a stack of samples takes numpy's array loops, not its scalar path:
+    # the inertia of a whole log reads cos(q[..., 1]), a strided column
+    angles = _angles()
+    if layout == "strided":
+        pairs = np.zeros((len(angles), 2))
+        pairs[:, 1] = angles
+        angles = pairs[:, 1]
+    for fn, ufunc in ((math.cos, np.cos), (math.sin, np.sin)):
+        got = ufunc(angles).tolist()
+        bad = [a for a, g in zip(angles.tolist(), got) if fn(a) != g]
+        assert not bad, HOST.format(what=f"{ufunc.__name__} on an array (e.g. at {bad[0]!r})")
 
 
 # (rows, cols) of every matrix-vector product the laws form with ``dot``:
@@ -103,8 +124,10 @@ def test_one_entry_product_rounds_like_matmul():
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_energy_products_round_like_matmul(p):
-    # the sampled energies: 0.5 s M s as ((0.5 s) M) s with s of n = 2
-    # entries, and the (p,) . (p,) storage of an estimate or a filter state
+    # one sample's energy products by ndarray.dot, ((0.5 s) M) s with s of
+    # n = 2 entries and the (p,) . (p,) storage of an estimate or a filter
+    # state, give @'s bits: tests/test_diagnostics.py states its reference
+    # energies with @, and the stacked products below must give dot's bits
     rng = np.random.default_rng(50 + p)
     for _ in range(20000):
         s, v = _draws(rng, 2), _draws(rng, p)
@@ -117,6 +140,44 @@ def test_energy_products_round_like_matmul(p):
             what="ndarray.dot on (2,) @ (2,)")
         assert v.dot(w).tobytes() == (v @ w).tobytes(), HOST.format(
             what=f"ndarray.dot on ({p},) @ ({p},)")
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("B", [None, 1, 2, 3, 16, 1001])
+def test_stacked_energy_products_round_like_dot(B, p, layout):
+    # the energies of a whole log (controllers.base.quadratic): ((0.5 s) M) s
+    # as (B, 1, 2) @ (B, 2, 2) @ (B, 2, 1) and a (p,) . (p,) storage as
+    # (B, 1, p) @ (B, p, 1), one sample (B None) as (1, 2) @ (2, 2) @ (2, 1);
+    # each must give the bits of ndarray.dot on the sample alone.  A strided
+    # operand is a view into a larger array, every other sample and every
+    # row offset by one entry, its last axis contiguous: np.matmul takes BLAS
+    # only then, and its own loop for other strides rounds differently
+    rng = np.random.default_rng(60 + p + (B or 0))
+    lead = () if B is None else (B,)
+
+    def operand(shape):
+        a = _draws(rng, lead + shape)
+        if layout == "strided":
+            wide = np.zeros((2 * B if B else 1,) + tuple(d + 1 for d in shape))
+            view = wide[(slice(1, None, 2) if B else 0,) + (slice(1, None),) * len(shape)]
+            view[...] = a
+            a = view
+        return a
+
+    for _ in range(max(2, 2000 // (B or 1))):
+        s, M, v, w = operand((2,)), operand((2, 2)), operand((p,)), operand((p,))
+        hs = 0.5 * s
+        kinetic = np.matmul(np.matmul(hs[..., None, :], M), s[..., :, None])[..., 0, 0]
+        storage = np.matmul(v[..., None, :], w[..., :, None])[..., 0, 0]
+        if B is None:
+            hs, s, M, v, w = hs[None], s[None], M[None], v[None], w[None]
+        want = np.array([hs[i].dot(M[i]).dot(s[i]) for i in range(len(s))])
+        assert kinetic.tobytes() == want.reshape(kinetic.shape).tobytes(), HOST.format(
+            what=f"np.matmul on {B} stacked (1, 2) @ (2, 2) @ (2, 1) ({layout})")
+        want = np.array([v[i].dot(w[i]) for i in range(len(v))])
+        assert storage.tobytes() == want.reshape(storage.shape).tobytes(), HOST.format(
+            what=f"np.matmul on {B} stacked (1, {p}) @ ({p}, 1) ({layout})")
 
 
 LAWS = [("tone_single", "filtered_adaptive"), ("tone_single", "stacked_single"),
@@ -166,3 +227,38 @@ def test_late_map_keeps_its_bits_without_the_served_rows(config, variant, dense_
         assert out.tobytes() == full.dot(v)[kept].tobytes(), HOST.format(
             what=f"ndarray.dot on {block.late_map.shape[0]} of the {variant} late map's"
                  f" {len(full)} rows")
+
+
+def _at_offset(M, offset):
+    """A copy of ``M`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(M.size + 8)
+    start = (offset - buf.__array_interface__["data"][0]) % 64 // 8
+    copy = buf[start : start + M.size].reshape(M.shape)
+    copy[...] = M
+    assert copy.__array_interface__["data"][0] % 64 == offset
+    return copy
+
+
+@pytest.mark.parametrize("config, variant", LAWS)
+def test_stage_products_keep_their_bits_at_every_alignment(config, variant):
+    # LinearBlock places each map at a 64-byte boundary for speed; where a
+    # map sits must not change what dot computes
+    block = _block(config, variant)
+    rng = np.random.default_rng(len(variant) + 7)
+    for M in (block.C, block.early_map, block.late_map):
+        copies = [_at_offset(M, offset) for offset in (0, 16, 32, 48)]
+        out = np.empty(len(M))
+        for _ in range(200):
+            v = _draws(rng, M.shape[1])
+            want = M.dot(v)
+            for copy in copies:
+                copy.dot(v, out)
+                assert out.tobytes() == want.tobytes(), HOST.format(
+                    what=f"ndarray.dot on the {variant} stage map {M.shape} by its alignment")
+
+
+def test_every_build_places_its_maps_at_64_bytes():
+    blocks = [_block("tone_two", "stacked_multi") for _ in range(30)]  # all alive at once
+    for block in blocks:
+        for name in ("C", "early_map", "late_map", "work"):
+            assert getattr(block, name).__array_interface__["data"][0] % 64 == 0, name

@@ -1,8 +1,11 @@
 """The log deviation report (``tests/log_deviation.py``) on a synthetic log
-and perturbed copies of it."""
+and perturbed or reformatted copies of it."""
 
+from pathlib import Path
+
+import log_deviation
 import numpy as np
-from log_deviation import deviation
+from log_deviation import deviation, identical
 
 NAMES = ["t", "q1", "tau1", "V"]
 
@@ -41,3 +44,56 @@ def test_a_shorter_log_differs_past_its_end(tmp_path):
     a = _log()
     report = deviation(_write(tmp_path / "a.csv", a), _write(tmp_path / "b.csv", a[:5]))
     assert [(gap, first) for _, gap, _, first in report] == [(0.0, 5)] * len(NAMES)
+
+
+def _run_dir(path, table, metrics='{"final_V": 1.0}\n'):
+    path.mkdir()
+    _write(path / "log.csv", table)
+    (path / "metrics.json").write_text(metrics)
+    return path
+
+
+def test_byte_identity_of_each_file(tmp_path):
+    a = _run_dir(tmp_path / "a", _log())
+    assert identical(a, _run_dir(tmp_path / "b", _log())) == {"log.csv": True, "metrics.json": True}
+    c = _run_dir(tmp_path / "c", _log(), metrics='{"final_V": 1}\n')
+    assert identical(a, c) == {"log.csv": True, "metrics.json": False}
+    (c / "log.csv").write_text((a / "log.csv").read_text().replace("0.0,", "0.00,"))
+    # the same values in another format: no column deviates, the bytes differ
+    assert all(entry[3] is None for entry in deviation(a / "log.csv", c / "log.csv"))
+    assert identical(a, c)["log.csv"] is False
+    (c / "metrics.json").unlink()
+    assert identical(a, c)["metrics.json"] is False
+
+
+def _fake_runs(monkeypatch, edit):
+    """``run_log`` writing the synthetic log, its second tree's run dir
+    passed through ``edit``."""
+
+    def run_log(tree, case, out):
+        _run_dir(Path(out), _log())
+        if tree == "B":
+            edit(Path(out))
+        return 0, Path(out) / "log.csv"
+
+    monkeypatch.setattr(log_deviation, "run_log", run_log)
+    return log_deviation.main(["A", "B", next(iter(log_deviation.RUNS))])
+
+
+def test_exit_code_reads_the_bytes(monkeypatch, capsys):
+    assert _fake_runs(monkeypatch, lambda out: None) == 0
+    assert "log.csv identical, metrics.json identical" in capsys.readouterr().out
+
+    def reformat(out):
+        log = out / "log.csv"
+        log.write_text(log.read_text().replace("0.0,", "0.00,"))
+
+    assert _fake_runs(monkeypatch, reformat) == 1
+    out = capsys.readouterr().out
+    assert "0 of 4 columns differ" in out and "log.csv DIFFERS, metrics.json identical" in out
+
+    def renumber(out):
+        (out / "metrics.json").write_text('{"final_V": 1}\n')
+
+    assert _fake_runs(monkeypatch, renumber) == 1
+    assert "log.csv identical, metrics.json DIFFERS" in capsys.readouterr().out
