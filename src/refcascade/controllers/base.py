@@ -24,25 +24,24 @@ availability once, there.  A single-layer law whose reference cascade
 ``phi`` is its whole state (``known``, ``plain``, ``nldamp``) hands the state
 itself to the cascade product, unsliced.
 
-On every RHS a law forms its 2-D products (a matrix against a vector, or a
-vector against a matrix) with ``ndarray.dot``, as ``a.dot(b)`` or
-``a.dot(b, out)`` into a work-array slot: the compiled cascade rows, the
-regressor against an estimate and its transpose against an error,
-``stacked_single``'s one-entry ``W1.dot(e[:, None], out)`` and
+On every RHS a law forms its products with ``ndarray.dot``, as
+``a.dot(b)`` or ``a.dot(b, out)`` into a work-array slot: the compiled
+cascade rows, the regressor against an estimate and its transpose against
+an error, ``stacked_single``'s one-entry ``W1.dot(e[:, None], out)``,
+``stacked_multi``'s path outputs against the weights ``(thf, 1)`` and
 ``LinearBlock``'s three stage products, whose maps are contiguous at their
 stage's width.  ``dot`` dispatches in about half the time of ``np.matmul``
-and gives the same bits (``tests/test_host_rounding.py``); the late stage
-serves the filter chains' shift rates by copy (``LinearBlock``).  Only
-``stacked_multi``'s 3-D path outputs against the weights ``(thf, 1)`` stay
-``np.matmul``: ``dot`` sums them in another order, so the logs would move.
-The diagnostics never run on a stage.  The energies run once per run,
-after the integration, over every sampled step stacked along a leading
-axis: their products are stacked ``np.matmul`` (:func:`quadratic`), and
-the same lines serve one sample.  A class names the extras its ``energy``
-reads in ``energy_reads`` (``s`` and ``theta_hat`` for ``adaptive``, ``s``
-and ``xi`` for the filtered-damping laws); the log holds ``s`` and
-``theta_hat`` itself, and the run keeps the others per sample.  The
-residuals run per sample, on their own stride, and keep ``@``.
+and on the 2-D products gives its bits (``tests/test_host_rounding.py``);
+the late stage serves the filter chains' shift rates by copy
+(``LinearBlock``).  The diagnostics never run on a stage.  The energies
+run once per run, after the integration, over every sampled step stacked
+along a leading axis: their products are stacked ``np.matmul``
+(:func:`quadratic`), and the same lines serve one sample.  A class names
+the extras its ``energy`` reads in ``energy_reads`` (``s`` and
+``theta_hat`` for ``adaptive``, ``s`` and ``xi`` for the filtered-damping
+laws); the log holds ``s`` and ``theta_hat`` itself, and the run keeps
+the others per sample.  The residuals run per sample, on their own
+stride, and keep ``@``.
 
 Information discipline is structural: controllers receive an
 :class:`~refcascade.manipulator.ArmShape` (dimensions plus regressor map,

@@ -332,7 +332,7 @@ class StackedMultiController(ProxyController):
         # dynamics-regressor machinery: the path outputs weighted by (thf, 1)
         weights, mW, mh, h, Wt_e = self._weights, u["mW"], u["mh"], u["h"], u["Wt_e"]
         weights[:-1] = thf
-        np.matmul(by, weights, out=mW)
+        by.dot(weights, mW)
         bv.dot(weights, mh)
         Wst += self._outer_w_D * mW  # biproper p^2/kpoly
         oh += self._outer_h_D * mh

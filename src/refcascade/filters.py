@@ -336,8 +336,7 @@ class LinearBlock:
         :meth:`late` does not serve by copy (:meth:`_late_rates`)."""
         W, width = self.width, self._widths[stage]
         flat = [s.reshape(-1, W) for s in signals]
-        n_signals = sum(map(len, flat))
-        rates = ([self._late_rates(rates, n_signals)] if stage == 2
+        rates = ([self._late_rates(rates)] if stage == 2
                  else [rate.reshape(-1, W) for rate in rates.values()])
         blocks = rates + flat
         rows = sum(map(len, blocks))
@@ -351,38 +350,24 @@ class LinearBlock:
         if width < W and any(r[:, width:].any() for r in blocks):
             raise ValueError("a signal reads columns its stage is not given")
         spec = []
-        off = len(M) - n_signals
+        off = len(M) - sum(map(len, flat))
         for s, f in zip(signals, flat):
             spec.append((slice(off, off + len(f)), s.shape[:-1] if s.ndim > 2 else None))
             off += len(f)
         return M, spec
 
-    def _late_rates(self, rates, n_signals):
-        """The late rate rows the map computes.
-
-        A chain's entries but the last are shifts, which :meth:`late` serves
-        by copy, in whole groups of four, and never from the map's last
-        ``rows % 4`` rows (``n_signals`` rows follow the rates): ``dot``
-        computes a map's rows in groups of four and its leftover rows apart,
-        so a map keeps every row's bits only while it keeps the same leftover
-        rows (``tests/test_host_rounding.py``).  ``served`` records the rows
-        left out, as indices into the late rate; ``_dense`` the rest.
-        """
+    def _late_rates(self, rates):
+        """The late rate rows the map computes: every row but the chains'
+        shifts, which :meth:`late` serves by copy.  ``served`` records the
+        shifts, as indices into the late rate; ``_dense`` the rest."""
         shift = np.zeros(self.n_late, dtype=bool)
         for name, bank in self._banks.items():
             start = self._cols[name][0] - self.n_early
             chains = shift[start : start + math.prod(bank.state_shape())]
             chains.reshape(-1, bank.order)[:, :-1] = True
-        n = self.n_late + n_signals
-        shifts = np.flatnonzero(shift[: n - n % 4])
-        self.served = shifts[: len(shifts) - len(shifts) % 4]
-        keep = np.ones(self.n_late, dtype=bool)
-        keep[self.served] = False
-        self._dense = np.flatnonzero(keep)
-        place = np.cumsum(keep) - 1  # a kept row's row in the map
+        self.served, self._dense = np.flatnonzero(shift), np.flatnonzero(~shift)
+        place = np.cumsum(~shift) - 1  # a computed row's row in the map
         R = np.zeros((len(self._dense), self.width))
-        kept = np.flatnonzero(shift & keep)  # each the unit row of the next state
-        R[place[kept], self.n_early + kept + 1] = 1.0
         for name, rate in rates.items():
             start, shape = self._cols[name]
             rows = place[start - self.n_early :][: math.prod(shape)]

@@ -126,7 +126,6 @@ class TwoLinkArm:
         self.theta = params.lumped()
         self.theta.flags.writeable = False
         self._theta = tuple(self.theta.tolist())
-        self._C = np.zeros((2, 2))  # forward_dynamics' C, written in place; C[1, 1] stays 0
 
     # -- dynamics terms, as entries ----------------------------------------
 
@@ -211,16 +210,12 @@ class TwoLinkArm:
         v0, v1 = qdot.tolist()
         c1, c2, s2, c12 = _kinematics(q0, q1)
         m00, m01, m11 = self._inertia(c2)
-        # C qdot stays a BLAS product: its row 0 rounds as one fused
-        # multiply-add, which no Python float expression reproduces
-        C = self._C
-        C[0, 0], C[0, 1], C[1, 0] = self._coriolis(s2, v0, v1)
-        cq0, cq1 = C.dot(qdot).tolist()
+        c00, c01, c10 = self._coriolis(s2, v0, v1)
         g0, g1 = self._gravity(c1, c12)
         tau0, tau1 = tau.tolist()
         ts0, ts1 = tau_star.tolist()
-        r0 = tau0 + ts0 - cq0 - g0
-        r1 = tau1 + ts1 - cq1 - g1
+        r0 = tau0 + ts0 - (c00 * v0 + c01 * v1) - g0
+        r1 = tau1 + ts1 - c10 * v0 - g1
         # closed-form 2x2 solve; M is positive definite for valid parameters
         det = m00 * m11 - m01 * m01
         try:

@@ -5,14 +5,10 @@ their 2-D products with ``ndarray.dot``, the compiled stage maps of the
 filtering laws included; both are faster than the numpy calls they
 replace, and both give the same bits here, wherever a map is placed.  The
 energies of a whole log are one stacked ``np.matmul`` per product and one
-array ``np.cos``; they give the bits of one sample at a time.  In the
-filtering laws' filter chains every entry's rate is the next entry but the
-last entry's; the late map leaves these shifts out, serving them by copy,
-in whole groups of four and never from its last ``rows % 4`` rows, and the
-rows it keeps round as they do in the full map here.  Another numpy build
-or BLAS library may round differently.  If a test below fails, the program
-is not wrong, but its logs will move by roundoff against the committed
-references (``tests/test_reference_logs.py``).
+array ``np.cos``; they give the bits of one sample at a time.  Another
+numpy build or BLAS library may round differently.  If a test below fails,
+the program is not wrong, but its logs will move by roundoff against the
+committed references (``tests/test_reference_logs.py``).
 """
 
 import math
@@ -67,8 +63,8 @@ def test_array_trigonometry_rounds_like_math(layout):
 
 # (rows, cols) of every matrix-vector product the laws form with ``dot``:
 # the regressor against a parameter vector and its transpose against a
-# joint vector, the Coriolis matrix, the stacked_multi tone products for
-# n_star = 1..3, and each single-layer law's compiled cascade
+# joint vector, the stacked_multi tone products for n_star = 1..3, and
+# each single-layer law's compiled cascade
 MATRIX_VECTOR = sorted(
     {(2, 5), (2, 2)}
     | {(2, n_star + 1) for n_star in (1, 2, 3)}
@@ -208,25 +204,6 @@ def test_stage_products_round_like_matmul_on_the_strided_map(config, variant):
             M.dot(v, out)
             assert out.tobytes() == np.matmul(strided, v).tobytes(), HOST.format(
                 what=f"ndarray.dot on the {variant} stage map {M.shape}")
-
-
-@pytest.mark.parametrize("config, variant", LAWS)
-def test_late_map_keeps_its_bits_without_the_served_rows(config, variant, dense_late_map):
-    # the late map leaves out the chain shifts x_i' = x_(i+1) it serves by
-    # copy, in whole groups of four and never from its last rows % 4 rows;
-    # the rows it keeps must round as they do in the full map
-    block = _block(config, variant)
-    full = dense_late_map(block)
-    kept = np.ones(len(full), dtype=bool)
-    kept[block.served] = False
-    rng = np.random.default_rng(len(config) + len(variant))
-    out = np.empty(len(block.late_map))
-    for _ in range(2000):
-        v = _draws(rng, full.shape[1])
-        block.late_map.dot(v, out)
-        assert out.tobytes() == full.dot(v)[kept].tobytes(), HOST.format(
-            what=f"ndarray.dot on {block.late_map.shape[0]} of the {variant} late map's"
-                 f" {len(full)} rows")
 
 
 def _at_offset(M, offset):

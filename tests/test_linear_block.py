@@ -211,7 +211,7 @@ def test_derivative_matches_the_banks(variant, kw, dense_late_map):
     # the chains keep their exact structure in the compiled rates: a state's
     # rate is the next state and nothing else, and the last one's reads the
     # denominator tail on its own chain (its drive adds the rest).  The late
-    # stage serves most shifts by copy; its record of them, put back as the
+    # stage serves the shifts by copy; its record of them, put back as the
     # rows they stand for, and its dense rows give the whole rate map
     block = ctrl.block
     late = dense_late_map(block)
@@ -231,38 +231,46 @@ def test_derivative_matches_the_banks(variant, kw, dense_late_map):
         per_row = (bank.rows,) + (1,) * (idx.ndim - 2) + (bank.order,)
         last = rates[idx[..., -1:], idx]
         assert np.array_equal(last, np.broadcast_to(-bank.a.reshape(per_row), last.shape))
-    # only chain shifts are served, in fours, and fewer than four stay dense
-    assert served <= shifts and len(served) % 4 == 0 and len(shifts - served) < 4
+    # every chain shift is served, and nothing else is
+    assert served == shifts
     # the outputs read only [x; w], never a nonlinear input
     assert block.C.shape[1] == ctrl.state_size + 5 * ctrl.n
 
 
-def _late_bits(block):
+def _late_rate(block, v):
+    """The late stage at ``v``: its rate, then its signals, as one copy."""
+    block.v[:] = v
     parts, signals = block.late()
-    return [parts[1].tobytes(), np.concatenate(signals).tobytes()]
+    return np.concatenate((parts[1], *signals))
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
 def test_late_stage_equals_the_map_before_drops(variant, kw, dense_late_map):
-    # the copied shifts and the rows the map computes give the bits of the
-    # full dense product, rate and torque alike
+    # read on each unit vector, the late stage gives the map before drops:
+    # the late map's rows where it computes, a unit row at each shift (by
+    # value: a product with a unit vector turns a -0.0 entry into 0.0)
     block = _controller(variant, kw).block
     full = dense_late_map(block)
-    width = full.shape[1]
+    probed = np.column_stack([_late_rate(block, e) for e in np.eye(block.width)])
+    assert np.array_equal(probed, full)
+    # on random states every served rate is the next state and every other
+    # row the late map's product, bit for bit
+    computed = np.ones(len(full), dtype=bool)
+    computed[block.served] = False
+    start = block.n_early + block.served + 1
     rng = np.random.default_rng(16)
     for _ in range(300):
-        block.v[:] = rng.standard_normal(block.width) * 10.0 ** rng.uniform(-3.0, 3.0, block.width)
-        want = full.dot(block.v[:width])
-        assert _late_bits(block) == [want[: block.n_late].tobytes(),
-                                     want[block.n_late :].tobytes()]
+        v = rng.standard_normal(block.width) * 10.0 ** rng.uniform(-3.0, 3.0, block.width)
+        got = _late_rate(block, v)
+        assert got[block.served].tobytes() == v[start].tobytes()
+        assert got[computed].tobytes() == block.late_map.dot(v).tobytes()
 
 
-def test_shifts_are_served_in_fours_outside_the_tail(dense_late_map):
+def test_every_chain_shift_is_served_and_nothing_else(dense_late_map):
     # 15 rate rows: an 8-entry chain (shifts at 0-6, its last entry at 7),
     # four rows of a plain block, of which the last, 11, equals the shift
-    # to the next state, and a 3-entry chain (shifts at 12 and 13).  dot
-    # leaves the last 15 % 4 = 3 rows to another kernel, so of the seven
-    # chain shifts before them, four are served and three stay dense
+    # to the next state, and a 3-entry chain (shifts at 12 and 13).  The
+    # chains' shifts are served, the plain block's row 11 is not
     layout = Layout()
     layout.add("z", 1, 8)
     layout.add("m", 4)
@@ -276,15 +284,12 @@ def test_shifts_are_served_in_fours_outside_the_tail(dense_late_map):
     rate = np.vstack([bz.deriv(xz, q).swapaxes(-1, -2).reshape(-1, block.width), m_rate,
                       by.deriv(xy, 0.5 * q).swapaxes(-1, -2).reshape(-1, block.width)])
     block.compile((q,), ({}, (q,)), ({"z": q, "m": m_rate, "y": 0.5 * q}, ()))
-    # whole fours of chain shifts, none from the tail's rows 12-14, and not
-    # the plain block's row 11
-    assert block.served.tolist() == [0, 1, 2, 3]
+    assert block.served.tolist() == [0, 1, 2, 3, 4, 5, 6, 12, 13]
     assert np.array_equal(dense_late_map(block), rate[:, : block.late_map.shape[1]])
     rng = np.random.default_rng(17)
     for _ in range(50):
-        block.v[:] = rng.uniform(-1.0, 1.0, block.width)
-        (_, got), _ = block.late()
-        assert got.tobytes() == rate.dot(block.v).tobytes()
+        v = rng.uniform(-1.0, 1.0, block.width)
+        _close(_late_rate(block, v), rate.dot(v))
 
 
 @pytest.mark.parametrize("variant,kw", CASES + [("stacked_single", {"freeze_freq": True}),

@@ -48,10 +48,16 @@ def arm_terms(arm, q, qdot, zeta, zetadot):
     }
 
 
+def coriolis_times(C, qdot):
+    """``C qdot`` as the plant forms it: each row's elementwise products,
+    summed left to right, without ``C[1, 1]``, which is 0."""
+    return np.array([C[0, 0] * qdot[0] + C[0, 1] * qdot[1], C[1, 0] * qdot[0]])
+
+
 def numpy_forward_dynamics(theta, q, qdot, tau, tau_star):
     terms = numpy_terms(theta, q, qdot, qdot, qdot)
     M = terms["inertia"]
-    rhs = tau + tau_star - terms["coriolis"] @ qdot - terms["gravity"]
+    rhs = tau + tau_star - coriolis_times(terms["coriolis"], qdot) - terms["gravity"]
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     return np.array([M[1, 1] * rhs[0] - M[0, 1] * rhs[1], M[0, 0] * rhs[1] - M[1, 0] * rhs[0]]) / det
 
@@ -326,7 +332,7 @@ class TestForwardDynamics:
         for _ in range(500):
             q, qdot = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
             tau, tau_star = rng.uniform(-10, 10, 2), rng.uniform(-2, 2, 2)
-            rhs = tau + tau_star - arm.coriolis(q, qdot) @ qdot - arm.gravity(q)
+            rhs = tau + tau_star - coriolis_times(arm.coriolis(q, qdot), qdot) - arm.gravity(q)
             M = arm.inertia(q)
             det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
             want = np.array([

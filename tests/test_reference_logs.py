@@ -3,33 +3,23 @@ committed ``log.csv`` and ``metrics.json``, and likewise the runs in
 ``VARIANTS``: a config run as a variant no config names, and the runs in
 ``DIVERGING``: a config run with overrides that make it diverge.
 
-``tests/reference/<config>/`` holds the output of
+``tests/reference/<case>/`` holds the output of ``refcascade run`` on the
+case's config with ``--set run.duration=1`` and one ``--set`` per override
+of ``RUNS[case]``.  Each case is rerun in-process, and every number of both
+files must match within 1e-12 absolute, with NaN equal to NaN; a failure
+names the worst column.  A run must exit 0, a diverging one 3 (its log ends
+at the step that diverged).  A change that moves a log on purpose
+regenerates its reference and says why:
 
-    refcascade run --config configs/<config>.ini --set run.duration=1 --out tests/reference/<config>
+    python tests/test_reference_logs.py --regenerate [CASE ...]
 
-run from the repository root, ``tests/reference/<config>-<variant>/``
-the same run with ``--set controller.variant=<variant>`` added, and
-``tests/reference/<case>/`` for a diverging case the same run with one
-``--set`` per override of ``DIVERGING[case]`` added:
-
-    refcascade run --config configs/order_sweep.ini --set run.duration=1 \
-        --set run.dt=0.012 --set gains.k=200 --set run.csv_decimate=1 \
-        --set run.extras_stride=1 --out tests/reference/order_sweep-stiff_gain
-    refcascade run --config configs/order_sweep.ini --set run.duration=1 \
-        --set model.i2=0 --set model.lc2=0 --out tests/reference/order_sweep-singular_inertia
-    refcascade run --config configs/tone_two.ini --set run.duration=1 \
-        --set run.dt=0.012 --set run.csv_decimate=1 --set run.extras_stride=1 \
-        --out tests/reference/tone_two-coarse_step
-
-Each case is rerun in-process, and every number of both files must match
-within 1e-12 absolute, with NaN equal to NaN; a failure names the worst
-column.  A run must exit 0, a diverging one 3 (its log ends at the step
-that diverged).  A change that moves a log on purpose regenerates its
-reference with the command above and says why.
+run from the repository root with the package importable; no cases means
+all of them.
 """
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,16 +94,32 @@ def test_every_config_has_a_reference():
     assert sorted(CASES) == sorted(p.name for p in REFERENCE.iterdir())
 
 
+def run_case(case, out):
+    """Run ``case`` for one simulated second into ``out``; return its exit code."""
+    config, overrides, _ = RUNS[case]
+    return main(["run", "--config", str(ROOT / "configs" / f"{config}.ini"),
+                 "--set", "run.duration=1", "--out", str(out), "--quiet",
+                 *[arg for pair in overrides for arg in ("--set", pair)]])
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_log_matches_reference(tmp_path, case):
-    config, overrides, code = RUNS[case]
     out = tmp_path / case
-    assert main(["run", "--config", str(ROOT / "configs" / f"{config}.ini"),
-                 "--set", "run.duration=1", "--out", str(out), "--quiet",
-                 *[arg for pair in overrides for arg in ("--set", pair)]]) == code
+    assert run_case(case, out) == RUNS[case][2]
     for name, read in (("log.csv", _read_csv), ("metrics.json", _read_metrics)):
         names, want = read(REFERENCE / case / name)
         got_names, got = read(out / name)
         assert got_names == names and got.shape == want.shape, f"{name}: layout changed"
         gap, column = _worst(names, want, got)
         assert gap <= TOL, f"{name}: column {column} moved by {gap:.3e}"
+
+
+if __name__ == "__main__":
+    flag, *cases = sys.argv[1:] or [None]
+    if flag != "--regenerate" or not set(cases) <= set(CASES):
+        sys.exit(__doc__)
+    for case in cases or CASES:
+        code = run_case(case, REFERENCE / case)
+        if code != RUNS[case][2]:
+            sys.exit(f"{case}: exit {code}, expected {RUNS[case][2]}")
+        print(f"regenerated {REFERENCE / case}")
