@@ -41,9 +41,14 @@ class ProxyController(FilteredDamping, ControllerBase):
     The reference cascade runs, on the full-corrected availability, against
     the proxy desired position ``qd_aux`` (or a layer built on it), whose
     acceleration absorbs the swap term ``h`` and the damping term; the
-    torque is the filtered-damping law.  The layout starts with ``phi`` and
-    ``qd_aux`` and holds ``theta_hat``; a compiled block reads the
-    nonlinear inputs ``h`` and ``damping``.
+    torque is the filtered-damping law ``-K s + Y theta_hat - lambda_D Y
+    xi``, and ``theta_hat`` descends the filtered-regressor error, ``-Gamma
+    W^T e``.  This class states them once: the layout (:meth:`_lay_out`),
+    the rates of ``phi``, ``qd_aux``, ``xi`` and ``theta_hat`` and the
+    torque (:meth:`_compile_block`), and in ``evaluate`` the damping
+    products (:meth:`_early`) and the regressor's (:meth:`_late`).  A law
+    states its banks, its layer, its swap term, its cascade call and its
+    own inputs and rates.
 
     ``evaluate`` writes into the block's work array and returns views of
     it, valid until the next call; ``observe`` returns copies.
@@ -63,6 +68,20 @@ class ProxyController(FilteredDamping, ControllerBase):
         self.theta_hat0 = self._estimate0(theta_hat0)
         self._qd_rows = self.traj.reader(2)
 
+    def _lay_out(self, layers, filters, early=(), late=()):
+        """The layout, ``phi``, ``qd_aux``, the law's ``layers``, ``xi``,
+        ``theta_hat``, then its ``filters`` (each ``(name, *shape)``), and
+        the block over it, reading ``h``, ``damping`` and the law's
+        ``early`` inputs, then the regressor's products and its ``late`` ones."""
+        n, p = self.n, self.p_dim
+        for name, *shape in (("phi", self.refcfg.ell, n), ("qd_aux", 2, n), *layers,
+                             ("xi", p), ("theta_hat", p), *filters):
+            self.layout.add(name, *shape)
+        self.block = LinearBlock(
+            self.layout, n, early=(("h", n), ("damping", n), *early),
+            late=(("Y", (n, p)), ("Y_th", n), ("Yt_s", p), ("Wt_e", p), *late, ("Y_xi", n)),
+        )
+
     def _proxy(self, sig, alpha, a0, a1):
         """Signals of the target error e = dqdot + alpha dq, with
         (a0, a1) = (alpha^2, 2 alpha), and of the proxy's acceleration."""
@@ -75,10 +94,19 @@ class ProxyController(FilteredDamping, ControllerBase):
         )
         return e, qdd_aux
 
-    def observe(self, t, q, qdot, x):
-        ev = super().observe(t, q, qdot, x)
-        return ControlEval(ev.tau.copy(), ev.xdot,
-                           {name: a.copy() for name, a in ev.extras.items()})
+    def _compile_block(self, phi_dot, qdd_aux, s, outputs, early, rates):
+        """Compile the law's ``outputs``, ``early`` signals and ``rates``
+        with the shared rates, ``phi``'s the cascade's ``phi_dot`` (its
+        column axis leading), and the torque on the law's error ``s``."""
+        sig = self.block.signal
+        aux, xi = sig("qd_aux"), sig("xi")
+        self.block.compile(
+            outputs, early,
+            late=(-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),),
+            rates={**rates, "phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
+                   "xi": -self.lam * xi + self.lam * sig("Yt_s"),
+                   "theta_hat": -self.gamma[:, None] * sig("Wt_e")},
+        )
 
     def _load(self, t, q, qdot, x):
         """Write ``[x; w]`` into the block's ``v``; returns its input slots."""
@@ -88,6 +116,30 @@ class ProxyController(FilteredDamping, ControllerBase):
         slots["qdot"][:] = qdot
         slots["qd"][:] = self._qd_rows(t)
         return slots
+
+    def _early(self, W, e):
+        """The damping products ``W^T e`` and ``W W^T e``, then the early stage."""
+        u = self.block.slots
+        W.T.dot(e, u["Wt_e"])
+        W.dot(u["Wt_e"], u["damping"])
+        return self.block.early()
+
+    def _late(self, q, qdot, vel, acc, th, s, xi):
+        """The regressor at the reference ``(vel, acc)`` and its products
+        with ``th``, ``s`` and ``xi``, then the late stage: ``(tau, (xdot,))``."""
+        u = self.block.slots
+        Y = self.shape.regressor(q, qdot, vel, acc)
+        u["Y"][:] = Y
+        Y.dot(th, u["Y_th"])
+        Y.T.dot(s, u["Yt_s"])
+        Y.dot(xi, u["Y_xi"])
+        xdot, (tau,) = self.block.late()
+        return tau, (xdot,)
+
+    def observe(self, t, q, qdot, x):
+        ev = super().observe(t, q, qdot, x)
+        return ControlEval(ev.tau.copy(), ev.xdot,
+                           {name: a.copy() for name, a in ev.extras.items()})
 
     def initial_state(self, q0, qdot0, t0=0.0):
         x = super().initial_state(q0, qdot0, t0)
@@ -110,19 +162,8 @@ class FilteredAdaptiveController(ProxyController):
                  for lam_r, k_r in zip(self.Lam, self.K)]
         self.wbank = FilterBank.per_joint([(den, [num]) for num, den in loops], cols=self.p_dim)
         self.hbank = self.wbank.with_cols(1)
-
-        n, p = self.n, self.p_dim
-        self.layout.add("phi", coeffs.ell, n)
-        self.layout.add("qd_aux", 2, n)
-        self.layout.add("xi", p)
-        self.layout.add("theta_hat", p)
-        self.layout.add("wbank", *self.wbank.state_shape())
-        self.layout.add("hbank", *self.hbank.state_shape())
-        self.block = LinearBlock(
-            self.layout, n,
-            early=(("h", n), ("damping", n)),
-            late=(("Y", (n, p)), ("Y_th", n), ("Yt_s", p), ("Wt_e", p), ("Y_xi", n)),
-        )
+        self._lay_out((), (("wbank", *self.wbank.state_shape()),
+                           ("hbank", *self.hbank.state_shape())))
         self._compile(self.block)
 
     def _compile(self, block):
@@ -137,33 +178,23 @@ class FilteredAdaptiveController(ProxyController):
         z = phi[0]
         s = qdot - z
         xw, xh = block.chains("wbank", self.wbank), block.chains("hbank", self.hbank)
-        block.compile(
+        self._compile_block(
+            phi_dot, qdd_aux, s,
             # filtered regressor (n, p), filtered Y th, then the plain signals
             outputs=(self.wbank.output(xw), self.hbank.output(xh),
                      e, sig("theta_hat"), xi, z, s, aux[0]),
-            early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux))},
-                   (zdot.T,)),
-            late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
-                   "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
-                   "wbank": sig("Y"), "hbank": sig("Y_th")},  # the chains' drives
-                  (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
+            early=(zdot.T,),
+            rates={"wbank": sig("Y"), "hbank": sig("Y_th")},  # the chains' drives
         )
 
     def evaluate(self, t, q, qdot, x, extras=None):
         u = self._load(t, q, qdot, x)
         W, hv, e, th, xi, z, s, aux0 = self.block.outputs()
-        h, Wt_e = u["h"], u["Wt_e"]
+        h = u["h"]
         W.dot(th, h)
         h -= hv                              # swap term, (n,)
-        W.T.dot(e, Wt_e)
-        W.dot(Wt_e, u["damping"])
-        (zdot,) = self.block.early()
-        Y = self.shape.regressor(q, qdot, z, zdot)
-        u["Y"][:] = Y
-        Y.dot(th, u["Y_th"])
-        Y.T.dot(s, u["Yt_s"])
-        Y.dot(xi, u["Y_xi"])
-        parts, (tau,) = self.block.late()
+        (zdot,) = self._early(W, e)
+        tau, parts = self._late(q, qdot, z, zdot, th, s, xi)
 
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, W=W, h=h, qd_aux=aux0)

@@ -4,7 +4,9 @@ Every controller is an ODE component: it exposes the size of its internal
 state block, an initializer, and a pure ``evaluate``, its one statement of
 the law, mapping measurements and internal state to the commanded torque and
 the state-block time derivative on every RK4 stage.  ``evaluate`` returns
-that rate as a tuple of parts in layout order, which the experiment loop
+that rate as a tuple of parts in layout order (one part, the compiled
+block's ``xdot``, for the filtering laws, whose shared structure
+``augmented.ProxyController`` states), which the experiment loop
 joins with the plant's rates in its one concatenation per stage; ``observe``
 runs the same law at a sampled step, joins the parts into one ``xdot`` and
 also returns the derived views a log records, which the stages never build.

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..filters import (
     FilterBank,
-    LinearBlock,
     cascade_poly,
     freq_regressor_channel,
     target_path_channels,
@@ -92,23 +91,12 @@ class StackedSingleController(ProxyController):
         self.b_y = FilterBank.per_joint(paths, cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
 
-        n, p = self.n, self.p_dim
-        self.layout.add("phi", coeffs.ell, n)
-        self.layout.add("qd_aux", 2, n)
-        self.layout.add("chi", 2, n)
-        self.layout.add("xi", p)
-        self.layout.add("theta_hat", p)
-        self.layout.add("freq_hat")
-        self.layout.add("b_psi", *self.b_psi.state_shape())
-        self.layout.add("b_psith", *self.b_psi.state_shape())
-        self.layout.add("b_y", *self.b_y.state_shape())
-        self.layout.add("b_v", *self.b_v.state_shape())
-        self.block = LinearBlock(
-            self.layout, n,
-            early=(("h", n), ("damping", n), ("psith", n)),
-            late=(("Y", (n, p)), ("Y_th", n), ("Yt_s", p), ("Wt_e", p), ("W1_e", 1),
-                  ("Y_xi", n)),
-        )
+        n = self.n
+        self._lay_out((("chi", 2, n),),
+                      (("freq_hat",), ("b_psi", *self.b_psi.state_shape()),
+                       ("b_psith", *self.b_psi.state_shape()),
+                       ("b_y", *self.b_y.state_shape()), ("b_v", *self.b_v.state_shape())),
+                      early=(("psith", n),), late=(("W1_e", 1),))
         self._compile(self.block)
         self._psi_D = self.b_psi.D[0]  # the psi filter's direct feedthrough
 
@@ -130,7 +118,8 @@ class StackedSingleController(ProxyController):
         b_psi, b_y, b_v = self.b_psi, self.b_y, self.b_v
         x_psi, x_psith, x_y, x_v = (block.chains(name, bank) for name, bank in (
             ("b_psi", b_psi), ("b_psith", b_psi), ("b_y", b_y), ("b_v", b_v)))
-        block.compile(
+        self._compile_block(
+            phi_dot, qdd_aux, s_aux,
             outputs=(
                 b_psi.output(x_psi, psi),                   # biproper
                 b_psi.state_output(x_psith),                # D psith is added per evaluation
@@ -138,15 +127,11 @@ class StackedSingleController(ProxyController):
                 np.array([b_v.output(x_v, k=k) for k in (0, 1)]),
                 e, sig("theta_hat"), sig("freq_hat"), xi, psi, psidot, chidot_aux, s_aux, phi[0],
             ),
-            early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
-                    "chi": np.array((chi[1], chidd))},
-                   (zdot.T, chidd_aux)),
-            late=({"xi": -self.lam * xi + self.lam * sig("Yt_s"),
-                   "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
+            early=(zdot.T, chidd_aux),
+            rates={"chi": np.array((chi[1], chidd)),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f) * sig("W1_e"),
                    "b_psi": psi, "b_psith": sig("psith"),  # the chains' drives
                    "b_y": sig("Y"), "b_v": sig("Y_th")},
-                  (-self.K[:, None] * s_aux + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
@@ -160,23 +145,15 @@ class StackedSingleController(ProxyController):
         W1, g1_psith, (WG2, WG3), (vG2, vG3), e, th, thf, xi, psi, psidot, chidot_aux, s_aux, z = (
             self.block.outputs()
         )
-        psith, h, Wt_e = u["psith"], u["h"], u["Wt_e"]
+        psith, h = u["psith"], u["h"]
         np.multiply(psi, thf, out=psith)
         g1_psith += self._psi_D * psith
 
         Wst = thf * WG2 + WG3                          # (n, p)
         np.subtract(W1 * thf - g1_psith + thf * (WG2.dot(th) - vG2) + WG3.dot(th), vG3, out=h)
-        Wst.T.dot(e, Wt_e)
-        Wst.dot(Wt_e, u["damping"])
-        zdot, chidd_aux = self.block.early()
-
-        Y = self.shape.regressor(q, qdot, chidot_aux, chidd_aux)
-        u["Y"][:] = Y
-        Y.dot(th, u["Y_th"])
-        Y.T.dot(s_aux, u["Yt_s"])
         W1.dot(e[:, None], u["W1_e"])
-        Y.dot(xi, u["Y_xi"])
-        parts, (tau,) = self.block.late()
+        zdot, chidd_aux = self._early(Wst, e)
+        tau, parts = self._late(q, qdot, chidot_aux, chidd_aux, th, s_aux, xi)
 
         if extras is not None:
             extras.update(ref_vel=chidot_aux, ref_acc=chidd_aux, s=s_aux, z=z, zdot=zdot,
@@ -238,25 +215,10 @@ class StackedMultiController(ProxyController):
         self.f_outer_h = self.f_outer_w.with_cols(1)
 
         n, p = self.n, self.p_dim
-        self.layout.add("phi", coeffs.ell, n)
-        self.layout.add("qd_aux", 2, n)
-        self.layout.add("chi1", 2, n)
-        self.layout.add("f_e", n, m)
-        self.layout.add("f_u", n, m + 2)
-        self.layout.add("f_w", n, m)
-        self.layout.add("xi", p)
-        self.layout.add("theta_hat", p)
-        self.layout.add("freq_hat", n_star)
-        self.layout.add("b_y", *self.b_y.state_shape())
-        self.layout.add("b_v", *self.b_v.state_shape())
-        self.layout.add("outer_w", n, p, 2)
-        self.layout.add("outer_h", n, 2)
-        self.block = LinearBlock(
-            self.layout, n,
-            early=(("h", n), ("damping", n), ("m_drive", n)),
-            late=(("Y", (n, p)), ("Y_th", n), ("mW", (n, p)), ("mh", n), ("Yt_s", p),
-                  ("Wt_e", p), ("W_err", n_star), ("Y_xi", n)),
-        )
+        self._lay_out((("chi1", 2, n), ("f_e", n, m), ("f_u", n, m + 2), ("f_w", n, m)),
+                      (("freq_hat", n_star), ("b_y", *self.b_y.state_shape()),
+                       ("b_v", *self.b_v.state_shape()), ("outer_w", n, p, 2), ("outer_h", n, 2)),
+                      early=(("m_drive", n),), late=(("mW", (n, p)), ("mh", n), ("W_err", n_star)))
         self._compile(self.block)
         self._weights = np.ones(n_star + 1)  # (thf, 1), refilled per evaluation
         # the biproper p^2 / kpoly filters' direct feedthrough; the regressor
@@ -293,7 +255,8 @@ class StackedMultiController(ProxyController):
         )
         s = qdot - phi[0]
         paths = range(self.n_star + 1)
-        block.compile(
+        self._compile_block(
+            phi_dot, qdd_aux, s,
             # the path outputs and tone regressors carry their tone index
             # last, so one product with the estimates combines them
             outputs=(
@@ -305,15 +268,12 @@ class StackedMultiController(ProxyController):
                 e, sig("theta_hat"), sig("freq_hat"), xi, phi[0], s,
                 psi1dot + self.kappa_s * psi1, psi1, psi2, chi2,
             ),
-            early=({"phi": phi_dot.swapaxes(1, 2), "qd_aux": np.array((aux[1], qdd_aux)),
-                    "chi1": np.array((chi1[1], r1))},
-                   (zdot.T,)),
-            late=({"f_e": psi1, "f_u": m_drive, "f_w": psi2,  # the chains' drives
-                   "xi": -self.lam * xi + self.lam * sig("Yt_s"),
-                   "theta_hat": -self.gamma[:, None] * sig("Wt_e"),
+            early=(zdot.T,),
+            rates={"chi1": np.array((chi1[1], r1)),
                    "freq_hat": (0.0 if self.freeze_freq else -self.gamma_f[:, None]) * sig("W_err"),
-                   "b_y": sig("Y"), "b_v": sig("Y_th"), "outer_w": sig("mW"), "outer_h": sig("mh")},
-                  (-self.K[:, None] * s + sig("Y_th") - self.lambda_D * sig("Y_xi"),)),
+                   # the chains' drives
+                   "f_e": psi1, "f_u": m_drive, "f_w": psi2, "b_y": sig("Y"), "b_v": sig("Y_th"),
+                   "outer_w": sig("mW"), "outer_h": sig("mh")},
         )
 
     def initial_state(self, q0, qdot0, t0=0.0):
@@ -330,7 +290,7 @@ class StackedMultiController(ProxyController):
         )
 
         # dynamics-regressor machinery: the path outputs weighted by (thf, 1)
-        weights, mW, mh, h, Wt_e = self._weights, u["mW"], u["mh"], u["h"], u["Wt_e"]
+        weights, mW, mh, h = self._weights, u["mW"], u["mh"], u["h"]
         weights[:-1] = thf
         by.dot(weights, mW)
         bv.dot(weights, mh)
@@ -338,18 +298,10 @@ class StackedMultiController(ProxyController):
         oh += self._outer_h_D * mh
         Wst.dot(th, h)
         h -= oh
-        Wst.T.dot(e, Wt_e)
-        Wst.dot(Wt_e, u["damping"])
         W_i.dot(thf, u["m_drive"])
-        (zdot,) = self.block.early()
-
-        Y = self.shape.regressor(q, qdot, z, zdot)
-        u["Y"][:] = Y
-        Y.dot(th, u["Y_th"])
-        Y.T.dot(s, u["Yt_s"])
         layer_err.dot(W_i, u["W_err"])
-        Y.dot(xi, u["Y_xi"])
-        parts, (tau,) = self.block.late()
+        (zdot,) = self._early(Wst, e)
+        tau, parts = self._late(q, qdot, z, zdot, th, s, xi)
 
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th, xi=xi, freq_hat=thf,

@@ -228,12 +228,10 @@ class LinearBlock:
     * :meth:`outputs` reads ``[x; w]`` and returns every linear signal the
       law reads (filter outputs, errors, estimates);
     * :meth:`early` also reads the ``early`` inputs, the products formed
-      from those outputs, and returns the signals the regressor needs,
-      keeping the rates of the leading state blocks (the cascade and the
-      layers before the regressor) for :meth:`late`;
+      from those outputs, and returns the signals the regressor needs;
     * :meth:`late` reads all of ``v``, the ``late`` inputs being the
-      products with the regressor, and returns the state rate, as its early
-      and late parts, with the remaining signals (the torque).
+      products with the regressor, and returns the state rate ``xdot`` with
+      the remaining signals (the torque).
 
     The maps are built by linear algebra on *signals*: arrays whose last
     axis runs over the columns of ``v``, so a signal ``S`` takes the value
@@ -242,21 +240,20 @@ class LinearBlock:
     input.  Any linear function that accepts leading axes is evaluated on
     signals with that axis moved to the front: the reference cascade, and a
     filter bank's output maps on :meth:`chains`, the unit signal of its
-    block with the column axis before the chain axis; a chain block's late
-    rate is given as the bank's drive.  :meth:`compile` places the signals
-    into the matrices ``C``, ``early_map`` and ``late_map``, whose first
-    ``n_early`` and ``n_late`` rows are the state rates, and checks that
+    block with the column axis before the chain axis; a chain block's rate
+    is given as the bank's drive.  :meth:`compile` places the signals into
+    the matrices ``C``, ``early_map`` and ``late_map``, and checks that
     each stage's map is finite (else ``OverflowError``) and reads only the
     columns it is given; each map is stored contiguous at its stage's
     width from a 64-byte boundary, and a stage is one ``ndarray.dot`` into
-    its product.  Most of the late rate is the chains' shifts
+    its product.  Most of the rate is the chains' shifts
     ``x_i' = x_(i+1)``, which need no product: the late map leaves them out
-    (:meth:`_late_rates`, which records them as ``served``), and
+    (:meth:`_rate_rows`, which records them as ``served``), and
     :meth:`late` fills the rate with one copy of ``v`` one entry on, then
     one scatter of the rows the map computes.
 
     An evaluation allocates nothing: the block owns one work array,
-    ``work`` (``v``, each stage's product and the late rate, also from a
+    ``work`` (``v``, each stage's product and the rate, also from a
     64-byte boundary), and fixed views into it.
     ``slots`` names the views of ``v`` a law writes: ``x``, ``q``,
     ``qdot``, ``qd`` and each nonlinear input.  A stage returns the same
@@ -296,7 +293,7 @@ class LinearBlock:
         """Unit signal of block ``name`` as ``bank``'s state argument, the
         column axis before the chain axis, so the bank's outputs are signals.
 
-        The block's late rate is then the bank's drive, the ``u`` of
+        The block's rate is then the bank's drive, the ``u`` of
         ``bank.deriv(x, u)``, and :meth:`compile` places the chains' rates.
         """
         if self._cols[name][1] != bank.state_shape():
@@ -304,23 +301,17 @@ class LinearBlock:
         self._banks[name] = bank
         return self.signal(name).swapaxes(-1, -2)
 
-    def compile(self, outputs, early, late):
+    def compile(self, outputs, early, late, rates):
         """Place the signals of the three stages into their matrices.
 
-        ``outputs`` is a sequence of signals; ``early`` and ``late`` are
-        each ``(rates, signals)``, ``rates`` mapping state-block names to
-        rate signals (a chain block's late rate to its drive).  The early
-        rates' blocks followed by the late ones' are the layout's, in order.
+        ``outputs``, ``early`` and ``late`` are sequences of signals;
+        ``rates`` maps every state block's name, in any order, to its rate
+        signal (a chain block's to its drive), which the late stage places.
         """
-        (early_rates, early_out), (late_rates, late_out) = early, late
-        if (tuple(early_rates) + tuple(late_rates) != self._names
-                or not self._banks.keys() <= late_rates.keys()):
-            raise ValueError("the rates must cover the state blocks in layout order, chains late")
-        self.n_early = sum(math.prod(self._cols[name][1]) for name in early_rates)
-        self.n_late = self._x - self.n_early
-        maps, self._specs = zip(self._stage(0, {}, outputs),
-                                self._stage(1, early_rates, early_out),
-                                self._stage(2, late_rates, late_out))
+        if rates.keys() != set(self._names):
+            raise ValueError("the rates must cover the state blocks, each once")
+        maps, self._specs = zip(self._stage(0, outputs), self._stage(1, early),
+                                self._stage(2, late, [self._rate_rows(rates)]))
         self.C, self.early_map, self.late_map = self._maps = maps
         # the places in v a law writes: x, q, qdot, qd and the inputs
         self._inputs = {"x": (0, (self._x,))}
@@ -329,16 +320,12 @@ class LinearBlock:
         # construction-time state; a compiled block holds its maps and places
         del self._names, self._cols, self._banks
 
-    def _stage(self, stage, rates, signals):
-        """One stage's matrix, contiguous at the stage's width: the rates of
-        the blocks in ``rates`` followed by ``signals``, and the signals'
-        places in its product.  The late stage's rates are the rows
-        :meth:`late` does not serve by copy (:meth:`_late_rates`)."""
+    def _stage(self, stage, signals, rates=()):
+        """One stage's matrix, contiguous at the stage's width: ``rates``'
+        rows followed by ``signals``, and the signals' places in its product."""
         W, width = self.width, self._widths[stage]
         flat = [s.reshape(-1, W) for s in signals]
-        rates = ([self._late_rates(rates)] if stage == 2
-                 else [rate.reshape(-1, W) for rate in rates.values()])
-        blocks = rates + flat
+        blocks = [*rates, *flat]
         rows = sum(map(len, blocks))
         if not rows:
             raise ValueError(f"the {('output', 'early', 'late')[stage]} stage is empty")
@@ -356,13 +343,13 @@ class LinearBlock:
             off += len(f)
         return M, spec
 
-    def _late_rates(self, rates):
-        """The late rate rows the map computes: every row but the chains'
-        shifts, which :meth:`late` serves by copy.  ``served`` records the
-        shifts, as indices into the late rate; ``_dense`` the rest."""
-        shift = np.zeros(self.n_late, dtype=bool)
+    def _rate_rows(self, rates):
+        """The rate rows the map computes, in layout order: every row but
+        the chains' shifts, which :meth:`late` serves by copy.  ``served``
+        records the shifts, as indices into the rate; ``_dense`` the rest."""
+        shift = np.zeros(self._x, dtype=bool)
         for name, bank in self._banks.items():
-            start = self._cols[name][0] - self.n_early
+            start = self._cols[name][0]
             chains = shift[start : start + math.prod(bank.state_shape())]
             chains.reshape(-1, bank.order)[:, :-1] = True
         self.served, self._dense = np.flatnonzero(shift), np.flatnonzero(~shift)
@@ -370,7 +357,7 @@ class LinearBlock:
         R = np.zeros((len(self._dense), self.width))
         for name, rate in rates.items():
             start, shape = self._cols[name]
-            rows = place[start - self.n_early :][: math.prod(shape)]
+            rows = place[start : start + math.prod(shape)]
             if name in self._banks:  # the chains' last entries
                 rows = rows[shape[-1] - 1 :: shape[-1]]
                 rate = self._banks[name].last_rate(self.signal(name).swapaxes(-1, -2), rate)
@@ -384,8 +371,8 @@ class LinearBlock:
 
     @functools.cached_property
     def work(self):
-        """``v``, then each stage's product, then the late rate, in one array."""
-        return _aligned((self.width + sum(map(len, self._maps)) + self.n_late,))
+        """``v``, then each stage's product, then the rate, in one array."""
+        return _aligned((self.width + sum(map(len, self._maps)) + self._x,))
 
     @functools.cached_property
     def v(self):
@@ -410,16 +397,11 @@ class LinearBlock:
         return stages
 
     @functools.cached_property
-    def _rates(self):
-        return self._stages[1][2][: self.n_early], self.work[self.work.size - self.n_late :]
-
-    @functools.cached_property
     def _late_rate(self):
-        """The late rate; ``v`` one entry on from its first state, every
-        shift's value; and the places and values of the rows the map computes."""
-        start, dense = self.n_early + 1, self._dense
-        return (self._rates[1], self.v[start : start + self.n_late], dense,
-                self._stages[2][2][: len(dense)])
+        """The rate; ``v`` one entry on from its first state, every shift's
+        value; and the places and values of the rows the map computes."""
+        return (self.work[self.work.size - self._x :], self.v[1 : 1 + self._x], self._dense,
+                self._stages[2][2][: len(self._dense)])
 
     def outputs(self):
         """The output signals at ``v``'s ``[x; w]``, in compile order."""
@@ -434,14 +416,13 @@ class LinearBlock:
         return signals
 
     def late(self):
-        """The state rate as ``(early part, late part)``, whose concatenation
-        is ``xdot``, and the late signals, at the full ``v``."""
+        """The state rate ``xdot`` and the late signals, at the full ``v``."""
         M, v, r, signals = self._stages[2]
         M.dot(v, r)
         rate, shifted, dense, computed = self._late_rate
         rate[:] = shifted  # every shift row, then the rows the map computes
         rate[dense] = computed
-        return self._rates, signals
+        return rate, signals
 
 
 def _aligned(shape):

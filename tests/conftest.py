@@ -60,7 +60,7 @@ def late_map_before_drops(block):
     dense = np.ones(len(full), dtype=bool)
     dense[served] = False
     full[dense] = block.late_map
-    full[served, block.n_early + served + 1] = 1.0
+    full[served, served + 1] = 1.0
     return full
 
 

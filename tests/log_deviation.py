@@ -24,7 +24,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from test_reference_logs import RUNS, _gaps, _read_csv
+
+if __name__ == "__main__":  # as a script, this tree's package comes first
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from test_reference_logs import RUNS, _gaps, _read_csv  # noqa: E402
 
 
 def run_log(tree, case, out):

@@ -14,7 +14,7 @@ from refcascade.controllers.base import Layout
 from refcascade.filters import FilterBank
 from refcascade.harness import integrate
 from refcascade.manipulator import ArmParams, TwoLinkArm
-from refcascade.numerics import poly_mul, rk4_step
+from refcascade.numerics import poly_from_roots, poly_mul, rk4_step
 from refcascade.refdyn import QD_ROWS, critically_damped_coeffs
 from refcascade.signals import DisturbanceSpec, TrajectorySpec
 
@@ -374,6 +374,35 @@ class TestStackedStructure:
         traj = TrajectorySpec.constant([0.0, 0.0])
         with pytest.raises(ConfigError):
             make("stacked_single", model, traj, coeffs=critically_damped_coeffs(4.0, 1))
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("n_star", [1, 2, 3])
+    def test_multi_banks_are_the_products_of_their_factors(self, model, n_star, ell):
+        # each bank's response against its factors, each evaluated on its
+        # own: a slipped power in a numerator changes no bank's structure
+        m, kappa = 2 * n_star, 1.5
+        hden = poly_from_roots(-np.arange(1.0, m + 1.0))  # distinct roots
+        gains = {**GAINS, "k": (20.0, 30.0), "lam_corr": (2.0, 3.5), "kappa_star": kappa,
+                 "hstar_den": tuple(hden[:-1])}
+        coeffs = critically_damped_coeffs(4.0, ell)
+        ctrl = make("stacked_multi", model, TrajectorySpec.constant([0.0, 0.0]), gains=gains,
+                    coeffs=coeffs, n_star=n_star)
+        val = np.polynomial.polynomial.polyval
+        for w in (0.3, 1.7, 6.0):
+            p = 1j * w
+            H, kpoly, P = val(p, hden), (p + kappa) ** 2, val(p, np.append(coeffs.alphas, 1.0))
+            factors = [(ctrl.f_e, 0, (H - p**m) / p**m), (ctrl.f_u, 0, H / (p**m * kpoly)),
+                       (ctrl.f_outer_w, 0, p**2 / kpoly), (ctrl.f_outer_h, 0, p**2 / kpoly)]
+            factors += [(ctrl.f_w, i - 1, p ** (2 * i - 2) * kpoly / H)
+                        for i in range(1, n_star + 1)]
+            for row, (lam_r, k_r) in enumerate(zip((2.0, 3.5), (20.0, 30.0))):
+                for bank, k, want in factors:
+                    got = bank.response_at(w, k, row)
+                    assert abs(got - want) <= 1e-12 * abs(want), (bank, k, row, w)
+                for i in range(1, n_star + 2):
+                    want = lam_r * p ** (2 * i + ell - 3) * kpoly / (H * P * (p + k_r))
+                    got = ctrl.b_y.response_at(w, i - 1, row)
+                    assert abs(got - want) <= 1e-12 * abs(want), ("b_y", i, row, w)
 
     def test_tone_regressor_matches_derivative_then_filter(self):
         # numerator-absorbed [p^(2i-2) H] u equals H applied to the exact

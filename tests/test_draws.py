@@ -31,9 +31,13 @@ PROPERTIES = {
     "compiled_rows": test_compiled_cascade.test_compiled_rows_match_cascade_rates,
     "oracle": test_refdyn.TestRealizationEquivalence.test_matches_oracle_on_random_stable_sets,
     "bank_maps": test_linear_block.test_block_from_the_bank_maps_matches_the_bank,
+    "law_outputs": test_linear_block.test_outputs_match_the_banks,
+    "law_filter_rates": test_linear_block.test_derivative_matches_the_banks,
+    "law_state_rates": test_linear_block.test_state_rates_match_their_definitions,
     "malformed_arguments": test_cli.test_malformed_arguments_exit_2,
 }
-COUNTS = {"compiled_rows": 150, "oracle": 20, "bank_maps": 60, "malformed_arguments": 60}
+COUNTS = {"compiled_rows": 150, "oracle": 20, "bank_maps": 60, "malformed_arguments": 60,
+          "law_outputs": 25, "law_filter_rates": 25, "law_state_rates": 25}
 # the local constants the control draws against: integers in its range,
 # as a repository's literals would be, and one of every other type
 PINNED_POOL = Constants(integers={2, 16, 255, 1000, 86_400}, floats={0.5, 2.5},

@@ -6,7 +6,9 @@ below restate each torque law block by block with the filter banks' own
 ``output``/``output_dot``/``output_ddot``/``deriv`` and with
 ``cascade_rates``.  On random states, inputs and times every block of
 ``xdot``, the torque and the logged signals must agree with them to
-roundoff: the compiled map sums the same terms in another order.
+roundoff: the compiled map sums the same terms in another order.  The
+comparisons draw their settings (cascade order, tone count, gains) from a
+seed; the structural tests run at the fixed settings of ``_controller``.
 """
 
 import gc
@@ -32,12 +34,14 @@ RTOL = 1e-14
 # wrong coefficient still shows as an O(1) error
 RTOL_RATES = 1e-13
 
+# each variant with the options it fixes; the comparisons draw the rest
 CASES = [
     ("filtered_adaptive", {}),
     ("stacked_single", {}),
-    ("stacked_multi", {"n_star": 1}),
+    ("stacked_multi", {}),
     ("stacked_multi", {"n_star": 2}),
 ]
+EXAMPLES = 25  # drawn settings per comparison
 
 # filter block -> the controller attribute holding its bank
 FILTER_BLOCKS = {
@@ -57,11 +61,28 @@ def _controller(variant, kw, traj=None):
                             critically_damped_coeffs(4.0, 3), theta_hat0=np.zeros(5), **kw)
 
 
+# a trajectory with nonzero derivatives, so every q_d column counts
+MOVING = TrajectorySpec.multisine([[(0.3, 1.1, 0.2)], [(0.2, 0.7, -0.4), (0.1, 2.0, 0.0)]],
+                                  offsets=[0.3, -0.2])
+
+
 def _moving(variant, kw):
-    # a trajectory with nonzero derivatives, so every q_d column counts
-    traj = TrajectorySpec.multisine([[(0.3, 1.1, 0.2)], [(0.2, 0.7, -0.4), (0.1, 2.0, 0.0)]],
-                                    offsets=[0.3, -0.2])
-    return _controller(variant, kw, traj)
+    return _controller(variant, kw, MOVING)
+
+
+def _drawn(variant, kw, rng):
+    """``variant`` on ``MOVING`` at drawn settings, ``kw`` fixing its options:
+    the cascade order, the tone count, the per-joint ``k`` and ``lam_corr``
+    and the layers' rates."""
+    ell = int(rng.integers(1 if variant == "filtered_adaptive" else 2, 6))
+    gains = {**load_config().values["gains"], "gamma_freq": 3.0,
+             "k": tuple(rng.uniform(5.0, 40.0, 2)), "lam_corr": tuple(rng.uniform(0.5, 5.0, 2))}
+    gains.update((key, rng.uniform(0.5, 5.0))
+                 for key in ("alpha_star", "alpha_star_star", "kappa_star"))
+    if variant == "stacked_multi":
+        kw = {"n_star": int(rng.integers(1, 4)), **kw}
+    return build_controller(variant, TwoLinkArm().shape(), gains, MOVING,
+                            critically_damped_coeffs(4.0, ell), theta_hat0=np.zeros(5), **kw)
 
 
 def _filtered_adaptive(c, t, q, qdot, x):
@@ -181,7 +202,7 @@ def _close(got, want, rtol=RTOL):
 
 
 def _samples(ctrl, seed, count=5):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through
     for _ in range(count):
         t = rng.uniform(0.0, 5.0)
         q, qdot = rng.uniform(-1.0, 1.0, (2, ctrl.n))
@@ -189,37 +210,41 @@ def _samples(ctrl, seed, count=5):
 
 
 def _evaluations(variant, kw, seed):
-    ctrl = _moving(variant, kw)
-    for t, q, qdot, x in _samples(ctrl, seed):
+    """The law at drawn settings, observed and by its reference, on samples
+    drawn from the same seed."""
+    rng = np.random.default_rng(seed)
+    ctrl = _drawn(variant, kw, rng)
+    for t, q, qdot, x in _samples(ctrl, rng, count=3):
         yield ctrl, ctrl.observe(t, q, qdot, x), REFERENCE[variant](ctrl, t, q, qdot, x)
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
-def test_outputs_match_the_banks(variant, kw):
+@settings(max_examples=EXAMPLES)
+@given(seed=SEEDS)
+def test_outputs_match_the_banks(variant, kw, seed):
     # the filter outputs the law reads, through the torque and logged signals
-    for _, ev, (tau, _, outs) in _evaluations(variant, kw, 11):
+    for _, ev, (tau, _, outs) in _evaluations(variant, kw, seed):
         _close(ev.tau, tau)
         for name, want in outs.items():
             _close(ev.extras[name], want)
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
-def test_derivative_matches_the_banks(variant, kw, dense_late_map):
-    for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, 12):
+@settings(max_examples=EXAMPLES)
+@given(seed=SEEDS)
+def test_derivative_matches_the_banks(variant, kw, seed):
+    for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, seed):
         for name in FILTER_BLOCKS[variant]:
             _close(ctrl.layout.view(ev.xdot, name), rates[name])
     # the chains keep their exact structure in the compiled rates: a state's
     # rate is the next state and nothing else, and the last one's reads the
     # denominator tail on its own chain (its drive adds the rest).  The late
     # stage serves the shifts by copy; its record of them, put back as the
-    # rows they stand for, and its dense rows give the whole rate map
+    # rows they stand for, and its computed rows give the whole rate map
     block = ctrl.block
-    late = dense_late_map(block)
-    rates = np.vstack([np.pad(block.early_map[: block.n_early],
-                              ((0, 0), (0, late.shape[1] - block.early_map.shape[1]))),
-                       late[: block.n_late]])
+    rates = late_map_before_drops(block)[: ctrl.state_size]
     index = np.arange(ctrl.state_size)
-    served = set((block.n_early + block.served).tolist())
+    served = set(block.served.tolist())
     shifts = set()
     for name, attr in FILTER_BLOCKS[variant].items():
         bank = getattr(ctrl, attr)
@@ -240,8 +265,8 @@ def test_derivative_matches_the_banks(variant, kw, dense_late_map):
 def _late_rate(block, v):
     """The late stage at ``v``: its rate, then its signals, as one copy."""
     block.v[:] = v
-    parts, signals = block.late()
-    return np.concatenate((parts[1], *signals))
+    xdot, signals = block.late()
+    return np.concatenate((xdot, *signals))
 
 
 @pytest.mark.parametrize("variant,kw", CASES)
@@ -257,7 +282,7 @@ def test_late_stage_equals_the_map_before_drops(variant, kw, dense_late_map):
     # row the late map's product, bit for bit
     computed = np.ones(len(full), dtype=bool)
     computed[block.served] = False
-    start = block.n_early + block.served + 1
+    start = block.served + 1
     rng = np.random.default_rng(16)
     for _ in range(300):
         v = rng.standard_normal(block.width) * 10.0 ** rng.uniform(-3.0, 3.0, block.width)
@@ -283,7 +308,7 @@ def test_every_chain_shift_is_served_and_nothing_else(dense_late_map):
     m_rate = np.vstack((-2.0 * m[:3] + 0.5 * q, y[0, :1]))  # m_3' = y_0
     rate = np.vstack([bz.deriv(xz, q).swapaxes(-1, -2).reshape(-1, block.width), m_rate,
                       by.deriv(xy, 0.5 * q).swapaxes(-1, -2).reshape(-1, block.width)])
-    block.compile((q,), ({}, (q,)), ({"z": q, "m": m_rate, "y": 0.5 * q}, ()))
+    block.compile((q,), (q,), (), {"z": q, "m": m_rate, "y": 0.5 * q})
     assert block.served.tolist() == [0, 1, 2, 3, 4, 5, 6, 12, 13]
     assert np.array_equal(dense_late_map(block), rate[:, : block.late_map.shape[1]])
     rng = np.random.default_rng(17)
@@ -293,12 +318,13 @@ def test_every_chain_shift_is_served_and_nothing_else(dense_late_map):
 
 
 @pytest.mark.parametrize("variant,kw", CASES + [("stacked_single", {"freeze_freq": True}),
-                                                ("stacked_multi", {"n_star": 2,
-                                                                   "freeze_freq": True})])
-def test_state_rates_match_their_definitions(variant, kw):
+                                                ("stacked_multi", {"freeze_freq": True})])
+@settings(max_examples=EXAMPLES)
+@given(seed=SEEDS)
+def test_state_rates_match_their_definitions(variant, kw, seed):
     # phi against cascade_rates on the controller's own drive, xi against
     # -lam xi + lam Y^T s, and likewise the proxy, layer and estimate blocks
-    for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, 13):
+    for ctrl, ev, (_, rates, _) in _evaluations(variant, kw, seed):
         for name in ctrl.layout.names():
             if name not in FILTER_BLOCKS[variant]:
                 _close(ctrl.layout.view(ev.xdot, name), rates[name], RTOL_RATES)
@@ -356,7 +382,7 @@ def test_block_from_the_bank_maps_matches_the_bank(seed):
         return [bank.state_output(x, k) for k in ks], outputs, bank.deriv(x, u)
 
     states, outputs, rate = laws(x, u, udot)
-    block.compile(states, ({}, outputs), ({"f": u}, ()))
+    block.compile(states, outputs, (), {"f": u})
     # the chains the block states give the bits of the bank's own rate
     dense = np.ascontiguousarray(rate.swapaxes(-1, -2)).reshape(-1, block.width)
     assert late_map_before_drops(block).tobytes() == dense.tobytes()
@@ -365,8 +391,7 @@ def test_block_from_the_bank_maps_matches_the_bank(seed):
     uv, udotv = rng.uniform(-1.0, 1.0, (2,) + shape)
     block.v[:] = np.concatenate((xv.ravel(), np.zeros(5), uv.ravel(), udotv.ravel()))
     got_states, got = block.outputs(), block.early()
-    parts, _ = block.late()
-    xdot = np.concatenate(parts)
+    xdot, _ = block.late()
     want_states, want, want_rate = laws(xv, uv, udotv)
     # the product sums the maps' terms in another order
     scale = max(1.0, *(np.max(np.abs(m)) for m in (bank.a, bank.C, bank.D, bank.CA, bank.CA2)))
@@ -379,35 +404,51 @@ def test_compile_rejects_a_signal_read_too_early():
     layout = Layout()
     layout.add("z", 2)
     block = LinearBlock(layout, 2, (("h", 2),), ())
+    z = block.signal("z")
     # the outputs are formed before any nonlinear input exists
     with pytest.raises(ValueError, match="not given"):
-        block.compile([block.signal("h")], ({"z": block.signal("z")}, ()), ({}, ()))
+        block.compile([block.signal("h")], (z,), (), {"z": z})
 
 
 @pytest.mark.parametrize("stage", ["output", "early", "late"])
 def test_compile_rejects_an_empty_stage(stage):
+    # the late stage holds every rate the map computes, so only a block
+    # without state can leave it empty
     layout = Layout()
-    layout.add("z", 2)
+    if stage != "late":
+        layout.add("z", 2)
     block = LinearBlock(layout, 2, (), ())
-    z = block.signal("z")
-    outputs, early, late = {
-        "output": ([], ({"z": -z}, ()), ({}, (z,))),
-        "early": ([z], ({}, ()), ({"z": -z}, ())),
-        "late": ([z], ({"z": -z}, ()), ({}, ())),
-    }[stage]
+    q = block.signal("q")
+    rates = {} if stage == "late" else {"z": -block.signal("z")}
+    outputs, early = {"output": ([], (q,)), "early": ([q], ()), "late": ([q], (q,))}[stage]
     with pytest.raises(ValueError, match=f"the {stage} stage is empty"):
-        block.compile(outputs, early, late)
+        block.compile(outputs, early, (), rates)
 
 
-def test_compile_rejects_a_chain_block_outside_the_late_rates():
-    # a chain block's rate is its bank's drive, which only the late stage reads
+@pytest.mark.parametrize("blocks", [("f",), ("f", "z", "y")], ids=["missing", "extra"])
+def test_compile_rejects_rates_that_miss_or_add_a_block(blocks):
     layout = Layout()
     layout.add("f", 1, 2)
+    layout.add("z", 2)
     block = LinearBlock(layout, 1, (), ())
     block.chains("f", FilterBank([[2.0, 3.0, 1.0]], [[1.0]]))
     q = block.signal("q")
-    with pytest.raises(ValueError, match="chains late"):
-        block.compile([q], ({"f": q}, ()), ({}, (q,)))
+    with pytest.raises(ValueError, match="cover the state blocks"):
+        block.compile([q], (q,), (), {name: q for name in blocks})
+
+
+def test_a_rate_map_in_another_order_compiles_to_the_same_maps(monkeypatch):
+    want = _controller("stacked_multi", {"n_star": 2}).block
+    compile = LinearBlock.compile
+
+    def reversed_rates(block, outputs, early, late, rates):
+        assert list(rates) != list(reversed(rates))
+        compile(block, outputs, early, late, dict(reversed(rates.items())))
+
+    monkeypatch.setattr(LinearBlock, "compile", reversed_rates)
+    got = _controller("stacked_multi", {"n_star": 2}).block
+    for name in ("C", "early_map", "late_map", "served"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _bits(ev):

@@ -1,10 +1,15 @@
 """The log deviation report (``tests/log_deviation.py``) on a synthetic log
-and perturbed or reformatted copies of it."""
+and perturbed or reformatted copies of it, and the two log scripts run
+from a checkout."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import log_deviation
 import numpy as np
+import pytest
 from log_deviation import deviation, identical
 
 NAMES = ["t", "q1", "tau1", "V"]
@@ -97,3 +102,16 @@ def test_exit_code_reads_the_bytes(monkeypatch, capsys):
 
     assert _fake_runs(monkeypatch, renumber) == 1
     assert "log.csv identical, metrics.json DIFFERS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("script", ["log_deviation.py", "test_reference_logs.py"])
+def test_script_finds_its_own_package(script):
+    # run as the docstrings say, from the repository root and without
+    # PYTHONPATH, each script imports its tree's package and prints its usage
+    tests = Path(__file__).resolve().parent
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, f"tests/{script}"], cwd=tests.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert f"python tests/{script}" in done.stderr

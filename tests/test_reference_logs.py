@@ -13,8 +13,8 @@ regenerates its reference and says why:
 
     python tests/test_reference_logs.py --regenerate [CASE ...]
 
-run from the repository root with the package importable; no cases means
-all of them.
+run from the repository root; the script imports the package from this
+tree's ``src/``.  No cases means all of them.
 """
 
 import csv
@@ -25,9 +25,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refcascade.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":  # as a script, this tree's package comes first
+    sys.path.insert(0, str(ROOT / "src"))
+
+from refcascade.cli import main  # noqa: E402
+
 REFERENCE = ROOT / "tests" / "reference"
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.ini"))
 # (config, variant) runs of the laws no config runs
