@@ -160,7 +160,7 @@ class FilteredAdaptiveController(ProxyController):
         # the loop operator per joint: strictly proper, relative degree one
         loops = [regressor_loop_channel(coeffs.alphas, self.a0s, self.a1s, lam_r, k_r)
                  for lam_r, k_r in zip(self.Lam, self.K)]
-        self.wbank = FilterBank.per_joint([(den, [num]) for num, den in loops], cols=self.p_dim)
+        self.wbank = FilterBank([(den, [num]) for num, den in loops], cols=self.p_dim)
         self.hbank = self.wbank.with_cols(1)
         self._lay_out((), (("wbank", *self.wbank.state_shape()),
                            ("hbank", *self.hbank.state_shape())))

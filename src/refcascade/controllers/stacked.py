@@ -87,8 +87,8 @@ class StackedSingleController(ProxyController):
             paths.append(
                 target_path_channels(alphas, self.a0s, self.a1s, self.alpha_star, lam_r, k_r)
             )
-        self.b_psi = FilterBank.per_joint(psi)
-        self.b_y = FilterBank.per_joint(paths, cols=self.p_dim)
+        self.b_psi = FilterBank(psi)
+        self.b_y = FilterBank(paths, cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
 
         n = self.n
@@ -188,30 +188,27 @@ class StackedMultiController(ProxyController):
         # marginal chain absorbing the chi_1 / psi_1 terms of the tone layer:
         # (hden - p^m) / p^m  driven by psi_1
         e_den = np.append(np.zeros(m), 1.0)
-        self.f_e = FilterBank.per_joint([(e_den, [hden_tail]) for _ in joints])
+        self.f_e = FilterBank([(e_den, [hden_tail]) for _ in joints])
 
         # chain carrying the tone-regressor drive: hden / (p^m kpoly)
         u_den = poly_mul(e_den, kpoly)
-        self.f_u = FilterBank.per_joint([(u_den, [hden]) for _ in joints])
+        self.f_u = FilterBank([(u_den, [hden]) for _ in joints])
 
         # tone regressors W_i = [p^(2i-2) kpoly / hden] psi_2, shared chain
         wi_nums = [poly_mul(np.append(np.zeros(2 * (i - 1)), 1.0), kpoly) for i in range(1, n_star + 1)]
-        self.f_w = FilterBank.per_joint([(hden, wi_nums) for _ in joints])
+        self.f_w = FilterBank([(hden, wi_nums) for _ in joints])
 
         # regressor paths: per-joint chains with n_star + 1 outputs
         den = poly_mul(hden, cascade_poly(coeffs.alphas))
         nums = [poly_mul(np.append(np.zeros(2 * (i - 1) + coeffs.ell - 1), 1.0), kpoly)
                 for i in range(1, n_star + 2)]  # p^(2i+ell-3) kpoly; the last is the direct path
-        self.b_y = FilterBank.per_joint(
-            [(np.convolve(den, [k_r, 1.0]), [lam_r * num for num in nums])
-             for k_r, lam_r in zip(self.K, self.Lam)],
-            cols=self.p_dim,
-        )
+        self.b_y = FilterBank([(np.convolve(den, [k_r, 1.0]), [lam_r * num for num in nums])
+                               for k_r, lam_r in zip(self.K, self.Lam)], cols=self.p_dim)
         self.b_v = self.b_y.with_cols(1)
 
         # collapsed inverse-filter composition: p^2 / kpoly (biproper)
         p2 = np.array([0.0, 0.0, 1.0])
-        self.f_outer_w = FilterBank.per_joint([(kpoly, [p2]) for _ in joints], cols=self.p_dim)
+        self.f_outer_w = FilterBank([(kpoly, [p2]) for _ in joints], cols=self.p_dim)
         self.f_outer_h = self.f_outer_w.with_cols(1)
 
         n, p = self.n, self.p_dim
@@ -240,7 +237,7 @@ class StackedMultiController(ProxyController):
         x_e, x_u, x_w, x_y, x_v, x_ow, x_oh = (block.chains(name, bank) for name, bank in (
             ("f_e", f_e), ("f_u", f_u), ("f_w", f_w), ("b_y", self.b_y), ("b_v", self.b_v),
             ("outer_w", self.f_outer_w), ("outer_h", self.f_outer_h)))
-        # f_u has relative degree 2 (CB = 0), so it never reads its drive's rate
+        # f_u has relative degree 2 (C[:, :, -1] = 0), so it never reads its drive's rate
         m_drive = sig("m_drive")
         chi2 = chi1[0] - f_e.output(x_e) + f_u.output(x_u)
         chi2d = chi1[1] - f_e.output_dot(x_e, psi1) + f_u.output_dot(x_u, m_drive)

@@ -10,10 +10,11 @@ signals (e.g. the dynamics regressor) are filtered entrywise by a
 convention makes every operator in the control laws decompose into per-joint
 scalar channels.
 
-For strictly proper channels the output is a pure state map, and the first
-and second time derivatives of the output are also available as state maps
-plus current-input terms, which is how second derivatives of filtered
-quantities are obtained without ever differentiating a measured signal.
+For strictly proper channels the output is a pure state map.  Its first
+and second time derivatives are the output map on the chain's first and
+second rates (``deriv``), which read the current input and its rate only:
+that is how second derivatives of filtered quantities are obtained without
+ever differentiating a measured signal.
 
 Controllers do not call the banks while integrating.  Everything a
 filtering controller computes is linear in its state ``x`` and the
@@ -63,11 +64,11 @@ class FilterBank:
 
     Parameters
     ----------
-    dens : (rows, order+1) array-like
-        Denominator coefficients per row, increasing powers.
-    nums : sequence of (rows, <=order+1) array-likes
-        One numerator set per output; each must be proper w.r.t. its row's
-        denominator.
+    channels : sequence of (den, nums)
+        Each row's denominator and one numerator per output, all in
+        increasing powers.  The rows' denominators share one order; their
+        numerators may differ in length, each proper w.r.t. its row's
+        denominator.  A one-row bank is a scalar filter.
     cols : int
         Number of signal columns filtered per row (1 for vector signals).
 
@@ -75,8 +76,8 @@ class FilterBank:
     All cells in a row share coefficients; rows may differ.
     """
 
-    def __init__(self, dens, nums, cols=1):
-        dens = np.atleast_2d(np.asarray(dens, dtype=float))
+    def __init__(self, channels, cols=1):
+        dens = np.array([den for den, _ in channels], dtype=float)
         self.rows = dens.shape[0]
         self.order = dens.shape[1] - 1
         self.cols = int(cols)
@@ -88,57 +89,16 @@ class FilterBank:
         dens = dens / lead[:, None]
         self.a = dens[:, :-1].copy()  # monic tail, increasing powers
 
-        full = np.zeros((len(nums), self.rows, self.order + 1))
-        for k, num in enumerate(nums):
-            num = np.atleast_2d(np.asarray(num, dtype=float))
-            if num.shape[1] > self.order + 1:
-                raise ValueError("improper transfer function (num degree > den degree)")
-            full[k, :, : num.shape[1]] = num  # a single row serves every row
+        full = np.zeros((len(channels[0][1]), self.rows, self.order + 1))
+        for r, (_, nums) in enumerate(channels):
+            for k, num in enumerate(nums):
+                if len(num) > self.order + 1:
+                    raise ValueError("improper transfer function (num degree > den degree)")
+                full[k, r, : len(num)] = num
         full /= lead[:, None]
         self.D = full[:, :, -1].copy()
         self.C = full[:, :, :-1] - self.D[:, :, None] * self.a
         self._has_D = (self.D != 0.0).any(axis=1).tolist()
-
-    @classmethod
-    def per_joint(cls, channels, cols=1) -> FilterBank:
-        """A bank with one row per joint (or per any other channel).
-
-        ``channels`` holds each row's ``(den, nums)``: its denominator and
-        one numerator per output, all in increasing powers.  The rows'
-        denominators share one order; their numerators may differ in length.
-        """
-        dens = np.array([den for den, _ in channels], dtype=float)
-        nums = np.zeros((len(channels[0][1]),) + dens.shape)
-        for r, (_, row) in enumerate(channels):
-            for k, num in enumerate(row):
-                nums[k, r, : len(num)] = num
-        return cls(dens, nums, cols=cols)
-
-    # output-derivative maps, ydot = CA x + CB u (+ D udot) and likewise for
-    # the second derivative; computed when first read, since most banks
-    # serve only their outputs
-
-    @functools.cached_property
-    def CA(self):
-        CA = np.zeros_like(self.C)
-        CA[:, :, 1:] = self.C[:, :, :-1]
-        CA -= self.C[:, :, -1:] * self.a[None, :, :]
-        return CA
-
-    @functools.cached_property
-    def CB(self):
-        return self.C[:, :, -1].copy()
-
-    @functools.cached_property
-    def CA2(self):
-        CA2 = np.zeros_like(self.C)
-        CA2[:, :, 1:] = self.CA[:, :, :-1]
-        CA2 -= self.CA[:, :, -1:] * self.a[None, :, :]
-        return CA2
-
-    @functools.cached_property
-    def CAB(self):
-        return self.CA[:, :, -1].copy()
 
     # -- state management ----------------------------------------------------
 
@@ -170,8 +130,6 @@ class FilterBank:
         return np.einsum("rm,r...m->r...", M, x)
 
     def _feed(self, dvec, u):
-        if u is None:
-            return 0.0
         return dvec.reshape((-1,) + (1,) * (np.ndim(u) - 1)) * u
 
     def state_output(self, x, k=0):
@@ -187,24 +145,19 @@ class FilterBank:
         return y
 
     def output_dot(self, x, u, udot=None, k=0):
-        y = self._mix(self.CA[k], x) + self._feed(self.CB[k], u)
-        if self._has_D[k]:
-            if udot is None:
-                raise ValueError("biproper output derivative requires udot")
-            y = y + self._feed(self.D[k], udot)
-        return y
+        """The output's rate: the output map on the chain's rate."""
+        return self.output(self.deriv(x, u), udot, k)
 
     def output_ddot(self, x, u, udot=None, k=0):
-        """``udot`` may be omitted where ``CB`` is zero (relative degree >= 2)."""
+        """The state map on the chain's second rate; ``udot`` may be omitted
+        where ``C[k, :, -1]`` is zero (relative degree >= 2)."""
         if self._has_D[k]:
             raise ValueError("second output derivative implemented for strictly proper channels")
-        if udot is None and self.CB[k].any():
-            raise ValueError("second output derivative requires udot")
-        return (
-            self._mix(self.CA2[k], x)
-            + self._feed(self.CAB[k], u)
-            + self._feed(self.CB[k], udot)
-        )
+        if udot is None:
+            if self.C[k, :, -1].any():
+                raise ValueError("second output derivative requires udot")
+            udot = 0.0
+        return self.state_output(self.deriv(self.deriv(x, u), udot), k)
 
     def response_at(self, omega, k=0, row=0):
         """Frequency response of output ``k``, row ``row``, at p = i omega."""

@@ -169,7 +169,7 @@ def _tone_responses(pairs):
     bank, through one RK4 loop; each row settles for the same time and is
     fitted over the last two periods of its own run.
     """
-    bank = FilterBank.per_joint([(den, [num]) for num, den, _ in pairs])
+    bank = FilterBank([(den, [num]) for num, den, _ in pairs])
     omegas = np.array([omega for _, _, omega in pairs])
     periods = 2.0 * np.pi / omegas
     t_settle = 16.0 / 0.8

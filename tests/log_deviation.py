@@ -10,14 +10,18 @@ largest magnitude, and the first logged step at which they differ:
 
 run from the repository root, where ``TREE_A`` and ``TREE_B`` are
 checkouts (``git archive`` or ``git clone``) each holding ``src/`` and
-``configs/``.  No cases means all of them.  A case prints one line, with
-whether ``log.csv`` and ``metrics.json`` are byte-identical, and one more
-per column that differs; it exits 1 if any log differs, by value or by
-byte, or any ``metrics.json`` does.  The column report alone would read a
-formatting change as no deviation.
+``configs/``.  No cases means all of them.  Each case's controller is also
+built in each tree, in a subprocess with that tree's package, and its
+compiled maps compared byte for byte (:func:`compiled_maps`).  A case prints
+one line, with whether ``log.csv`` and ``metrics.json`` are byte-identical
+and whether the maps are, and one more per column or map that differs; it
+exits 1 if any log differs, by value or by byte, or any ``metrics.json`` or
+compiled map does.  The column report alone would read a formatting change
+as no deviation.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,39 @@ def run_log(tree, case, out):
 
 
 FILES = ("log.csv", "metrics.json")
+BLOCK_MAPS = ("C", "early_map", "late_map", "served")
+
+
+def compiled_maps(ctrl):
+    """A controller's compiled maps as ``name -> (dtype, shape, bytes)``:
+    a ``LinearBlock``'s ``BLOCK_MAPS``, or a single-layer law's cascade
+    map ``M``; none for the PID laws.  Bytes, not ``.npz`` files, whose zip
+    headers carry timestamps."""
+    owner, names = (ctrl.block, BLOCK_MAPS) if hasattr(ctrl, "block") else (ctrl, ("M",))
+    return {name: (a.dtype.str, a.shape, a.tobytes())
+            for name in names if (a := getattr(owner, name, None)) is not None}
+
+
+def _dump_maps(config, *sets):
+    """The subprocess of :func:`run_maps`: build the controller, pickle its maps."""
+    from refcascade.config import load_config, parse_overrides
+    from refcascade.harness import build_experiment
+
+    ctrl = build_experiment(load_config(config, parse_overrides(sets)))[1]
+    pickle.dump(compiled_maps(ctrl), sys.stdout.buffer)
+
+
+def run_maps(tree, case):
+    """Build ``case``'s controller with ``tree``'s package and config, in a
+    subprocess; return its :func:`compiled_maps`."""
+    config, overrides, _ = RUNS[case]
+    tree = Path(tree).resolve()
+    path = os.pathsep.join((str(tree / "src"), str(Path(__file__).resolve().parent)))
+    code = "import sys, log_deviation; log_deviation._dump_maps(*sys.argv[1:])"
+    cmd = [sys.executable, "-c", code, str(tree / "configs" / f"{config}.ini"), *overrides]
+    done = subprocess.run(cmd, env={**os.environ, "PYTHONPATH": path}, cwd=tree,
+                          stdout=subprocess.PIPE, check=True)  # its errors reach stderr
+    return pickle.loads(done.stdout)
 
 
 def identical(out_a, out_b):
@@ -92,12 +129,18 @@ def main(argv):
             t = _read_csv(log_a)[1][:, 0]
             report = deviation(log_a, log_b)
             same = identical(log_a.parent, log_b.parent)
+        maps_a, maps_b = run_maps(tree_a, case), run_maps(tree_b, case)
         moved = [entry for entry in report if entry[3] is not None]
-        differs |= bool(moved) or code_a != code_b or not all(same.values())
+        changed = sorted(name for name in maps_a.keys() | maps_b.keys()
+                         if maps_a.get(name) != maps_b.get(name))
+        differs |= bool(moved) or code_a != code_b or not all(same.values()) or bool(changed)
         worst = max(report, key=lambda entry: entry[1])
         print(f"{case}: exit {code_a}/{code_b}, {len(t)} rows, {len(moved)} of {len(report)}"
               f" columns differ, largest {worst[1]:.3e} ({worst[0]}); "
-              + ", ".join(f"{name} {'identical' if ok else 'DIFFERS'}" for name, ok in same.items()))
+              + ", ".join(f"{name} {'identical' if ok else 'DIFFERS'}" for name, ok in same.items())
+              + (", maps DIFFER" if changed else ", maps identical" if maps_a else ", no maps"))
+        if changed:
+            print(f"  maps: {', '.join(changed)}")
         for name, largest, relative, first in moved:
             at = f"t = {t[first]:.6g}" if first < len(t) else "past the end"
             print(f"  {name}: {largest:.3e} absolute, {relative:.3e} relative,"

@@ -411,8 +411,8 @@ class TestStackedStructure:
         kpoly = np.array([kappa * kappa, 2.0 * kappa, 1.0])
         hden = poly_mul([2.0, 1.0], [2.0, 1.0], [3.0, 1.0], [3.0, 1.0])  # degree 4
         i = 2  # second tone: differentiate twice
-        absorbed = FilterBank(hden[None, :], [poly_mul([0.0, 0.0, 1.0], kpoly)[None, :]])
-        plain = FilterBank(hden[None, :], [kpoly[None, :]])
+        absorbed = FilterBank([(hden, [poly_mul([0.0, 0.0, 1.0], kpoly)])])
+        plain = FilterBank([(hden, [kpoly])])
 
         def u(t, order=0):
             return 0.7 * 1.3**order * np.sin(1.3 * t + order * np.pi / 2)

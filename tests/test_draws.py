@@ -18,7 +18,9 @@ import inspect
 
 import pytest
 import test_cli
+import test_closed_loop_properties
 import test_compiled_cascade
+import test_filters
 import test_linear_block
 import test_refdyn
 from draws import SEEDS
@@ -35,9 +37,13 @@ PROPERTIES = {
     "law_filter_rates": test_linear_block.test_derivative_matches_the_banks,
     "law_state_rates": test_linear_block.test_state_rates_match_their_definitions,
     "malformed_arguments": test_cli.test_malformed_arguments_exit_2,
+    "bank_derivatives": test_filters.test_output_derivatives_match_the_derivative_maps,
+    "closed_loop_residual": test_closed_loop_properties.test_closed_loop_residual_at_roundoff,
+    "pid_forms": test_closed_loop_properties.test_pid_forms_give_one_torque,
 }
 COUNTS = {"compiled_rows": 150, "oracle": 20, "bank_maps": 60, "malformed_arguments": 60,
-          "law_outputs": 25, "law_filter_rates": 25, "law_state_rates": 25}
+          "law_outputs": 25, "law_filter_rates": 25, "law_state_rates": 25,
+          "bank_derivatives": 60, "closed_loop_residual": 8, "pid_forms": 30}
 # the local constants the control draws against: integers in its range,
 # as a repository's literals would be, and one of every other type
 PINNED_POOL = Constants(integers={2, 16, 255, 1000, 86_400}, floats={0.5, 2.5},

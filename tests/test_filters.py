@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from draws import SEEDS
+from hypothesis import given, settings
+from test_linear_block import derivative_maps, random_bank
 
 from refcascade.config import load_config
 from refcascade.controllers import hstar_denominator
@@ -15,7 +18,7 @@ from refcascade.refdyn import critically_damped_coeffs
 
 def scalar_bank(num, den):
     """One-row bank of the filter num(p) / den(p)."""
-    return FilterBank(np.array([den], dtype=float), [np.array([num], dtype=float)])
+    return FilterBank([(den, [num])])
 
 
 def simulate_filter(bank, u_of_t, t_end, dt=1e-3):
@@ -47,13 +50,18 @@ class TestMakeFilter:
         with pytest.raises(ValueError):
             scalar_bank([1.0, 0.0, 1.0], [1.0, 1.0])
 
+    def test_improper_second_row_rejected(self):
+        # each row's numerators are checked against the bank's order
+        with pytest.raises(ValueError, match="improper"):
+            FilterBank([([2.0, 3.0, 1.0], [[1.0]]), ([2.0, 3.0, 1.0], [[1.0, 0.0, 0.0, 1.0]])])
+
     def test_per_joint_rows_are_the_joints_filters(self):
         # rows of different numerator lengths, the shorter padded with zeros
-        bank = FilterBank.per_joint([([2.0, 3.0, 1.0], [[1.0], [0.5, 1.0]]),
-                                     ([6.0, 5.0, 1.0], [[4.0, 1.0], [2.0]])])
+        bank = FilterBank([([2.0, 3.0, 1.0], [[1.0], [0.5, 1.0]]),
+                           ([6.0, 5.0, 1.0], [[4.0, 1.0], [2.0]])])
         for row, (num0, num1, den) in enumerate((([1.0], [0.5, 1.0], [2.0, 3.0, 1.0]),
                                                  ([4.0, 1.0], [2.0], [6.0, 5.0, 1.0]))):
-            ref = FilterBank([den], [[num0], [num1]])
+            ref = FilterBank([(den, [num0, num1])])
             assert np.array_equal(bank.a[row], ref.a[0])
             assert np.array_equal(bank.C[:, row], ref.C[:, 0])
             assert np.array_equal(bank.D[:, row], ref.D[:, 0])
@@ -142,9 +150,7 @@ class TestBankAlgebra:
         return states, t
 
     def test_linearity(self):
-        den = np.array([[2.0, 3.0, 1.0]])
-        num = np.array([[1.0, 0.5]])
-        bank = FilterBank(den, [num])
+        bank = FilterBank([([2.0, 3.0, 1.0], [[1.0, 0.5]])])
         ua = lambda t: np.array([np.sin(1.3 * t)])
         ub = lambda t: np.array([np.cos(0.7 * t)])
         uc = lambda t: 2.0 * ua(t) - 0.5 * ub(t)
@@ -161,8 +167,8 @@ class TestBankAlgebra:
         coeffs = critically_damped_coeffs(4.0, 2)
         num, den = regressor_loop_channel(coeffs.alphas, 4.0, 4.0, 2.0, 20.0)
         theta = np.array([1.7, 0.5, 0.35, 14.7, 4.9])
-        mat_bank = FilterBank(np.vstack([den, den]), [np.vstack([num, num])], cols=5)
-        vec_bank = FilterBank(np.vstack([den, den]), [np.vstack([num, num])], cols=1)
+        mat_bank = FilterBank([(den, [num])] * 2, cols=5)
+        vec_bank = FilterBank([(den, [num])] * 2, cols=1)
 
         def Y(t):
             base = np.outer(np.array([1.0, -0.5]), np.arange(1.0, 6.0))
@@ -186,9 +192,7 @@ class TestBankAlgebra:
 
     def test_swap_mismatch_decays_from_nonzero_state(self):
         # a deliberately mismatched initial state decays at the filter rate
-        num = np.array([[1.0]])
-        den = np.array([[1.0, 1.0]])
-        bank = FilterBank(den, [num])
+        bank = FilterBank([([1.0, 1.0], [[1.0]])])
         x = np.array([[2.5]])
         t = 0.0
         dt = 1e-3
@@ -199,10 +203,8 @@ class TestBankAlgebra:
         assert abs(bank.output(x)[0]) <= 1e-8 * 2.5
 
     def test_output_derivative_maps_match_finite_differences(self):
-        # y' and y'' from state maps agree with numerical differentiation
-        den = np.array([[6.0, 11.0, 6.0, 1.0]])  # relative degree 3 available
-        num = np.array([[2.0, 1.0]])
-        bank = FilterBank(den, [num])
+        # y' and y'' from the chain's rates agree with numerical differentiation
+        bank = FilterBank([([6.0, 11.0, 6.0, 1.0], [[2.0, 1.0]])])  # relative degree 2
 
         def u(t):
             return np.array([np.sin(1.1 * t) + 0.4 * np.cos(2.3 * t)])
@@ -230,9 +232,17 @@ class TestBankAlgebra:
         assert np.max(np.abs(fd2[sl] - ydds[sl])) < 1e-5
 
     def test_biproper_requires_current_input(self):
-        bank = FilterBank(np.array([[1.0, 1.0]]), [np.array([[0.5, 1.0]])])
+        bank = FilterBank([([1.0, 1.0], [[0.5, 1.0]])])
         with pytest.raises(ValueError):
             bank.output(np.zeros(bank.state_shape()))
+
+    def test_second_derivative_needs_udot_at_relative_degree_one(self):
+        x, u = np.array([[0.3, -0.7]]), np.array([0.4])
+        with pytest.raises(ValueError, match="requires udot"):
+            FilterBank([([2.0, 3.0, 1.0], [[1.0, 1.0]])]).output_ddot(x, u)
+        # at relative degree 2 the input's rate has no weight
+        bank = FilterBank([([2.0, 3.0, 1.0], [[1.0]])])
+        assert np.array_equal(bank.output_ddot(x, u), bank.output_ddot(x, u, np.array([5.0])))
 
 
 class TestRationalFilterState:
@@ -241,3 +251,35 @@ class TestRationalFilterState:
         d = bank.deriv(np.zeros((1, 1)), np.array([1.0]))[0]
         assert d.shape == (1,)
         assert d[0] == pytest.approx(1.0)
+
+
+def _mix(M, x):
+    return np.einsum("rm,r...m->r...", M, x)
+
+
+def _feed(d, u):
+    return d.reshape(d.shape + (1,) * (u.ndim - 1)) * u
+
+
+@settings(max_examples=60)
+@given(seed=SEEDS)
+def test_output_derivatives_match_the_derivative_maps(seed):
+    # y' = CA x + CB u + D u' and, strictly proper, y'' = CA^2 x + CAB u + CB u',
+    # the maps formed test-side from C and a, at a random state and input
+    rng = np.random.default_rng(seed)
+    bank = random_bank(rng)
+    CA, CA2 = derivative_maps(bank)
+    shape = bank.state_shape()[:-1]
+    x = rng.uniform(-1.0, 1.0, bank.state_shape())
+    u, udot = rng.uniform(-1.0, 1.0, (2,) + shape)
+    scale = max(1.0, *(np.max(np.abs(m)) for m in (bank.a, bank.C, bank.D, CA, CA2)))
+    for k in range(len(bank.C)):
+        CB = bank.C[k, :, -1]
+        pairs = [(bank.output_dot(x, u, udot, k),
+                  _mix(CA[k], x) + _feed(CB, u) + _feed(bank.D[k], udot))]
+        if not bank.D[k].any():
+            pairs.append((bank.output_ddot(x, u, udot, k),
+                          _mix(CA2[k], x) + _feed(CA[k, :, -1], u) + _feed(CB, udot)))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale

@@ -301,8 +301,8 @@ def test_every_chain_shift_is_served_and_nothing_else(dense_late_map):
     layout.add("m", 4)
     layout.add("y", 1, 3)
     block = LinearBlock(layout, 1, early=(), late=())
-    bz = FilterBank([poly_from_roots(-np.arange(1.0, 9.0))], [[1.0]])
-    by = FilterBank([poly_from_roots([-1.0, -2.0, -3.0])], [[1.0]])
+    bz = FilterBank([(poly_from_roots(-np.arange(1.0, 9.0)), [[1.0]])])
+    by = FilterBank([(poly_from_roots([-1.0, -2.0, -3.0]), [[1.0]])])
     xz, xy = block.chains("z", bz), block.chains("y", by)
     m, y, q = block.signal("m"), block.signal("y"), block.signal("q")
     m_rate = np.vstack((-2.0 * m[:3] + 0.5 * q, y[0, :1]))  # m_3' = y_0
@@ -343,7 +343,7 @@ def test_every_output_the_laws_read_is_tapped():
 
 def test_block_rejects_a_layout_that_does_not_match_its_bank():
     ctrl = _controller("filtered_adaptive", {})
-    bank = FilterBank([[2.0, 3.0, 1.0]] * 2, [[[1.0], [1.0]]])
+    bank = FilterBank([([2.0, 3.0, 1.0], [[1.0]])] * 2)
     block = LinearBlock(ctrl.layout, ctrl.n, (), ())
     with pytest.raises(ValueError, match="state shape"):
         block.chains("hbank", bank)
@@ -358,7 +358,21 @@ def random_bank(rng):
     for _ in range(rng.integers(1, 4)):
         length = order + int(rng.integers(0, 2))  # order + 1 coefficients: biproper
         nums.append(rng.uniform(-3.0, 3.0, (rows, length)))
-    return FilterBank(dens, nums, cols=(1, 3)[rng.integers(2)])
+    return FilterBank([(den, [num[r] for num in nums]) for r, den in enumerate(dens)],
+                      cols=(1, 3)[rng.integers(2)])
+
+
+def derivative_maps(bank):
+    """The maps ``CA`` and ``CA^2`` of the bank's output derivatives on its
+    state: a map on the chain's rate is the map shifted one entry on, less
+    its last column times ``a``."""
+    maps = [bank.C]
+    for _ in range(2):
+        M = maps[-1]
+        shifted = np.zeros_like(M)
+        shifted[:, :, 1:] = M[:, :, :-1]
+        maps.append(shifted - M[:, :, -1:] * bank.a)
+    return maps[1:]
 
 
 @settings(max_examples=60)
@@ -394,7 +408,7 @@ def test_block_from_the_bank_maps_matches_the_bank(seed):
     xdot, _ = block.late()
     want_states, want, want_rate = laws(xv, uv, udotv)
     # the product sums the maps' terms in another order
-    scale = max(1.0, *(np.max(np.abs(m)) for m in (bank.a, bank.C, bank.D, bank.CA, bank.CA2)))
+    scale = max(1.0, *(np.max(np.abs(m)) for m in (bank.a, bank.C, bank.D, *derivative_maps(bank))))
     for g, w in zip([*got_states, *got, xdot], [*want_states, *want, want_rate.ravel()]):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-13 * scale
@@ -431,7 +445,7 @@ def test_compile_rejects_rates_that_miss_or_add_a_block(blocks):
     layout.add("f", 1, 2)
     layout.add("z", 2)
     block = LinearBlock(layout, 1, (), ())
-    block.chains("f", FilterBank([[2.0, 3.0, 1.0]], [[1.0]]))
+    block.chains("f", FilterBank([([2.0, 3.0, 1.0], [[1.0]])]))
     q = block.signal("q")
     with pytest.raises(ValueError, match="cover the state blocks"):
         block.compile([q], (q,), (), {name: q for name in blocks})

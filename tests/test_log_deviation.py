@@ -1,6 +1,6 @@
 """The log deviation report (``tests/log_deviation.py``) on a synthetic log
-and perturbed or reformatted copies of it, and the two log scripts run
-from a checkout."""
+and perturbed or reformatted copies of it, its compiled-map comparison, and
+the two log scripts run from a checkout."""
 
 import os
 import subprocess
@@ -10,7 +10,10 @@ from pathlib import Path
 import log_deviation
 import numpy as np
 import pytest
-from log_deviation import deviation, identical
+from log_deviation import BLOCK_MAPS, compiled_maps, deviation, identical
+
+from refcascade.config import load_config
+from refcascade.harness import build_experiment
 
 NAMES = ["t", "q1", "tau1", "V"]
 
@@ -71,9 +74,9 @@ def test_byte_identity_of_each_file(tmp_path):
     assert identical(a, c)["metrics.json"] is False
 
 
-def _fake_runs(monkeypatch, edit):
+def _fake_runs(monkeypatch, edit, maps=lambda tree: {}):
     """``run_log`` writing the synthetic log, its second tree's run dir
-    passed through ``edit``."""
+    passed through ``edit``; ``run_maps`` giving ``maps(tree)``."""
 
     def run_log(tree, case, out):
         _run_dir(Path(out), _log())
@@ -82,6 +85,7 @@ def _fake_runs(monkeypatch, edit):
         return 0, Path(out) / "log.csv"
 
     monkeypatch.setattr(log_deviation, "run_log", run_log)
+    monkeypatch.setattr(log_deviation, "run_maps", lambda tree, case: maps(tree))
     return log_deviation.main(["A", "B", next(iter(log_deviation.RUNS))])
 
 
@@ -102,6 +106,37 @@ def test_exit_code_reads_the_bytes(monkeypatch, capsys):
 
     assert _fake_runs(monkeypatch, renumber) == 1
     assert "log.csv identical, metrics.json DIFFERS" in capsys.readouterr().out
+
+
+def test_exit_code_reads_the_maps(monkeypatch, capsys):
+    same = {"C": ("<f8", (1, 2), bytes(16)), "served": ("<i8", (1,), bytes(8))}
+    assert _fake_runs(monkeypatch, lambda out: None, lambda tree: same) == 0
+    assert "metrics.json identical, maps identical" in capsys.readouterr().out
+
+    # one byte of one map, or a shape alone, is a difference
+    for moved in ({**same, "C": ("<f8", (1, 2), bytes(15) + b"\1")},
+                  {**same, "C": ("<f8", (2, 1), bytes(16))}):
+        maps = lambda tree, moved=moved: moved if tree == "B" else same  # noqa: E731
+        assert _fake_runs(monkeypatch, lambda out: None, maps) == 1
+        out = capsys.readouterr().out
+        assert "metrics.json identical, maps DIFFER" in out and "  maps: C\n" in out
+
+    # a map one tree compiles and the other does not
+    assert _fake_runs(monkeypatch, lambda out: None, lambda tree: same if tree == "A" else {}) == 1
+    assert "  maps: C, served\n" in capsys.readouterr().out
+
+
+def test_maps_built_in_a_subprocess_are_the_controllers():
+    root = Path(__file__).resolve().parent.parent
+    maps = log_deviation.run_maps(root, "tone_single")
+    assert sorted(maps) == sorted(BLOCK_MAPS)
+    ctrl = build_experiment(load_config(root / "configs" / "tone_single.ini"))[1]
+    assert maps == compiled_maps(ctrl)
+    # a single-layer law's cascade map; the PID laws compile none
+    order_sweep = load_config(root / "configs" / "order_sweep.ini")
+    assert list(compiled_maps(build_experiment(order_sweep)[1])) == ["M"]
+    pid = load_config(root / "configs" / "pid_equivalence.ini", [("controller", "variant", "pid")])
+    assert compiled_maps(build_experiment(pid)[1]) == {}
 
 
 @pytest.mark.parametrize("script", ["log_deviation.py", "test_reference_logs.py"])
