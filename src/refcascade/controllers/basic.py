@@ -34,7 +34,9 @@ def compile_cascade(refcfg: ReferenceConfig, n: int) -> np.ndarray:
     stacks ``phi'`` (first ``n`` rows: ``z'``) over ``s = qdot - z``.
 
     The q_d rows are those the availability declares.  Its columns are the
-    rates, linear without a constant term, on the unit basis of ``v``.
+    rates, linear without a constant term, on the unit basis of ``v``;
+    ``validation.oracle_realization_gaps`` integrates its rate rows against
+    the literal high-order ODE.
     """
     ell = refcfg.ell
     blocks = ell + 2 + QD_ROWS[refcfg.availability]

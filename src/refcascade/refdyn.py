@@ -18,14 +18,17 @@ what is measured.  Each variant therefore ships as a degree-reduced cascade
 of ell first-order states whose right sides read only q, qdot, q_d (plus the
 declared q_d derivatives): every unmeasurable term is folded into a shifted
 cascade state, and the per-level shifts telescope so that the chain is
-exactly equivalent to the high-order ODE.  ``oracle_realization_gaps`` below
-integrates the literal high-order ODE using exact analytic derivatives and is
-the ground truth for that equivalence.
+exactly equivalent to the high-order ODE.  The ground truth for that
+equivalence is ``validation.oracle_realization_gaps``: it integrates the
+literal high-order ODE on exact analytic derivatives beside the cascade
+matrix the single-layer laws run, ``controllers.basic.compile_cascade``.
 
 Scaling the coefficients by alpha_k -> alpha_k / kappa^(ell+1-k) dilates the
 autonomous dynamics in time by kappa; critically damped sets (binomial
 expansions of (w + a)^(ell+1)) map onto critically damped sets with rate
-a / kappa, so the family is closed under time scaling.
+a / kappa, so the family is closed under time scaling.  The configuration's
+time scale ``gains.kappa`` uses that: its cascade, the critically damped set
+at rate alpha * kappa, is the rate-alpha set scaled by 1 / kappa.
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ __all__ = [
     "HurwitzCoeffs",
     "ReferenceConfig",
     "critically_damped_coeffs",
-    "scale_coeffs",
     "cascade_init",
     "cascade_rates",
-    "oracle_realization_gaps",
 ]
 
 # desired-trajectory rows q_d, q_d', ... that each variant reads: the one
@@ -90,19 +91,6 @@ def critically_damped_coeffs(alpha: float, ell: int) -> HurwitzCoeffs:
     if not np.isfinite(alphas).all():
         raise ValueError(f"rate {alpha:g} overflows the order-{ell} coefficients")
     return HurwitzCoeffs(ell, alphas)
-
-
-def scale_coeffs(coeffs: HurwitzCoeffs, kappa: float) -> HurwitzCoeffs:
-    """Time-dilate a coefficient set: alpha_k -> alpha_k / kappa^(ell+1-k).
-
-    Critically damped inputs with rate a come back critically damped with
-    rate a / kappa.
-    """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    ell = coeffs.ell
-    powers = np.array([kappa ** (ell + 1 - k) for k in range(ell + 1)])
-    return HurwitzCoeffs(ell, coeffs.alphas / powers)
 
 
 @dataclass(frozen=True)
@@ -149,8 +137,8 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
     The rates are linear in ``phi`` and the inputs, with no constant term,
     and every argument may carry leading axes (``phi`` after its level
     axis, as (ell, ..., n)).  Evaluated on a unit basis, the function
-    therefore yields its own matrix; every controller, and the realization
-    checked against the oracle below, compiles its cascade that way.
+    therefore yields its own matrix; ``controllers.basic.compile_cascade``
+    compiles it that way, once, for the single-layer laws and the oracle.
     """
     av = config.availability
     if (qd_dot is not None, qd_ddot is not None) != (QD_ROWS[av] > 1, QD_ROWS[av] > 2):
@@ -187,158 +175,3 @@ def cascade_rates(config, phi, q, qdot, qd, qd_dot=None, qd_ddot=None):
         phi_dot[j - 1] = phi[j] - alphas[ell - j + 1] * dqd
     phi_dot[ell - 1] = -alphas[1] * dqd - alphas[0] * dq
     return phi_dot, phi_dot[0]
-
-
-# -- high-order oracle, the ground truth of the realization -------------------
-
-
-def oracle_initial_state(config, q_traj, qd_traj, t0=0.0) -> np.ndarray:
-    """Literal-ODE initial state matching the zero-initialized cascade.
-
-    The cascade states above initialize to zero (except z(0)); inverting the
-    per-level shift definitions at t0 gives the equivalent initial values of
-    z and its derivatives.
-    """
-    alphas = config.coeffs.alphas
-    ell = config.ell
-    av = config.availability
-    n = q_traj.n
-
-    def q_k(k):
-        return q_traj.eval(t0, k)
-
-    def qd_k(k):
-        return qd_traj.eval(t0, k)
-
-    def dq_k(k):
-        return q_k(k) - qd_k(k)
-
-    Z = np.zeros((ell, n))
-    Z[0] = 0.0 if av == "position" else qd_k(1)
-    for j in range(2, ell + 1):
-        if av == "position":
-            val = -alphas[ell] * q_k(j - 1) + alphas[ell - j + 1] * qd_k(0)
-            for i in range(2, j):
-                val = val - alphas[ell - i + 1] * dq_k(j - i)
-        else:
-            val = np.zeros(n)
-            if av in ("full", "full_corrected"):
-                val = qd_k(j).astype(float)
-            for i in range(1, j):
-                val = val - alphas[ell - i + 1] * dq_k(j - i)
-            if av == "full_corrected":
-                val = val + config.Lambda * q_k(j - 1) - config.Lambda * Z[j - 2]
-        Z[j - 1] = val
-    return Z
-
-
-def _half_grid(t_grid):
-    """Stage times of classical RK4 over a uniform grid: half-step spacing."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    steps = t_grid.size - 1
-    h = t_grid[1] - t_grid[0]
-    if steps > 1 and not np.allclose(np.diff(t_grid), h):
-        raise ValueError("time grid must be uniform")
-    return t_grid[0] + 0.5 * h * np.arange(2 * steps + 1), h
-
-
-def _rk4_grid(f, x0, n_steps, h):
-    """Fixed-grid RK4 where f(j, x) reads precomputed stage-time data."""
-    out = np.empty((n_steps + 1, x0.size))
-    x = x0.copy()
-    out[0] = x
-    for i in range(n_steps):
-        j = 2 * i
-        k1 = f(j, x)
-        k2 = f(j + 1, x + 0.5 * h * k1)
-        k3 = f(j + 1, x + 0.5 * h * k2)
-        k4 = f(j + 2, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
-    return out
-
-
-def _oracle_system(config, q_traj, qd_traj, ts, t0):
-    """RHS on the stage grid ``ts`` and initial state of the literal ODE."""
-    n = q_traj.n
-    alphas = config.coeffs.alphas
-    ell = config.ell
-    av = config.availability
-
-    if av == "position":
-        # drive = -a_ell q^(ell) - sum_k a_k dq^(k)
-        drive = -alphas[ell] * q_traj.eval_grid(ts, ell)
-        for k in range(ell):
-            drive -= alphas[k] * (q_traj.eval_grid(ts, k) - qd_traj.eval_grid(ts, k))
-    else:
-        drive = np.zeros((ts.size, n))
-        if av in ("full", "full_corrected"):
-            drive += qd_traj.eval_grid(ts, ell + 1)
-        for k in range(ell + 1):
-            drive -= alphas[k] * (q_traj.eval_grid(ts, k) - qd_traj.eval_grid(ts, k))
-    q_top = q_traj.eval_grid(ts, ell) if av == "full_corrected" else None
-
-    Z0 = oracle_initial_state(config, q_traj, qd_traj, t0).ravel()
-
-    def f(j, x):
-        # x holds Z row by row: each row's rate is the next row, the last
-        # row's rate is the drive
-        top = drive[j]
-        if q_top is not None:
-            top = top + config.Lambda * (q_top[j] - x[-n:])
-        return np.concatenate((x[n:], top))
-
-    return f, Z0
-
-
-def _realization_system(config, q_traj, qd_traj, ts):
-    """RHS ``phi' = A phi + d[j]`` on the stage grid ``ts`` and initial state
-    of the cascade: ``A`` holds the rates on the unit basis of ``phi`` at zero
-    input, ``d`` the rates at zero state over the whole grid."""
-    n = q_traj.n
-    m = config.ell * n
-    av = config.availability
-    inputs = [q_traj.eval_grid(ts, 0), q_traj.eval_grid(ts, 1)]
-    inputs += [qd_traj.eval_grid(ts, k) for k in range(QD_ROWS[av])]
-
-    unit = np.eye(m).reshape(m, config.ell, n).swapaxes(0, 1)
-    A, _ = cascade_rates(config, unit, *[np.zeros(n)] * len(inputs))
-    A = A.transpose(0, 2, 1).reshape(m, m)
-    d, _ = cascade_rates(config, np.zeros((config.ell, ts.size, n)), *inputs)
-    d = d.swapaxes(0, 1).reshape(ts.size, m)
-
-    qd_dot0 = None if av == "position" else inputs[3][0]  # q_d'(t0)
-    phi0 = cascade_init(config, n, qd_dot0).ravel()
-
-    def f(j, x):
-        return A @ x + d[j]
-
-    return f, phi0
-
-
-def oracle_realization_gaps(configs, q_traj, qd_traj, t_grid) -> list[float]:
-    """``max |z_oracle - z_realized|`` over ``t_grid``, for each config.
-
-    The oracle integrates the literal high-order ODE on trajectory derivatives
-    evaluated analytically up front; the realization integrates the
-    degree-reduced cascade on the same signals.  Each is one slice of a
-    single stacked state: RK4 acts elementwise, so each slice follows exactly
-    the numbers of its separate integration, while the integrator's per-step
-    cost is paid once instead of twice per config.
-    """
-    n = q_traj.n
-    ts, h = _half_grid(t_grid)
-    systems = []
-    for config in configs:
-        systems.append(_oracle_system(config, q_traj, qd_traj, ts, t_grid[0]))
-        systems.append(_realization_system(config, q_traj, qd_traj, ts))
-    starts = np.cumsum([0] + [x0.size for _, x0 in systems]).tolist()
-    parts = [(f, slice(a, b)) for (f, _), a, b in zip(systems, starts, starts[1:])]
-
-    def f(j, x):
-        return np.concatenate([fi(j, x[sl]) for fi, sl in parts])
-
-    x0 = np.concatenate([x0 for _, x0 in systems])
-    out = _rk4_grid(f, x0, len(t_grid) - 1, h)
-    z = [out[:, a : a + n] for a in starts[:-1]]
-    return [float(np.max(np.abs(z_o - z_r))) for z_o, z_r in zip(z[0::2], z[1::2])]

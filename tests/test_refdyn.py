@@ -6,20 +6,32 @@ from draws import SEEDS
 from hypothesis import given, settings
 from test_compiled_cascade import random_cascade
 
+from refcascade import validation
+from refcascade.controllers import basic
 from refcascade.numerics import poly_from_roots
 from refcascade.refdyn import (
+    QD_ROWS,
     HurwitzCoeffs,
     ReferenceConfig,
-    _half_grid,
-    _realization_system,
-    _rk4_grid,
     cascade_init,
     cascade_rates,
     critically_damped_coeffs,
-    oracle_realization_gaps,
-    scale_coeffs,
 )
 from refcascade.signals import JointSignal, Tone, TrajectorySpec
+from refcascade.validation import oracle_realization_gaps, suite_cascade_equivalence
+
+
+def scale_coeffs(coeffs: HurwitzCoeffs, kappa: float) -> HurwitzCoeffs:
+    """Time-dilate a coefficient set: alpha_k -> alpha_k / kappa^(ell+1-k).
+
+    Critically damped inputs with rate a come back critically damped with
+    rate a / kappa.
+    """
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
+    ell = coeffs.ell
+    powers = np.array([kappa ** (ell + 1 - k) for k in range(ell + 1)])
+    return HurwitzCoeffs(ell, coeffs.alphas / powers)
 
 
 class TestCriticallyDamped:
@@ -64,6 +76,15 @@ class TestScaleCoeffs:
         c = HurwitzCoeffs(2, np.array([6.0, 11.0, 6.0]))
         s = scale_coeffs(c, 4.0)
         assert isinstance(s, HurwitzCoeffs)  # construction re-checks stability
+
+    @pytest.mark.parametrize("alpha, kappa, ell", [(4.0, 1.0, 2), (3.0, 2.5, 1), (1.5, 3.0, 4),
+                                                   (0.7, 8.0, 6)])
+    def test_config_time_scale_is_the_scaled_set(self, alpha, kappa, ell):
+        # gains.kappa builds the critically damped set at rate alpha * kappa:
+        # the rate-alpha set time-scaled by 1 / kappa
+        fast = critically_damped_coeffs(alpha * kappa, ell).alphas
+        scaled = scale_coeffs(critically_damped_coeffs(alpha, ell), 1.0 / kappa).alphas
+        assert np.max(np.abs(fast - scaled) / fast) <= 1e-14
 
     def test_composition_exact_for_binary_scales(self):
         c = critically_damped_coeffs(4.0, 3)
@@ -210,8 +231,7 @@ def fixed_case_gaps(driven_signals):
                         np.array([2.0, 2.0]) if av == "full_corrected" else None)
         for av, ell in AVAILABILITIES_AND_ORDERS
     ]
-    t = np.arange(0.0, 10.0 + 5e-4, 1e-3)
-    return dict(zip(AVAILABILITIES_AND_ORDERS, oracle_realization_gaps(configs, q, qd, t)))
+    return dict(zip(AVAILABILITIES_AND_ORDERS, oracle_realization_gaps(configs, q, qd, 1e-3, 10_000)))
 
 
 class TestRealizationEquivalence:
@@ -227,25 +247,48 @@ class TestRealizationEquivalence:
         rng = np.random.default_rng(seed)
         configs = [random_cascade(rng) for _ in range(rng.integers(1, 7))]
         q, qd = driven_signals
-        t = np.arange(0.0, 1.0 + 5e-4, 1e-3)
-        assert max(oracle_realization_gaps(configs, q, qd, t)) <= 1e-6
+        assert max(oracle_realization_gaps(configs, q, qd, 1e-3, 1000)) <= 1e-6
 
     def test_noncritical_coefficients_also_match(self, driven_signals):
         q, qd = driven_signals
         # distinct real poles at -1, -2, -3
         cfg = ReferenceConfig(HurwitzCoeffs(2, np.array([6.0, 11.0, 6.0])), "full")
-        t = np.arange(0.0, 10.0 + 5e-4, 1e-3)
-        assert oracle_realization_gaps([cfg], q, qd, t)[0] <= 1e-6
+        assert oracle_realization_gaps([cfg], q, qd, 1e-3, 10_000)[0] <= 1e-6
 
     def test_perfect_tracking_converges_to_desired_velocity(self, driven_signals):
+        # with q = q_d every error term vanishes: the literal ODE is a chain of
+        # integrators started on the derivatives of q_d and driven by its
+        # third, on which RK4 is exact for these cubics, so its z is q_d' and
+        # the gap is the realization's distance from the desired velocity
         _, qd = driven_signals
         cfg = ReferenceConfig(critically_damped_coeffs(4.0, 2), "full")
-        t = np.arange(0.0, 10.0 + 5e-4, 1e-3)
-        ts, h = _half_grid(t)
-        f, phi0 = _realization_system(cfg, qd, qd, ts)
-        z = _rk4_grid(f, phi0, t.size - 1, h)[:, : qd.n]
-        qd_dot_end = qd.eval(t[-1], 1)
-        assert np.max(np.abs(z[-1] - qd_dot_end)) <= 1e-8
+        assert oracle_realization_gaps([cfg], qd, qd, 1e-3, 10_000)[0] <= 1e-8
+
+
+class TestOracleMutations:
+    """The equivalence suite checks the matrix the laws run against an oracle
+    that is not blind: breaking either side fails it."""
+
+    def test_flipped_compiled_coefficient_fails(self, monkeypatch):
+        compile_cascade = basic.compile_cascade
+
+        def flipped(refcfg, n):
+            M = compile_cascade(refcfg, n)
+            m = refcfg.ell * n
+            # the last level's -alpha_0 on the last joint's q, in every variant
+            assert M[m - 1, m + n - 1] == -refcfg.coeffs.alphas[0]
+            M[m - 1, m + n - 1] *= -1.0
+            return M
+
+        monkeypatch.setattr(basic, "compile_cascade", flipped)
+        result = suite_cascade_equivalence()
+        assert not result.passed, result.detail
+
+    def test_flipped_oracle_drive_fails(self, monkeypatch):
+        drive = validation._oracle_drive
+        monkeypatch.setattr(validation, "_oracle_drive", lambda *args: -drive(*args))
+        result = suite_cascade_equivalence()
+        assert not result.passed, result.detail
 
 
 AVAILABILITIES_AND_ORDERS = [
@@ -261,7 +304,8 @@ def _config(availability, ell):
 
 
 class TestCascadeDrive:
-    """The realization's drive: cascade_rates over a whole grid of samples."""
+    """Grids of samples: cascade_rates over one, as the filtering laws call it
+    on their signals' columns, and the oracle's stacked integrations."""
 
     @pytest.mark.parametrize("availability, ell", AVAILABILITIES_AND_ORDERS)
     def test_grid_drive_gives_per_sample_rates_bitwise(self, availability, ell):
@@ -284,31 +328,15 @@ class TestCascadeDrive:
 
     def test_stacked_gaps_equal_separate_integrations(self, driven_signals):
         q, qd = driven_signals
-        t = np.arange(0.0, 0.5 + 5e-4, 1e-3)
         configs = [_config(*case) for case in AVAILABILITIES_AND_ORDERS]
-        want = [oracle_realization_gaps([c], q, qd, t)[0] for c in configs]
-        assert oracle_realization_gaps(configs, q, qd, t) == want
-
-
-def _unit_basis_matrices(cfg, n):
-    """``(A, B)`` of ``phi_dot = A phi + B w``, from cascade_rates on a unit basis.
-
-    ``w`` stacks the inputs the variant reads: q, qdot, q_d and, as declared,
-    q_d' and q_d''.  Every input carries the basis as a leading axis.
-    """
-    k = {"position": 3, "velocity": 4}.get(cfg.availability, 5)
-    size = (cfg.ell + k) * n
-    basis = np.eye(size).reshape(size, cfg.ell + k, n)
-    inputs = [basis[:, cfg.ell + i] for i in range(k)] + [None] * (5 - k)
-    phi_dot, zdot = cascade_rates(cfg, basis[:, : cfg.ell].swapaxes(0, 1), *inputs)
-    assert np.array_equal(zdot, phi_dot[0])
-    M = phi_dot.transpose(0, 2, 1).reshape(cfg.ell * n, size)
-    return M[:, : cfg.ell * n], M[:, cfg.ell * n :], k
+        want = [oracle_realization_gaps([c], q, qd, 1e-3, 500)[0] for c in configs]
+        assert oracle_realization_gaps(configs, q, qd, 1e-3, 500) == want
 
 
 class TestCascadeMatrix:
     """The rates are linear with no constant term, so their values on a unit
-    basis are their matrix; the filtering controllers compile them that way."""
+    basis are their matrix: the rate rows of ``basic.compile_cascade``, which
+    the single-layer laws run, on every availability and order."""
 
     @pytest.mark.parametrize("availability", ["position", "velocity", "full", "full_corrected"])
     @pytest.mark.parametrize("ell", range(1, 7))
@@ -319,11 +347,12 @@ class TestCascadeMatrix:
         alphas = poly_from_roots(-rng.uniform(0.5, 3.0, ell + 1))[:-1]
         lam = rng.uniform(0.5, 3.0, n) if availability == "full_corrected" else None
         cfg = ReferenceConfig(HurwitzCoeffs(ell, alphas), availability, lam)
-        A, B, k = _unit_basis_matrices(cfg, n)
+        M = basic.compile_cascade(cfg, n)[: ell * n]
         for _ in range(20):
             phi = rng.standard_normal((ell, n))
-            w = rng.standard_normal((k, n))
-            want, zdot = cascade_rates(cfg, phi, *w, *[None] * (5 - k))
-            got = (A @ phi.ravel() + B @ w.ravel()).reshape(ell, n)
+            # the inputs the variant reads: q, qdot and its q_d rows
+            w = rng.standard_normal((2 + QD_ROWS[availability], n))
+            want, zdot = cascade_rates(cfg, phi, *w)
+            got = M.dot(np.concatenate((phi.ravel(), w.ravel()))).reshape(ell, n)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert np.array_equal(zdot, want[0])
