@@ -1,49 +1,51 @@
 """Shared infrastructure for the torque-law implementations.
 
 Every controller is an ODE component: it exposes the size of its internal
-state block, an initializer, and a pure ``evaluate``, its one statement of
-the law, mapping measurements and internal state to the commanded torque and
-the state-block time derivative on every RK4 stage.  ``evaluate`` returns
-that rate as a tuple of parts in layout order (one part, the compiled
-block's ``xdot``, for the filtering laws, whose shared structure
-``augmented.ProxyController`` states), which the experiment loop
-joins with the plant's rates in its one concatenation per stage; ``observe``
-runs the same law at a sampled step, joins the parts into one ``xdot`` and
-also returns the derived views a log records, which the stages never build.
-``evaluate``'s arrays may be overwritten by the next call (the filtering
-laws return views of their work arrays); ``observe``'s belong to the caller.
-Each reference cascade runs as precomputed matrix rows: one product with
-``[phi; q; qdot; q_d rows]`` in the single-layer laws, the filtering laws'
-compiled block otherwise.  The experiment loop concatenates plant and
-controller states and integrates them jointly, so no controller ever
+state block, an initializer, and a pure ``evaluate``, mapping measurements
+and internal state to the commanded torque and the state-block time
+derivative on every RK4 stage.  ``evaluate`` returns that rate as a tuple of
+parts in layout order, which the experiment loop joins with the plant's
+rates in its one concatenation per stage; ``observe`` runs the same law at
+a sampled step, joins the parts into one ``xdot`` and also returns the
+derived views a log records, which the stages never build.  ``evaluate``'s
+arrays may be overwritten by the next call (the filtering laws return views
+of their work arrays); ``observe``'s belong to the caller.  The experiment
+loop integrates plant and controller states jointly, so no controller ever
 integrates anything privately.
+
+The seven single-layer laws (``basic.py``) state their law once, over lists
+of Python floats (``law``); ``evaluate`` wraps it.  Their joint states hold
+6-21 entries, where numpy's per-call overhead is the cost, so the
+experiment loop runs them, their plant (``TwoLinkArm.accel``) and RK4 on
+a list state.  The bits cannot move: each product is still ``ndarray.dot``
+on an array of the same floats, and every other value is the same IEEE
+operation in the same order, which Python and numpy round alike
+(``tests/test_host_rounding.py``).  The three filtering laws, 56-232
+entries, keep ndarray states: a trivial-rate RK4 step costs the same on a
+list and an array at about 21 entries, and 48 against 8 us at 190.
 
 What is fixed for the run is fixed at construction, never per evaluation.
 Gains that enter a rate or torque negated are negated once.  A law that
 reads the same desired-trajectory rows on every RHS binds a reader of them
 (:meth:`TrajectoryView.reader`), its order checked against the
-availability once, there.  A single-layer law whose reference cascade
-``phi`` is its whole state (``known``, ``plain``, ``nldamp``) hands the state
-itself to the cascade product, unsliced.
+availability once, there.  Each reference cascade runs as precomputed
+matrix rows: one product with ``[phi; q; qdot; q_d rows]`` in the
+single-layer laws, the filtering laws' compiled block otherwise.
 
 On every RHS a law forms its products with ``ndarray.dot``, as
-``a.dot(b)`` or ``a.dot(b, out)`` into a work-array slot: the compiled
-cascade rows, the regressor against an estimate and its transpose against
-an error, ``stacked_single``'s one-entry ``W1.dot(e[:, None], out)``,
-``stacked_multi``'s path outputs against the weights ``(thf, 1)`` and
-``LinearBlock``'s three stage products, whose maps are contiguous at their
-stage's width.  ``dot`` dispatches in about half the time of ``np.matmul``
-and on the 2-D products gives its bits (``tests/test_host_rounding.py``);
-the late stage serves the filter chains' shift rates by copy
-(``LinearBlock``).  The diagnostics never run on a stage.  The energies
-run once per run, after the integration, over every sampled step stacked
-along a leading axis: their products are stacked ``np.matmul``
-(:func:`quadratic`), and the same lines serve one sample.  A class names
-the extras its ``energy`` reads in ``energy_reads`` (``s`` and
-``theta_hat`` for ``adaptive``, ``s`` and ``xi`` for the filtered-damping
-laws); the log holds ``s`` and ``theta_hat`` itself, and the run keeps
-the others per sample.  The residuals run per sample, on their own
-stride, and keep ``@``.
+``a.dot(b)`` or ``a.dot(b, out)`` into a work-array slot (the cascade
+rows, the regressor's, ``stacked_single``'s ``W1.dot(e[:, None], out)``,
+``stacked_multi``'s path weights, ``LinearBlock``'s stage products):
+``dot`` dispatches in about half the time of ``np.matmul`` and on the 2-D
+products gives its bits (``tests/test_host_rounding.py``).  The
+diagnostics never run on a stage.  The energies run once per run, after
+the integration, over every sampled step stacked along a leading axis:
+their products are stacked ``np.matmul`` (:func:`quadratic`), and the same
+lines serve one sample.  A class names the extras its ``energy`` reads in
+``energy_reads`` (``s`` and ``theta_hat`` for ``adaptive``, ``s`` and
+``xi`` for the filtered-damping laws); the log holds ``s`` and
+``theta_hat`` itself, and the run keeps the others per sample.  The
+residuals run per sample, on their own stride, and keep ``@``.
 
 Information discipline is structural: controllers receive an
 :class:`~refcascade.manipulator.ArmShape` (dimensions plus regressor map,

@@ -48,7 +48,19 @@ def compile_cascade(refcfg: ReferenceConfig, n: int) -> np.ndarray:
     return rows.transpose(0, 2, 1).reshape((ell + 1) * n, blocks * n)
 
 
-class _CascadeController(ControllerBase):
+class _FloatLaw(ControllerBase):
+    """A law stated once over lists of floats: ``law(t, q, qdot, x, extras=None)``
+    gives ``(tau, xdot)`` as lists and fills ``extras`` as ``evaluate`` does,
+    which wraps it for 1-D ndarrays, the whole rate its one part."""
+
+    def evaluate(self, t, q, qdot, x, extras=None):
+        tau, xdot = self.law(t, q.tolist(), qdot.tolist(), x.tolist(), extras)
+        if extras is not None:
+            extras.update({key: np.array(value) for key, value in extras.items()})
+        return np.array(tau), (np.array(xdot),)
+
+
+class _CascadeController(_FloatLaw):
     """Base for variants whose layout leads with one reference cascade block
     ``phi``, of the variant's availability."""
 
@@ -57,7 +69,7 @@ class _CascadeController(ControllerBase):
         lam = positive(gains, "lam_corr", self.n) if self.availability == "full_corrected" else None
         self.refcfg = ReferenceConfig(coeffs, self.availability, lam)
         self.K = nonnegative(gains, "k", self.n)
-        self._neg_K = -self.K  # the torque's -K s, negated once
+        self._neg_K = (-self.K).tolist()  # the torque's -K s, negated once
         self.layout.add("phi", self.refcfg.ell, self.n)
         self.M = compile_cascade(self.refcfg, self.n)
         self._m = self.layout.size
@@ -70,9 +82,8 @@ class _CascadeController(ControllerBase):
         return x
 
     def _cascade(self, t, q, qdot, phi):
-        """``(z, z', s, phi')`` against the true desired trajectory; ``phi``
-        is the cascade block of the state, the whole state if it has no other."""
-        r = self.M.dot(np.concatenate((phi, q, qdot, self._qd_rows(t).ravel())))
+        """``(z, z', s, phi')`` as lists; ``phi`` is the state's cascade block."""
+        r = self.M.dot(np.array(phi + q + qdot + self._qd_rows(t).ravel().tolist())).tolist()
         return phi[: self.n], r[: self.n], r[self._m :], r[: self._m]
 
 
@@ -98,7 +109,7 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
     def __init__(self, shape, gains, traj, coeffs, theta_hat0=None):
         super().__init__(shape, gains, traj, coeffs)
         self.gamma = nonnegative(gains, "gamma", self.p_dim)
-        self._neg_gamma = -self.gamma
+        self._neg_gamma = (-self.gamma).tolist()
         self.theta_hat0 = self._estimate0(theta_hat0)
         self.layout.add("theta_hat", self.p_dim)
 
@@ -107,14 +118,15 @@ class AdaptiveCascadeController(SIdentity, _CascadeController):
         self.layout.view(x, "theta_hat")[:] = self.theta_hat0
         return x
 
-    def evaluate(self, t, q, qdot, x, extras=None):
+    def law(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x[: self._m])
         th = x[self._m :]
-        Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = self._neg_K * s + Y.dot(th)
+        Y = self.shape.regressor_at(q, qdot, z, zdot)
+        tau = [k * e + y for k, e, y in zip(self._neg_K, s, Y.dot(np.array(th)).tolist())]
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th.copy())
-        return tau, (phi_dot, self._neg_gamma * Y.T.dot(s))
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=th)
+        th_dot = [g * w for g, w in zip(self._neg_gamma, Y.T.dot(np.array(s)).tolist())]
+        return tau, phi_dot + th_dot
 
     energy_reads = ("s", "theta_hat")
 
@@ -131,18 +143,18 @@ class PlainCascadeController(_CascadeController):
     variant = "plain"
     availability = "full"
 
-    def evaluate(self, t, q, qdot, x, extras=None):
+    def law(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)  # phi is the whole state
-        tau = self._neg_K * s
+        tau = [k * e for k, e in zip(self._neg_K, s)]
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
-        return tau, (phi_dot,)
+        return tau, phi_dot
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.K, extras["s"])
 
 
-class PidReformulatedController(ControllerBase):
+class PidReformulatedController(_FloatLaw):
     """PID control written as a first-order reference system.
 
     K_D z' = K_D qdd_d - K_P dqdot - K_I dq and tau = -K_D (qdot - z).
@@ -156,7 +168,7 @@ class PidReformulatedController(ControllerBase):
     def __init__(self, shape, gains, traj, matched_init=True):
         super().__init__(shape, traj)
         self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
-        self._neg_kd = -self.kd
+        self._gains = self.kp.tolist(), self.ki.tolist(), self.kd.tolist(), (-self.kd).tolist()
         self.matched_init = bool(matched_init)
         self.layout.add("z", self.n)
         self._qd_rows = self.traj.reader(2)
@@ -170,22 +182,23 @@ class PidReformulatedController(ControllerBase):
         self.layout.view(x, "z")[:] = z0
         return x
 
-    def evaluate(self, t, q, qdot, x, extras=None):
-        qd, qd_dot, qd_ddot = self._qd_rows(t)
-        dq = q - qd
-        dqdot = qdot - qd_dot
-        zdot = qd_ddot - (self.kp * dqdot + self.ki * dq) / self.kd
-        s = qdot - x  # z is the whole controller state
-        tau = self._neg_kd * s
+    def law(self, t, q, qdot, x, extras=None):
+        qd, qd_dot, qd_ddot = self._qd_rows(t).tolist()
+        kp, ki, kd, neg_kd = self._gains
+        dq = [a - b for a, b in zip(q, qd)]
+        dqdot = [a - b for a, b in zip(qdot, qd_dot)]
+        zdot = [a - (p * v + i * e) / d for a, p, v, i, e, d in zip(qd_ddot, kp, dqdot, ki, dq, kd)]
+        s = [a - b for a, b in zip(qdot, x)]  # z is the whole controller state
+        tau = [k * e for k, e in zip(neg_kd, s)]
         if extras is not None:
-            extras.update(ref_vel=x.copy(), ref_acc=zdot, s=s)
-        return tau, (zdot,)
+            extras.update(ref_vel=x, ref_acc=zdot, s=s)
+        return tau, zdot
 
     def residual(self, model, q, qdot, tau, tau_star, extras):
         return _torque_residual(model, q, qdot, tau, tau_star, self.kd, extras["s"])
 
 
-class PidTextbookController(ControllerBase):
+class PidTextbookController(_FloatLaw):
     """Classical PID: tau = -K_D dqdot - K_P dq - K_I integral(dq)."""
 
     variant = "pid_textbook"
@@ -194,18 +207,18 @@ class PidTextbookController(ControllerBase):
     def __init__(self, shape, gains, traj):
         super().__init__(shape, traj)
         self.kd, self.kp, self.ki = (positive(gains, key, self.n) for key in ("kd", "kp", "ki"))
-        self._neg_kd = -self.kd
+        self._gains = (-self.kd).tolist(), self.kp.tolist(), self.ki.tolist()
         self.layout.add("integral", self.n)
         self._qd_rows = self.traj.reader(1)
 
-    def evaluate(self, t, q, qdot, x, extras=None):
-        qd, qd_dot = self._qd_rows(t)
-        dq = q - qd
-        dqdot = qdot - qd_dot
-        tau = self._neg_kd * dqdot - self.kp * dq - self.ki * x  # x is the integral
+    def law(self, t, q, qdot, x, extras=None):  # x is the integral
+        qd, qd_dot = self._qd_rows(t).tolist()
+        dq = [a - b for a, b in zip(q, qd)]
+        dqdot = [a - b for a, b in zip(qdot, qd_dot)]
+        tau = [k * v - p * e - i * w for k, p, i, v, e, w in zip(*self._gains, dqdot, dq, x)]
         if extras is not None:
             extras["s"] = dqdot
-        return tau, (dq,)
+        return tau, dq
 
 
 class KnownParamsController(SIdentity, _CascadeController):
@@ -227,13 +240,13 @@ class KnownParamsController(SIdentity, _CascadeController):
         if self.theta_ff.shape != (self.p_dim,):
             raise ConfigError("feedforward_theta has the wrong dimension")
 
-    def evaluate(self, t, q, qdot, x, extras=None):
+    def law(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)  # phi is the whole state
-        Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = self._neg_K * s + Y.dot(self.theta_ff)
+        Y = self.shape.regressor_at(q, qdot, z, zdot)
+        tau = [k * e + y for k, e, y in zip(self._neg_K, s, Y.dot(self.theta_ff).tolist())]
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s)
-        return tau, (phi_dot,)
+        return tau, phi_dot
 
     def _estimate_error(self, Y, model, extras):
         return 0.0  # exact feedforward
@@ -253,13 +266,15 @@ class NonlinearDampingController(SIdentity, _CascadeController):
         self.theta_hat = self._estimate0(theta_hat0)
         self.lambda_D = nonnegative(gains, "lambda_d")  # zero turns the damping off
 
-    def evaluate(self, t, q, qdot, x, extras=None):
+    def law(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x)  # phi is the whole state
-        Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = self._neg_K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(Y.T.dot(s))
+        Y = self.shape.regressor_at(q, qdot, z, zdot)
+        lam_d = self.lambda_D
+        tau = [k * e + y - lam_d * d for k, e, y, d in zip(
+            self._neg_K, s, Y.dot(self.theta_hat).tolist(), Y.dot(Y.T.dot(np.array(s))).tolist())]
         if extras is not None:
             extras.update(ref_vel=z, ref_acc=zdot, s=s, theta_hat=self.theta_hat)
-        return tau, (phi_dot,)
+        return tau, phi_dot
 
     def _damping(self, Y, s, extras):
         return self.lambda_D * (Y @ (Y.T @ s))
@@ -282,11 +297,14 @@ class PassiveFilterController(FilteredDamping, _CascadeController):
         self.lam = positive(gains, "lambda")
         self.layout.add("xi", self.p_dim)
 
-    def evaluate(self, t, q, qdot, x, extras=None):
+    def law(self, t, q, qdot, x, extras=None):
         z, zdot, s, phi_dot = self._cascade(t, q, qdot, x[: self._m])
         xi = x[self._m :]
-        Y = self.shape.regressor(q, qdot, z, zdot)
-        tau = self._neg_K * s + Y.dot(self.theta_hat) - self.lambda_D * Y.dot(xi)
+        Y = self.shape.regressor_at(q, qdot, z, zdot)
+        lam_d, lam = self.lambda_D, self.lam
+        tau = [k * e + y - lam_d * d for k, e, y, d in zip(
+            self._neg_K, s, Y.dot(self.theta_hat).tolist(), Y.dot(np.array(xi)).tolist())]
         if extras is not None:
-            extras.update(ref_vel=z, ref_acc=zdot, s=s, xi=xi.copy(), theta_hat=self.theta_hat)
-        return tau, (phi_dot, -self.lam * xi + self.lam * Y.T.dot(s))
+            extras.update(ref_vel=z, ref_acc=zdot, s=s, xi=xi, theta_hat=self.theta_hat)
+        xi_dot = [-lam * a + lam * b for a, b in zip(xi, Y.T.dot(np.array(s)).tolist())]
+        return tau, phi_dot + xi_dot

@@ -186,11 +186,13 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     The state starts at ``(q0, qdot0)`` and the controller's initial state.
     On every ``stride``-th step the controller is observed at the step
     start, ``sample(k, t, q, qdot, ev, tau_star)`` is called with that
-    observation, and it doubles as the step's first RK4 stage.  A non-finite
-    state ends the run at the time of the step that produced it, without
-    numpy's overflow and invalid-value warnings.  The trajectory and the
-    disturbance are tabulated over ``_TABLE_STEPS`` steps' stage times at a
-    time; no table outlives the call.
+    observation, and it doubles as the step's first RK4 stage.  A
+    single-layer law (one with a ``law`` over floats) runs on a list state,
+    a filtering law on an ndarray; an observation always sees arrays.  A
+    non-finite state ends the run at the time of the step that produced it,
+    without numpy's overflow and invalid-value warnings.  The trajectory
+    and the disturbance are tabulated over ``_TABLE_STEPS`` steps' stage
+    times at a time; no table outlives the call.
 
     Returns ``(t, q, qdot, divergence_time)``: the plant samples of every
     step reached, and ``None`` unless the run diverged.  Each step stores
@@ -201,14 +203,24 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
     p = 2 * n  # the plant's share of the joint state
     x = np.concatenate([q0, qdot0, controller.initial_state(q0, qdot0, 0.0)])
     signals = (controller.traj, dist)
-    evaluate, forward_dynamics, disturbance = controller.evaluate, model.forward_dynamics, dist.eval
+    forward_dynamics, disturbance = model.forward_dynamics, dist.eval
+    law = getattr(controller, "law", None)
+    if law is None:
+        evaluate = controller.evaluate
 
-    def deriv(t, xx):
-        q = xx[:n]
-        qdot = xx[n:p]
-        tau, parts = evaluate(t, q, qdot, xx[p:])
-        return np.concatenate((qdot, forward_dynamics(q, qdot, tau, disturbance(t)), *parts))
+        def deriv(t, xx):
+            q = xx[:n]
+            qdot = xx[n:p]
+            tau, parts = evaluate(t, q, qdot, xx[p:])
+            return np.concatenate((qdot, forward_dynamics(q, qdot, tau, disturbance(t)), *parts))
+    else:
+        x, accel = x.tolist(), model.accel
 
+        def deriv(t, xx):
+            q = xx[:n]
+            qdot = xx[n:p]
+            tau, xdot = law(t, q, qdot, xx[p:])
+            return qdot + accel(q, qdot, tau, disturbance(t).tolist()) + xdot
     try:
         t_arr = np.empty(steps + 1)
         plant_arr = np.empty((steps + 1, p))
@@ -230,11 +242,16 @@ def integrate(model, controller, dist, q0, qdot0, dt, steps, stride, sample):
 
             k1 = None
             if k % stride == 0:
-                q = x[:n]
-                qdot = x[n:p]
-                ev = controller.observe(t, q, qdot, x[p:])
+                xa = np.asarray(x)
+                q = xa[:n]
+                qdot = xa[n:p]
+                ev = controller.observe(t, q, qdot, xa[p:])
                 ts = disturbance(t)
-                k1 = np.concatenate([qdot, forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
+                if law is None:
+                    k1 = np.concatenate([qdot, forward_dynamics(q, qdot, ev.tau, ts), ev.xdot])
+                else:
+                    k1 = (x[n:p] + accel(x[:n], x[n:p], ev.tau.tolist(), ts.tolist())
+                          + ev.xdot.tolist())
                 sample(k, t, q, qdot, ev, ts)
 
             if k >= steps:

@@ -80,6 +80,7 @@ class ArmShape:
     n: int
     p_dim: int
     regressor: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    regressor_at: Callable[[list, list, list, list], np.ndarray]  # the same, on float lists
 
 
 def _cos_sin(angle: float) -> tuple[float, float]:
@@ -111,8 +112,9 @@ class TwoLinkArm:
 
     Each term is stated once, over unpacked Python floats: scalar arithmetic
     does the same IEEE operations as the elementwise array form, without its
-    per-element overhead.  The public methods wrap those entries in arrays,
-    and ``forward_dynamics`` reads them directly; ``inertia`` gives them
+    per-element overhead.  ``accel`` and ``regressor_at`` take lists of
+    floats, ``forward_dynamics`` and ``regressor`` 1-D ndarrays; the other
+    public methods wrap the entries in arrays.  ``inertia`` gives them
     numpy's array trigonometry, so it also takes a stack of angles.  The
     lumped parameters are read from a tuple made at construction, so
     ``theta`` is read-only.
@@ -184,13 +186,13 @@ class TwoLinkArm:
     # -- regressor ---------------------------------------------------------
 
     @staticmethod
-    def regressor(q, qdot, zeta, zetadot) -> np.ndarray:
-        """Y such that Y @ theta = M(q) zetadot + C(q, qdot) zeta + g(q);
-        run on every RHS, it takes 1-D ndarrays only and converts nothing."""
-        q0, q1 = q.tolist()
-        v0, v1 = qdot.tolist()
-        z0, z1 = zeta.tolist()
-        zd0, zd1 = zetadot.tolist()
+    def regressor_at(q, qdot, zeta, zetadot) -> np.ndarray:
+        """Y such that Y @ theta = M(q) zetadot + C(q, qdot) zeta + g(q), at
+        lists of floats."""
+        q0, q1 = q
+        v0, v1 = qdot
+        z0, z1 = zeta
+        zd0, zd1 = zetadot
         c1, c2, s2, c12 = _kinematics(q0, q1)
         # a flat list converts faster than nested rows
         return np.array([
@@ -198,27 +200,37 @@ class TwoLinkArm:
             0.0, c2 * zd0 + s2 * v0 * z0, zd0 + zd1, 0.0, c12,
         ]).reshape(2, 5)
 
+    @staticmethod
+    def regressor(q, qdot, zeta, zetadot) -> np.ndarray:
+        """:meth:`regressor_at` on 1-D ndarrays, as the filtering laws run it."""
+        return TwoLinkArm.regressor_at(q.tolist(), qdot.tolist(), zeta.tolist(), zetadot.tolist())
+
     def shape(self) -> ArmShape:
-        return ArmShape(n=self.n, p_dim=self.p_dim, regressor=self.regressor)
+        return ArmShape(n=self.n, p_dim=self.p_dim, regressor=self.regressor,
+                        regressor_at=self.regressor_at)
 
     # -- simulation --------------------------------------------------------
 
-    def forward_dynamics(self, q, qdot, tau, tau_star) -> np.ndarray:
-        """Joint accelerations from M qdd = tau + tau_star - C qd - g; run
-        on every RHS, it takes 1-D ndarrays only and converts nothing."""
-        q0, q1 = q.tolist()
-        v0, v1 = qdot.tolist()
+    def accel(self, q, qdot, tau, tau_star) -> list:
+        """Joint accelerations from M qdd = tau + tau_star - C qd - g, from
+        and to lists of floats."""
+        q0, q1 = q
+        v0, v1 = qdot
         c1, c2, s2, c12 = _kinematics(q0, q1)
         m00, m01, m11 = self._inertia(c2)
         c00, c01, c10 = self._coriolis(s2, v0, v1)
         g0, g1 = self._gravity(c1, c12)
-        tau0, tau1 = tau.tolist()
-        ts0, ts1 = tau_star.tolist()
+        tau0, tau1 = tau
+        ts0, ts1 = tau_star
         r0 = tau0 + ts0 - (c00 * v0 + c01 * v1) - g0
         r1 = tau1 + ts1 - c10 * v0 - g1
         # closed-form 2x2 solve; M is positive definite for valid parameters
         det = m00 * m11 - m01 * m01
         try:
-            return np.array([(m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det])
+            return [(m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det]
         except ZeroDivisionError:  # a singular M: numpy's inf/NaN, so the run diverges
-            return np.array([m11 * r0 - m01 * r1, m00 * r1 - m01 * r0]) / det
+            return (np.array([m11 * r0 - m01 * r1, m00 * r1 - m01 * r0]) / det).tolist()
+
+    def forward_dynamics(self, q, qdot, tau, tau_star) -> np.ndarray:
+        """:meth:`accel` on 1-D ndarrays, as the filtering laws' RHS runs it."""
+        return np.array(self.accel(q.tolist(), qdot.tolist(), tau.tolist(), tau_star.tolist()))

@@ -64,32 +64,45 @@ def rk4_step(deriv, x, t, h, k1=None):
 
     Parameters
     ----------
-    deriv : callable mapping ``(t, x)`` to an array like ``x``
-    x : state array at time ``t``, of any shape
+    deriv : callable mapping ``(t, x)`` to a state like ``x``
+    x : state at time ``t``: an array of any shape, or a list of floats
     t : current time [s]
     h : step size [s], must be positive
     k1 : optional precomputed ``deriv(t, x)``, for callers that already
         evaluated the derivative at the step start (e.g. for logging)
 
-    Returns a new state array; ``x`` is not modified.  Raises
-    :class:`NonFiniteStateError` if the new state contains NaN/Inf, naming
-    the offending indices of the flattened state.  The check is one
-    ``np.vdot`` of the state with itself, finite only if every entry is;
-    the entrywise pass runs only when it is not (a non-finite entry, or a
-    finite state whose squared norm overflows, which ``vdot`` lets pass
-    without a floating-point warning, also outside ``np.errstate``).
+    Returns a new state of the type of ``x``, which is not modified; a list
+    is advanced entry by entry with the array body's operations, in its
+    order, so both give the same bits.  Raises :class:`NonFiniteStateError`
+    if the new state contains NaN/Inf, naming the offending indices of the
+    flattened state.  The check is one sum (``np.vdot`` of an array with
+    itself), finite only if every entry is; the entrywise pass runs only
+    when it is not (a non-finite entry, or a finite state whose sum
+    overflows, which passes without a floating-point warning, also outside
+    ``np.errstate``).
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    if k1 is None:
-        k1 = deriv(t, x)
     half = 0.5 * h
-    k2 = deriv(t + half, x + half * k1)
-    k3 = deriv(t + half, x + half * k2)
-    k4 = deriv(t + h, x + h * k3)
-    x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not math.isfinite(np.vdot(x_new, x_new)):
+    if isinstance(x, list):
+        if k1 is None:
+            k1 = deriv(t, x)
+        k2 = deriv(t + half, [a + half * b for a, b in zip(x, k1)])
+        k3 = deriv(t + half, [a + half * b for a, b in zip(x, k2)])
+        k4 = deriv(t + h, [a + h * b for a, b in zip(x, k3)])
+        h6 = h / 6.0
+        x_new = [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        total = sum(x_new)
+    else:
+        x = np.asarray(x, dtype=float)
+        if k1 is None:
+            k1 = deriv(t, x)
+        k2 = deriv(t + half, x + half * k1)
+        k3 = deriv(t + half, x + half * k2)
+        k4 = deriv(t + h, x + h * k3)
+        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        total = np.vdot(x_new, x_new)
+    if not math.isfinite(total):
         bad = ~np.isfinite(x_new)
         if bad.any():
             raise NonFiniteStateError(np.flatnonzero(bad), t)

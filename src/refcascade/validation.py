@@ -165,19 +165,36 @@ def _oracle_drive(config, q_traj, qd_traj, ts):
     return drive
 
 
-def _oracle_rate(config, q_traj, qd_traj, ts):
-    """``f(j, Z)`` of the literal ODE at the ``j``-th time of ``ts``."""
+def _oracle_rate(configs, q_traj, qd_traj, ts):
+    """``f(j, Z)`` of the literal ODEs of ``configs`` at the ``j``-th time of
+    ``ts``, ``Z`` their states row by row, one config after another.  Each
+    row's rate is the next row, the last row's the drive plus the
+    ``full_corrected`` correction: entrywise, so one gather and one
+    correction serve all configs, each with the bits of its own ODE."""
     n = q_traj.n
-    drive = _oracle_drive(config, q_traj, qd_traj, ts)
-    q_top = q_traj.eval_grid(ts, config.ell) if config.availability == "full_corrected" else None
+    size = n * sum(config.ell for config in configs)
+    # rows of [Z; tops]: each rate's source; the corrected tops and their last rows
+    src, corrected, last, lams, q_tops = [], [], [], [], []
+    end = 0
+    for i, config in enumerate(configs):
+        end += config.ell * n
+        tops = range(size + i * n, size + (i + 1) * n)
+        src += [*range(end - config.ell * n + n, end), *tops]
+        if config.availability == "full_corrected":
+            corrected += tops
+            last += range(end - n, end)
+            lams.append(config.Lambda)
+            q_tops.append(q_traj.eval_grid(ts, config.ell))
+    drive = np.concatenate([_oracle_drive(c, q_traj, qd_traj, ts) for c in configs], axis=1)
+    src, corrected, last = map(np.array, (src, corrected, last))
+    if lams:
+        lam, q_top = np.concatenate(lams), np.concatenate(q_tops, axis=1)
 
     def f(j, x):
-        # x holds Z row by row: each row's rate is the next row, the last
-        # row's rate is the drive
-        top = drive[j]
-        if q_top is not None:
-            top = top + config.Lambda * (q_top[j] - x[-n:])
-        return np.concatenate((x[n:], top))
+        y = np.concatenate((x, drive[j]))
+        if lams:
+            y[corrected] += lam * (q_top[j] - x[last])
+        return y[src]
 
     return f
 
@@ -210,26 +227,26 @@ def oracle_realization_gaps(configs, q_traj, qd_traj, dt, steps) -> list[float]:
     """
     n = q_traj.n
     ts = 0.5 * dt * np.arange(2 * steps + 1)  # stage j of the grid at t = j dt / 2
-    rates, x0 = [], []
+    oracle = _oracle_rate(configs, q_traj, qd_traj, ts)
+    x0 = [oracle_initial_state(config, q_traj, qd_traj).ravel() for config in configs]
     for config in configs:
         qd_dot0 = None if config.availability == "position" else qd_traj.eval(0.0, 1)
-        rates += [_oracle_rate(config, q_traj, qd_traj, ts),
-                  _realization_rate(config, q_traj, qd_traj, ts)]
-        x0 += [oracle_initial_state(config, q_traj, qd_traj).ravel(),
-               cascade_init(config, n, qd_dot0).ravel()]
+        x0.append(cascade_init(config, n, qd_dot0).ravel())
     starts = np.cumsum([0] + [x.size for x in x0]).tolist()
-    parts = list(zip(rates, map(slice, starts, starts[1:])))
+    m = starts[len(configs)]  # the oracle states' share, then each realization
+    parts = [(_realization_rate(config, q_traj, qd_traj, ts), slice(a, b))
+             for config, a, b in zip(configs, starts[len(configs):], starts[len(configs) + 1:])]
 
     def deriv(t, x):
         j = round(2.0 * t / dt)
-        return np.concatenate([f(j, x[sl]) for f, sl in parts])
+        return np.concatenate([oracle(j, x[:m])] + [f(j, x[sl]) for f, sl in parts])
 
     out = np.empty((steps + 1, starts[-1]))
     out[0] = np.concatenate(x0)
     for i in range(steps):
         out[i + 1] = rk4_step(deriv, out[i], i * dt, dt)
     z = [out[:, a : a + n] for a in starts[:-1]]
-    return [float(np.max(np.abs(z_o - z_r))) for z_o, z_r in zip(z[0::2], z[1::2])]
+    return [float(np.max(np.abs(z_o - z_r))) for z_o, z_r in zip(z[: len(configs)], z[len(configs) :])]
 
 
 def suite_cascade_equivalence():

@@ -14,8 +14,11 @@ checkouts (``git archive`` or ``git clone``) each holding ``src/`` and
 built in each tree, in a subprocess with that tree's package, and its
 compiled maps compared byte for byte (:func:`compiled_maps`).  A case prints
 one line, with whether ``log.csv`` and ``metrics.json`` are byte-identical
-and whether the maps are, and one more per column or map that differs; it
-exits 1 if any log differs, by value or by byte, or any ``metrics.json`` or
+and whether the maps are, and one more per column or map that differs.  The
+case ``SWEEP_CASE`` is a sweep, not a run: the ``gain:k`` sweep of
+``configs/order_sweep.ini`` that the benchmark's ``gain_sweep`` workload
+times, whose ``sweep.csv`` must be byte-identical.  The script exits 1 if any
+log differs, by value or by byte, or any ``metrics.json``, ``sweep.csv`` or
 compiled map does.  The column report alone would read a formatting change
 as no deviation.
 """
@@ -48,6 +51,26 @@ def run_log(tree, case, out):
     return code, Path(out) / "log.csv"
 
 
+# the benchmark's gain_sweep workload: config, axis, values and overrides
+SWEEP_CASE = "order_sweep-gain_sweep"
+SWEEP = ("order_sweep", "gain:k", ",".join(str(10 + 5 * i) for i in range(16)),
+         ["run.duration=0.5"])
+
+
+def run_sweep(tree, out):
+    """Run ``SWEEP`` with ``tree``'s package and config; return the exit
+    code and the path of its ``sweep.csv``."""
+    config, axis, values, overrides = SWEEP
+    tree = Path(tree).resolve()
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
+    cmd = [sys.executable, "-m", "refcascade.cli", "sweep", "--config",
+           str(tree / "configs" / f"{config}.ini"), "--axis", axis, f"--values={values}",
+           "--out", str(out), "--quiet", *sets]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    code = subprocess.run(cmd, env=env, cwd=tree).returncode
+    return code, Path(out) / "sweep.csv"
+
+
 FILES = ("log.csv", "metrics.json")
 BLOCK_MAPS = ("C", "early_map", "late_map", "served")
 
@@ -55,11 +78,17 @@ BLOCK_MAPS = ("C", "early_map", "late_map", "served")
 def compiled_maps(ctrl):
     """A controller's compiled maps as ``name -> (dtype, shape, bytes)``:
     a ``LinearBlock``'s ``BLOCK_MAPS``, or a single-layer law's cascade
-    map ``M``; none for the PID laws.  Bytes, not ``.npz`` files, whose zip
-    headers carry timestamps."""
-    owner, names = (ctrl.block, BLOCK_MAPS) if hasattr(ctrl, "block") else (ctrl, ("M",))
-    return {name: (a.dtype.str, a.shape, a.tobytes())
-            for name in names if (a := getattr(owner, name, None)) is not None}
+    map as ``cascade``, whatever attribute holds it (the law's one matrix);
+    none for the PID laws.  Bytes, not ``.npz`` files, whose zip headers
+    carry timestamps."""
+    if hasattr(ctrl, "block"):
+        found = {name: getattr(ctrl.block, name, None) for name in BLOCK_MAPS}
+    else:
+        matrices = [a for a in vars(ctrl).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+        if len(matrices) > 1:
+            raise ValueError(f"{type(ctrl).__name__} holds {len(matrices)} matrices, not one")
+        found = {"cascade": matrices[0]} if matrices else {}
+    return {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in found.items() if a is not None}
 
 
 def _dump_maps(config, *sets):
@@ -122,7 +151,17 @@ def main(argv):
         return 2
     tree_a, tree_b, *cases = argv
     differs = False
+    if not cases or SWEEP_CASE in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            (code_a, csv_a), (code_b, csv_b) = (run_sweep(tree, Path(tmp) / side)
+                                                for tree, side in ((tree_a, "a"), (tree_b, "b")))
+            same = csv_a.is_file() and csv_b.is_file() and csv_a.read_bytes() == csv_b.read_bytes()
+        differs |= code_a != code_b or not same
+        print(f"{SWEEP_CASE}: exit {code_a}/{code_b},"
+              f" sweep.csv {'identical' if same else 'DIFFERS'}")
     for case in cases or RUNS:
+        if case == SWEEP_CASE:
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             (code_a, log_a), (code_b, log_b) = (run_log(tree, case, Path(tmp) / side)
                                                 for tree, side in ((tree_a, "a"), (tree_b, "b")))

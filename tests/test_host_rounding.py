@@ -12,6 +12,8 @@ committed references (``tests/test_reference_logs.py``).
 """
 
 import math
+import operator
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,46 @@ def _draws(rng, shape):
 def _angles():
     rng = np.random.default_rng(0)
     return np.concatenate((rng.uniform(-50.0, 50.0, 20000), _draws(rng, 2000) * 1e3))
+
+
+def _operands():
+    """Doubles of every kind, as ``(A, B)`` pairs: each special value against
+    each, then drawn bit patterns (subnormals, infinities and NaNs with
+    their payloads among them) and magnitudes over six decades."""
+    rng = np.random.default_rng(70)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,
+                        1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan])
+    bits = np.frombuffer(rng.bytes(8 * 8000), dtype=float)
+    normal = _draws(rng, 4000)
+    a = np.concatenate((np.repeat(special, special.size), bits[:4000], normal, bits[4000:]))
+    b = np.concatenate((np.tile(special, special.size), bits[4000:], bits[:4000], normal))
+    return a, b
+
+
+@pytest.mark.parametrize("op, ufunc", [(operator.add, np.add), (operator.sub, np.subtract),
+                                       (operator.mul, np.multiply),
+                                       (operator.truediv, np.true_divide)])
+def test_python_float_arithmetic_rounds_like_numpy(op, ufunc):
+    # the single-layer laws, their plant and RK4 run on Python floats, and
+    # their logs stay those of numpy's elementwise loops only if each
+    # operation gives the same bits: array by array, and a scalar by an array
+    # as in RK4's ``half * k1``.  Two NaN operands may give either's NaN (a
+    # loop may commute them); every NaN prints as ``nan``.  Where Python
+    # raises, on a zero divisor, the program takes numpy's inf or NaN
+    a, b = _operands()
+    with np.errstate(all="ignore"):
+        results = [(a, b, ufunc(a, b))] + [(np.full_like(b, c), b, ufunc(c, b))
+                                          for c in (0.5, -0.0, 1e-3 / 6.0, math.inf, math.nan)]
+    for xs, ys, want in results:
+        for x, y, w in zip(xs.tolist(), ys.tolist(), want.tolist()):
+            try:
+                got = op(x, y)
+            except ZeroDivisionError:
+                assert y == 0.0 and not math.isfinite(w)
+                continue
+            same = struct.pack("<d", got) == struct.pack("<d", w)
+            assert same or math.isnan(x) and math.isnan(y) and math.isnan(got) and math.isnan(w), \
+                HOST.format(what=f"{ufunc.__name__}({x!r}, {y!r}): numpy {w!r}, Python {got!r}")
 
 
 def test_math_trigonometry_rounds_like_numpy():

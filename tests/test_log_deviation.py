@@ -132,11 +132,39 @@ def test_maps_built_in_a_subprocess_are_the_controllers():
     assert sorted(maps) == sorted(BLOCK_MAPS)
     ctrl = build_experiment(load_config(root / "configs" / "tone_single.ini"))[1]
     assert maps == compiled_maps(ctrl)
-    # a single-layer law's cascade map; the PID laws compile none
+    # a single-layer law's cascade map, under any attribute name; the PID
+    # laws compile none
     order_sweep = load_config(root / "configs" / "order_sweep.ini")
-    assert list(compiled_maps(build_experiment(order_sweep)[1])) == ["M"]
+    ctrl = build_experiment(order_sweep)[1]
+    maps = compiled_maps(ctrl)
+    assert list(maps) == ["cascade"] and maps["cascade"][2] == ctrl.M.tobytes()
+    ctrl.renamed = vars(ctrl).pop("M")
+    assert compiled_maps(ctrl) == maps
+    ctrl.second = ctrl.renamed.copy()
+    with pytest.raises(ValueError):
+        compiled_maps(ctrl)
     pid = load_config(root / "configs" / "pid_equivalence.ini", [("controller", "variant", "pid")])
     assert compiled_maps(build_experiment(pid)[1]) == {}
+
+
+def test_exit_code_reads_the_sweep_bytes(monkeypatch, capsys):
+    def fake_sweep(edit):
+        def run_sweep(tree, out):
+            Path(out).mkdir()
+            csv = Path(out) / "sweep.csv"
+            csv.write_text("axis_value,rms_dq_last\n10,0.5\n")
+            if tree == "B":
+                edit(csv)
+            return 0, csv
+        monkeypatch.setattr(log_deviation, "run_sweep", run_sweep)
+        return log_deviation.main(["A", "B", log_deviation.SWEEP_CASE])
+
+    assert fake_sweep(lambda csv: None) == 0
+    assert capsys.readouterr().out == f"{log_deviation.SWEEP_CASE}: exit 0/0, sweep.csv identical\n"
+    # the same value in another format is a difference, as is a missing file
+    for edit in (lambda csv: csv.write_text(csv.read_text().replace("0.5", "0.50")), Path.unlink):
+        assert fake_sweep(edit) == 1
+        assert "sweep.csv DIFFERS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("script", ["log_deviation.py", "test_reference_logs.py"])

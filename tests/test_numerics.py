@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from draws import SEEDS
+from hypothesis import given, settings
 
 from refcascade.numerics import (
     NonFiniteStateError,
@@ -106,6 +108,63 @@ class TestRk4:
         a = rk4_step(f, x0, 0.3, 0.05)
         b = rk4_step(f, x0, 0.3, 0.05)
         assert np.array_equal(a, b)
+
+
+def _linear_rates(rng, size):
+    """A drawn RHS ``a x + b t + c (A x)`` for an array state, and the same
+    for a list state, its product on an array of the list: one IEEE
+    operation per entry, in one order, on both."""
+    a, b, c = (rng.standard_normal(size) * 10.0 ** rng.uniform(-2.0, 2.0, size) for _ in range(3))
+    A = rng.standard_normal((size, size))
+
+    def on_array(t, x):
+        return a * x + b * t + c * A.dot(x)
+
+    return on_array, lambda t, x: on_array(t, np.array(x)).tolist()
+
+
+@settings(max_examples=100)
+@given(seed=SEEDS)
+def test_list_body_equals_array_body_bitwise(seed):
+    # the single-layer laws' list state against the array state of the
+    # filtering laws: one RK4, the same bits
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 40))
+    x = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    t, h = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-4.0, 0.0)
+    on_array, on_list = _linear_rates(rng, size)
+    k1 = on_array(t, x) if rng.random() < 0.5 else None  # a sampled step's first stage
+    want = rk4_step(on_array, x, t, h, k1=k1)
+    got = rk4_step(on_list, x.tolist(), t, h, k1=None if k1 is None else k1.tolist())
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=SEEDS)
+def test_non_finite_list_state_names_the_array_indices(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 30))
+    x = rng.standard_normal(size)
+    bad = rng.choice(size, int(rng.integers(1, min(size, 3) + 1)), replace=False)
+    x[bad] = rng.choice([np.nan, np.inf, -np.inf], bad.size)
+    rate = rng.standard_normal(size)  # elementwise, so only the drawn entries turn
+    errors = []
+    for state, deriv in ((x, lambda t, xx: rate * xx),
+                         (x.tolist(), lambda t, xx: (rate * xx).tolist())):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteStateError) as exc:
+            rk4_step(deriv, state, 0.25, 0.1)
+        errors.append((exc.value.indices, exc.value.t))
+    assert errors[0] == errors[1] == (sorted(bad.tolist()), 0.25)
+
+
+def test_list_body_checks_like_the_array_body():
+    for h in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            rk4_step(lambda t, x: x, [1.0], 0.0, h)
+    # a finite state whose sum overflows passes, as vdot's square does
+    x = [1.7e308, 1.7e308, -1.0]
+    assert rk4_step(lambda t, xx: [0.0] * len(xx), x, 0.0, 0.1) == x
 
 
 class TestRouthHurwitz:
